@@ -1,4 +1,4 @@
-"""Fingerprint branching: the committee-budget solvers for both modes.
+"""Fingerprint branching: one committee-budget solver for both modes.
 
 A fingerprint of an agent fixes, per level, whether her nominee joins that
 level's committee.  Guessing a fingerprint for one unsatisfied agent splits
@@ -7,7 +7,8 @@ guessed candidates' budgets and thresholds are paid for, and every nomination
 of a guessed-level candidate is erased (its fate is decided either way).  The
 parent is a yes iff some child is, so depth-first search over fingerprints
 decides the instance; depth is bounded by both the agent count and the total
-committee budget.
+committee budget.  One search loop serves both modes: equitable mode only
+adds a prune of overshot agents and the zero-target rule at each node.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .model import (
     PeInstance,
     SolveResult,
     greedy_committee,
+    lift,
     row_support,
 )
 
@@ -46,20 +48,6 @@ class BranchStats:
     fingerprints_tried: int = 0
     max_depth: int = 0
     max_children: int = 0
-
-
-def lift(inst: Instance) -> PeInstance:
-    """Embed a plain instance: constant per-level bounds, uniform targets."""
-    return PeInstance(
-        inst.mode,
-        inst.n,
-        inst.m,
-        inst.tau,
-        (inst.k,) * inst.tau,
-        (inst.x,) * inst.tau,
-        (inst.y,) * inst.n,
-        inst.profile,
-    )
 
 
 def _nonzero_levels(pe: PeInstance, a0: int) -> list[int]:
@@ -170,11 +158,18 @@ def _merge(child_witness: list[set], chosen, elected) -> list[set]:
     return child_witness
 
 
-def solve_pe_gcse_branch(pe: PeInstance) -> SolveResult:
-    """Exact egalitarian branching solver; witness reconstructed along the
-    accepting path and topped up greedily at the terminal."""
-    if pe.mode != EGALITARIAN:
-        raise ValueError("egalitarian solver got an equitable instance")
+def _branch(pe: PeInstance) -> SolveResult:
+    """Fingerprint DFS for both modes; the witness is reconstructed along
+    the accepting path.
+
+    Equitable mode adds two steps per node: an overshot agent (negative
+    target) fails the node, and satisfied agents are removed eagerly, their
+    candidates becoming forbidden.  A node where no target is left positive
+    is decided by the greedy score-maximal committee per level; in
+    equitable mode no agent is left there, so it accepts iff no positive
+    threshold remains.
+    """
+    equitable = pe.mode == EQUITABLE
     started = time.perf_counter()
     stats = BranchStats()
 
@@ -182,8 +177,12 @@ def solve_pe_gcse_branch(pe: PeInstance) -> SolveResult:
         stats.nodes_expanded += 1
         if any(k < 0 for k in cur.kvec):
             return None
+        if equitable and any(y < 0 for y in cur.yvec):
+            return None
         # every surviving depth step burned committee budget and one agent
         stats.max_depth = max(stats.max_depth, depth)
+        if equitable:
+            cur = rr_pe_qcse_zero_y(cur)
         if all(y <= 0 for y in cur.yvec):
             committees: list[set] = [set() for _ in range(cur.tau)]
             for t0 in range(cur.tau):
@@ -210,71 +209,34 @@ def solve_pe_gcse_branch(pe: PeInstance) -> SolveResult:
         return None
 
     witness = node(pe, 0)
-    counters = _counters(stats, started)
-    if witness is None:
-        return SolveResult.no(counters)
-    return SolveResult.yes(CommitteeSequence.of(witness), counters)
-
-
-def solve_pe_qcse_branch(pe: PeInstance) -> SolveResult:
-    """Exact equitable branching solver.
-
-    Satisfied agents are removed eagerly (their candidates become forbidden);
-    a node with an overshot agent fails, and the terminal accepts only when
-    no agents and no positive thresholds remain.
-    """
-    if pe.mode != EQUITABLE:
-        raise ValueError("equitable solver got an egalitarian instance")
-    started = time.perf_counter()
-    stats = BranchStats()
-
-    def node(cur: PeInstance, depth: int) -> list[set] | None:
-        stats.nodes_expanded += 1
-        if any(k < 0 for k in cur.kvec):
-            return None
-        if cur.n and any(y < 0 for y in cur.yvec):
-            return None
-        stats.max_depth = max(stats.max_depth, depth)
-        cur = rr_pe_qcse_zero_y(cur)
-        if cur.n == 0:
-            if any(x > 0 for x in cur.xvec):
-                return None
-            return [set() for _ in range(cur.tau)]
-        a0 = _pick_agent(cur)
-        if a0 is None:
-            return None
-        children = 0
-        for chosen in _level_choices(cur, a0):
-            children += 1
-            stats.fingerprints_tried += 1
-            elected = {t0: cur.profile[t0][a0] for t0 in chosen}
-            sub = node(_child(cur, a0, chosen), depth + 1)
-            if sub is not None:
-                stats.max_children = max(stats.max_children, children)
-                return _merge(sub, chosen, elected)
-        stats.max_children = max(stats.max_children, children)
-        return None
-
-    witness = node(pe, 0)
-    counters = _counters(stats, started)
-    if witness is None:
-        return SolveResult.no(counters)
-    return SolveResult.yes(CommitteeSequence.of(witness), counters)
-
-
-def _counters(stats: BranchStats, started: float) -> dict[str, int]:
-    return {
+    counters = {
         "nodes_expanded": stats.nodes_expanded,
         "fingerprints_tried": stats.fingerprints_tried,
         "max_depth": stats.max_depth,
         "max_children": stats.max_children,
         "elapsed_micros": int((time.perf_counter() - started) * 1e6),
     }
+    if witness is None:
+        return SolveResult.no(counters)
+    return SolveResult.yes(CommitteeSequence.of(witness), counters)
+
+
+def solve_pe_gcse_branch(pe: PeInstance) -> SolveResult:
+    """Exact egalitarian branching solver; witness topped up greedily at the
+    terminal."""
+    if pe.mode != EGALITARIAN:
+        raise ValueError("egalitarian solver got an equitable instance")
+    return _branch(pe)
+
+
+def solve_pe_qcse_branch(pe: PeInstance) -> SolveResult:
+    """Exact equitable branching solver; the terminal accepts only when no
+    agents and no positive thresholds remain."""
+    if pe.mode != EQUITABLE:
+        raise ValueError("equitable solver got an egalitarian instance")
+    return _branch(pe)
 
 
 def solve_branch(inst: Instance) -> SolveResult:
-    """Branching solver on a plain instance (lift, then dispatch by mode)."""
-    pe = lift(inst)
-    if inst.egalitarian:
-        return solve_pe_gcse_branch(pe)
-    return solve_pe_qcse_branch(pe)
+    """Branching solver on a plain instance (lift, then search)."""
+    return _branch(lift(inst))

@@ -82,7 +82,7 @@ def solve_with_algo(inst, algo: str, limits: OracleLimits | None = None, max_nod
             return brute_solve_pe(inst, limits), "brute"
         raise UsageError(f"algorithm {algo!r} does not apply to pre-elected instances")
     if algo == "auto":
-        return _solve_auto(inst, limits, max_nodes)
+        return _solve_auto(inst, max_nodes)
     if algo == "brute":
         return brute_solve(inst, limits), "brute"
     if algo == "branch":
@@ -98,10 +98,10 @@ def solve_with_algo(inst, algo: str, limits: OracleLimits | None = None, max_nod
     raise UsageError(f"unknown algorithm {algo!r}")
 
 
-def _solve_auto(inst: Instance, limits, max_nodes):
+def _solve_auto(inst: Instance, max_nodes):
     """Routing: trivial rules, then the polynomial two-level pipeline, then
-    the score DP for few agents, branching for small committee budgets, the
-    integer program, and exhaustion as a last resort."""
+    the score DP for few agents, branching for small committee budgets, and
+    otherwise the integer program, whose search budget is ``max_nodes``."""
     result = trivial_solve(inst)
     if result is not None:
         return result, "trivial"
@@ -111,11 +111,7 @@ def _solve_auto(inst: Instance, limits, max_nodes):
         return solve_dp(inst), "dp"
     if inst.k * inst.tau <= 24:
         return solve_branch(inst), "branch"
-    try:
-        return solve_ip(inst, max_nodes=max_nodes), "ip"
-    except GuardExceeded:
-        pass
-    return brute_solve(inst, limits), "brute"
+    return solve_ip(inst, max_nodes=max_nodes), "ip"
 
 
 def _result_payload(result: SolveResult, algo: str) -> dict:
@@ -129,8 +125,7 @@ def _result_payload(result: SolveResult, algo: str) -> dict:
 
 def cmd_solve(args) -> int:
     inst = formats.parse_instance(_read(args.instance))
-    limits = None
-    result, algo = solve_with_algo(inst, args.algo, limits, args.max_nodes)
+    result, algo = solve_with_algo(inst, args.algo, max_nodes=args.max_nodes)
     if args.json:
         print(json.dumps(_result_payload(result, algo), sort_keys=True))
     else:

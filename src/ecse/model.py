@@ -53,6 +53,23 @@ def _as_committee(candidates) -> Committee:
     return committee
 
 
+def _check_shape(inst) -> None:
+    """Validation shared by both instance types: mode, sizes, and a profile
+    of ``tau`` rows of ``n`` nominations in ``0..m``."""
+    if inst.mode not in MODES:
+        raise ValueError(f"unknown mode {inst.mode!r}")
+    if inst.n < 0 or inst.m < 0 or inst.tau < 1:
+        raise ValueError("need n >= 0, m >= 0, tau >= 1")
+    if len(inst.profile) != inst.tau:
+        raise ValueError(f"profile has {len(inst.profile)} rows, expected {inst.tau}")
+    for row in inst.profile:
+        if len(row) != inst.n:
+            raise ValueError(f"profile row has {len(row)} entries, expected {inst.n}")
+        for c in row:
+            if c < 0 or c > inst.m:
+                raise ValueError(f"nomination {c} out of range 0..{inst.m}")
+
+
 @dataclass(frozen=True)
 class Instance:
     """One election instance.
@@ -71,20 +88,9 @@ class Instance:
     profile: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.n < 0 or self.m < 0 or self.tau < 1:
-            raise ValueError("need n >= 0, m >= 0, tau >= 1")
+        _check_shape(self)
         if self.k < 0 or self.x < 0 or self.y < 0:
             raise ValueError("bounds k, x, y must be nonnegative")
-        if len(self.profile) != self.tau:
-            raise ValueError(f"profile has {len(self.profile)} rows, expected {self.tau}")
-        for row in self.profile:
-            if len(row) != self.n:
-                raise ValueError(f"profile row has {len(row)} entries, expected {self.n}")
-            for c in row:
-                if c < 0 or c > self.m:
-                    raise ValueError(f"nomination {c} out of range 0..{self.m}")
 
     @property
     def egalitarian(self) -> bool:
@@ -111,26 +117,29 @@ class PeInstance:
     profile: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.n < 0 or self.m < 0 or self.tau < 1:
-            raise ValueError("need n >= 0, m >= 0, tau >= 1")
+        _check_shape(self)
         if len(self.kvec) != self.tau or len(self.xvec) != self.tau:
             raise ValueError("kvec/xvec must have one entry per level")
         if len(self.yvec) != self.n:
             raise ValueError("yvec must have one entry per agent")
-        if len(self.profile) != self.tau:
-            raise ValueError("profile must have one row per level")
-        for row in self.profile:
-            if len(row) != self.n:
-                raise ValueError("profile row length must equal n")
-            for c in row:
-                if c < 0 or c > self.m:
-                    raise ValueError(f"nomination {c} out of range 0..{self.m}")
 
     @property
     def egalitarian(self) -> bool:
         return self.mode == EGALITARIAN
+
+
+def lift(inst: Instance) -> PeInstance:
+    """Embed a plain instance: constant per-level bounds, uniform targets."""
+    return PeInstance(
+        inst.mode,
+        inst.n,
+        inst.m,
+        inst.tau,
+        (inst.k,) * inst.tau,
+        (inst.x,) * inst.tau,
+        (inst.y,) * inst.n,
+        inst.profile,
+    )
 
 
 @dataclass(frozen=True)
@@ -317,27 +326,14 @@ def verify(inst: Instance, seq: CommitteeSequence) -> VerificationReport:
 def pe_feasible(pe: PeInstance, committees) -> bool:
     """Check a committee sequence against pre-elected semantics."""
     seq = CommitteeSequence.of(committees)
-    if len(seq) != pe.tau:
-        raise ValueError(f"sequence has {len(seq)} committees, expected {pe.tau}")
-    agent_scores = [0] * pe.n
-    for t0, (row, committee) in enumerate(zip(pe.profile, seq)):
-        if len(committee) > pe.kvec[t0]:
-            return False
-        chosen = set(committee)
-        hit = 0
-        for a0, c in enumerate(row):
-            if c != 0 and c in chosen:
-                hit += 1
-                agent_scores[a0] += 1
-        if hit < pe.xvec[t0]:
-            return False
-    for a0, score in enumerate(agent_scores):
-        if pe.egalitarian:
-            if score < pe.yvec[a0]:
-                return False
-        elif score != pe.yvec[a0]:
-            return False
-    return True
+    level_scores, agent_scores = _all_scores(pe, seq)
+    if any(len(c) > k for c, k in zip(seq, pe.kvec)):
+        return False
+    if any(score < x for score, x in zip(level_scores, pe.xvec)):
+        return False
+    if pe.egalitarian:
+        return all(score >= y for score, y in zip(agent_scores, pe.yvec))
+    return all(score == y for score, y in zip(agent_scores, pe.yvec))
 
 
 # -- per-level structure ------------------------------------------------------
@@ -386,7 +382,7 @@ def valid_committees(support: dict[int, int], k: int, x: int) -> list[Committee]
     out: list[Committee] = []
     for size in range(0, min(k, len(nominated)) + 1):
         for combo in itertools.combinations(nominated, size):
-            if sum(support[c] for c in combo) >= x:
+            if sum(map(support.__getitem__, combo)) >= x:
                 out.append(combo)
     return out
 

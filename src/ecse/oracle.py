@@ -1,11 +1,13 @@
 """Brute-force reference solvers.
 
 These are the ground truth for every property test in the suite.  They are
-deliberately plain: per level a committee list is enumerated, then a depth
-first search over the level product checks the constraints, with only the
-obvious dead-branch cuts (an agent that can no longer reach, or has already
-overshot, its target).  Nothing here is shared with the optimized solvers
-beyond the data model.
+deliberately plain: per level the committees that meet the level constraints
+are enumerated, then one depth-first search over the level product checks
+the agent targets, with only the obvious dead-branch cuts (an agent that can
+no longer reach, or has already passed, its target).  All three entry points
+share that search; plain instances are renamed and lifted to pre-elected
+ones first.  Nothing here is shared with the optimized solvers beyond the
+data model.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from operator import gt, lt
 
 from .model import (
     CMP_EQ,
@@ -25,8 +28,11 @@ from .model import (
     PeInstance,
     SolveResult,
     compares,
-    enumerate_valid_committees,
+    enumerate_valid_committees,  # noqa: F401 -- perfbench/tracing.py wraps this name
+    lift,
     rename_candidates,
+    row_support,
+    valid_committees,
 )
 
 
@@ -49,68 +55,46 @@ class OracleLimits:
 DEFAULT_LIMITS = OracleLimits()
 
 
-def _nominated_subsets(row: tuple[int, ...], max_size: int) -> list[tuple[int, ...]]:
-    """All committees over the candidates nominated in ``row``, size capped."""
-    nominated = sorted({c for c in row if c != 0})
-    if max_size < 0:
-        return []
-    out = []
-    for size in range(0, min(max_size, len(nominated)) + 1):
-        out.extend(itertools.combinations(nominated, size))
-    return out
-
-
 def _satisfied(row: tuple[int, ...], committee: tuple[int, ...]) -> list[int]:
     chosen = set(committee)
     return [a0 for a0, c in enumerate(row) if c != 0 and c in chosen]
 
 
-def _suffix_potential(profile) -> list[list[int]]:
-    """potential[t][a]: levels >= t in which agent a nominates someone."""
-    tau = len(profile)
-    n = len(profile[0]) if profile else 0
-    potential = [[0] * n for _ in range(tau + 1)]
-    for t0 in range(tau - 1, -1, -1):
-        for a0 in range(n):
-            potential[t0][a0] = potential[t0 + 1][a0] + (1 if profile[t0][a0] != 0 else 0)
-    return potential
+def _floors(profile, yvec) -> list[list[int]]:
+    """floor[t][a]: the score agent a must already have on entering level t,
+    i.e. its target less the levels >= t in which it nominates someone."""
+    floor = [list(yvec)]
+    for row in reversed(profile):
+        floor.append([need - (c != 0) for need, c in zip(floor[-1], row)])
+    floor.reverse()
+    return floor
 
 
-def _search(profile, options, xvec, yvec, equitable, stats) -> list[tuple[int, ...]] | None:
+def _search(profile, options, yvec, cmp_y, stats) -> list[tuple[int, ...]] | None:
     """DFS over per-level committee options.
 
-    ``options[t]`` holds (committee, satisfied-agents, score) triples; the
-    first feasible sequence in enumeration order is returned.
+    ``options[t]`` holds the (committee, satisfied-agents) pairs that already
+    meet level ``t``'s constraints; ``cmp_y`` relates each agent's score to
+    its target.  The first feasible sequence in enumeration order is
+    returned.
     """
     tau = len(profile)
-    n = len(profile[0]) if profile else 0
-    potential = _suffix_potential(profile)
-    scores = [0] * n
+    floor = _floors(profile, yvec)
+    must_reach = cmp_y in (CMP_GE, CMP_EQ)
+    must_not_pass = cmp_y in (CMP_LE, CMP_EQ)
+    scores = [0] * len(yvec)
     chosen: list[tuple[int, ...]] = []
-
-    def dead(t0: int) -> bool:
-        for a0 in range(n):
-            if scores[a0] + potential[t0][a0] < yvec[a0]:
-                return True
-            if equitable and scores[a0] > yvec[a0]:
-                return True
-        return False
 
     def rec(t0: int) -> bool:
         stats["nodes"] += 1
-        if dead(t0):
+        # dead branches: an agent can no longer reach, or has passed, its target
+        if must_reach and any(map(lt, scores, floor[t0])):
+            return False
+        if must_not_pass and any(map(gt, scores, yvec)):
             return False
         if t0 == tau:
-            for a0 in range(n):
-                if equitable:
-                    if scores[a0] != yvec[a0]:
-                        return False
-                elif scores[a0] < yvec[a0]:
-                    return False
             return True
-        for committee, sats, score in options[t0]:
-            if score < xvec[t0]:
-                continue
+        for committee, sats in options[t0]:
             chosen.append(committee)
             for a0 in sats:
                 scores[a0] += 1
@@ -124,75 +108,55 @@ def _search(profile, options, xvec, yvec, equitable, stats) -> list[tuple[int, .
     return list(chosen) if rec(0) else None
 
 
-def brute_solve(inst: Instance, limits: OracleLimits | None = None) -> SolveResult:
-    """Exact verdict by exhaustion, witness included on yes.
-
-    Egalitarian search runs over the per-level valid committees (anything
-    else violates the level constraint anyway); equitable search runs over
-    all size-at-most-k committees of nominated candidates and checks the
-    level score during the sweep.
-    """
-    limits = limits or DEFAULT_LIMITS
-    started = time.perf_counter()
-    renamed, renaming = rename_candidates(inst)
-    # the enumeration base per level is its distinct nominated candidates
-    effective_m = max((len(set(row) - {0}) for row in renamed.profile), default=0)
-    if renamed.n > limits.max_n or effective_m > limits.max_m or renamed.tau > limits.max_tau:
-        raise OracleLimitError(
-            f"n={renamed.n}, m={effective_m} (effective), tau={renamed.tau} "
-            f"exceed limits {limits}"
-        )
-    options = []
-    total = 0
-    for t in range(1, renamed.tau + 1):
-        row = renamed.profile[t - 1]
-        if renamed.egalitarian:
-            committees = enumerate_valid_committees(renamed, t)
-        else:
-            committees = _nominated_subsets(row, renamed.k)
-        if len(committees) > limits.max_committees_per_level:
-            raise OracleLimitError(f"{len(committees)} committees at level {t}")
-        total += len(committees)
-        sat_lists = [_satisfied(row, c) for c in committees]
-        options.append([(c, s, len(s)) for c, s in zip(committees, sat_lists)])
-
-    stats = {"nodes": 0, "committees_enumerated": total}
-    xvec = (renamed.x,) * renamed.tau
-    yvec = (renamed.y,) * renamed.n
-    found = _search(renamed.profile, options, xvec, yvec, not renamed.egalitarian, stats)
+def _finish(found, stats, started) -> SolveResult:
     stats["elapsed_micros"] = int((time.perf_counter() - started) * 1e6)
     if found is None:
         return SolveResult.no(stats)
-    return SolveResult.yes(renaming.lift(CommitteeSequence(tuple(found))), stats)
+    return SolveResult.yes(CommitteeSequence(tuple(found)), stats)
+
+
+def brute_solve(inst: Instance, limits: OracleLimits | None = None) -> SolveResult:
+    """Exact verdict by exhaustion, witness included on yes.
+
+    Candidates are renamed first, so the limits apply to the candidates
+    actually nominated; the lifted instance is solved by
+    :func:`brute_solve_pe` and its witness mapped back to the original ids.
+    """
+    renamed, renaming = rename_candidates(inst)
+    result = brute_solve_pe(lift(renamed), limits)
+    if result.witness is None:
+        return result
+    return SolveResult.yes(renaming.lift(result.witness), result.stats)
 
 
 def brute_solve_pe(pe: PeInstance, limits: OracleLimits | None = None) -> SolveResult:
     """Exhaustive solver for pre-elected instances.
 
-    Negative per-level budgets admit no committee at all, so any such level
-    makes the instance a no.
+    Each level's options are its valid committees: nominated candidates
+    only, at most ``kvec[t]`` of them, scoring at least ``xvec[t]``.  A
+    negative budget admits no committee at all, so any such level makes the
+    instance a no.  The candidate limit applies to the distinct candidates
+    nominated per level.
     """
     limits = limits or DEFAULT_LIMITS
     started = time.perf_counter()
-    if pe.n > limits.max_n or pe.tau > limits.max_tau:
-        raise OracleLimitError(f"n={pe.n}, tau={pe.tau} exceed limits {limits}")
+    effective_m = max((len(set(row) - {0}) for row in pe.profile), default=0)
+    if pe.n > limits.max_n or effective_m > limits.max_m or pe.tau > limits.max_tau:
+        raise OracleLimitError(
+            f"n={pe.n}, m={effective_m} (effective), tau={pe.tau} exceed limits {limits}"
+        )
     options = []
     total = 0
-    for t0 in range(pe.tau):
-        row = pe.profile[t0]
-        committees = _nominated_subsets(row, pe.kvec[t0])
+    for t0, row in enumerate(pe.profile):
+        committees = valid_committees(row_support(row), pe.kvec[t0], pe.xvec[t0])
         if len(committees) > limits.max_committees_per_level:
             raise OracleLimitError(f"{len(committees)} committees at level {t0 + 1}")
         total += len(committees)
-        sat_lists = [_satisfied(row, c) for c in committees]
-        options.append([(c, s, len(s)) for c, s in zip(committees, sat_lists)])
+        options.append([(c, _satisfied(row, c)) for c in committees])
 
     stats = {"nodes": 0, "committees_enumerated": total}
-    found = _search(pe.profile, options, pe.xvec, pe.yvec, not pe.egalitarian, stats)
-    stats["elapsed_micros"] = int((time.perf_counter() - started) * 1e6)
-    if found is None:
-        return SolveResult.no(stats)
-    return SolveResult.yes(CommitteeSequence(tuple(found)), stats)
+    cmp_y = CMP_GE if pe.egalitarian else CMP_EQ
+    return _finish(_search(pe.profile, options, pe.yvec, cmp_y, stats), stats, started)
 
 
 def brute_solve_generalized(
@@ -219,45 +183,10 @@ def brute_solve_generalized(
     if len(base) > limits.max_committees_per_level:
         raise OracleLimitError(f"{len(base)} committees per level")
 
-    potential = _suffix_potential(inst.profile)
-    scores = [0] * inst.n
-    chosen: list[tuple[int, ...]] = []
+    options = []
+    for row in inst.profile:
+        pairs = ((c, _satisfied(row, c)) for c in base)
+        options.append([(c, sats) for c, sats in pairs if compares(spec.cmp_x, len(sats), inst.x)])
     stats = {"nodes": 0, "committees_enumerated": len(base) * inst.tau}
-    per_level = []
-    for t0 in range(inst.tau):
-        row = inst.profile[t0]
-        per_level.append([(c, _satisfied(row, c)) for c in base])
-
-    def dead(t0: int) -> bool:
-        for a0 in range(inst.n):
-            s = scores[a0]
-            if spec.cmp_y in (CMP_GE, CMP_EQ) and s + potential[t0][a0] < inst.y:
-                return True
-            if spec.cmp_y in (CMP_LE, CMP_EQ) and s > inst.y:
-                return True
-        return False
-
-    def rec(t0: int) -> bool:
-        stats["nodes"] += 1
-        if dead(t0):
-            return False
-        if t0 == inst.tau:
-            return all(compares(spec.cmp_y, scores[a0], inst.y) for a0 in range(inst.n))
-        for committee, sats in per_level[t0]:
-            if not compares(spec.cmp_x, len(sats), inst.x):
-                continue
-            chosen.append(committee)
-            for a0 in sats:
-                scores[a0] += 1
-            if rec(t0 + 1):
-                return True
-            for a0 in sats:
-                scores[a0] -= 1
-            chosen.pop()
-        return False
-
-    ok = rec(0)
-    stats["elapsed_micros"] = int((time.perf_counter() - started) * 1e6)
-    if not ok:
-        return SolveResult.no(stats)
-    return SolveResult.yes(CommitteeSequence(tuple(chosen)), stats)
+    yvec = (inst.y,) * inst.n
+    return _finish(_search(inst.profile, options, yvec, spec.cmp_y, stats), stats, started)

@@ -233,3 +233,13 @@ def test_auto_routing_agrees_with_brute():
         routes.add(algo)
         assert result.verdict == brute_solve(inst).verdict, f"seed {seed}"
     assert "trivial" in routes and "dp" in routes and "tau2" in routes
+
+
+def test_auto_reports_the_ip_budget_when_it_gives_up(tmp_path, capsys):
+    # n > 12 and k*tau > 24: auto routes to the integer program
+    inst = random_instance(1, 13, 6, 6, 5, 4, 2, "equitable")
+    path = tmp_path / "big.ecse"
+    path.write_text(serialize_instance(inst))
+    code, _, err = run(capsys, "solve", str(path), "--max-nodes", "1")
+    assert code == 3
+    assert "gave up after 1 search nodes" in err

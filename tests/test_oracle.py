@@ -1,8 +1,11 @@
 """Brute-force oracle: worked-example verdicts, determinism, guards."""
 
+import itertools
+
 import pytest
 
 from ecse.model import (
+    COMPARATORS,
     EGALITARIAN,
     EQUITABLE,
     CommitteeSequence,
@@ -135,3 +138,36 @@ def test_generalized_equals_plain_modes(trip_egalitarian, trip_equitable_x3, tri
         (trip_equitable_x4, ComparatorSpec("<=", ">=", "=")),
     ]:
         assert brute_solve_generalized(inst, spec).verdict == brute_solve(inst).verdict
+
+
+def test_pe_respects_candidate_limit():
+    # nine agents, nine distinct nominees in the only level
+    pe = lift(make_instance([tuple(range(1, 10))], mode=EGALITARIAN, k=1, x=0, y=0))
+    with pytest.raises(OracleLimitError):
+        brute_solve_pe(pe, OracleLimits(max_n=9, max_m=4, max_tau=2))
+
+
+def _any_feasible(inst, spec) -> bool:
+    """Product enumeration over every subset of every candidate per level."""
+    everyone = range(1, inst.m + 1)
+    subsets = [c for size in range(inst.m + 1) for c in itertools.combinations(everyone, size)]
+    return any(
+        verify_generalized(inst, spec, CommitteeSequence(combo)).feasible
+        for combo in itertools.product(subsets, repeat=inst.tau)
+    )
+
+
+@pytest.mark.parametrize(
+    "ops", list(itertools.product(COMPARATORS, repeat=3)), ids=lambda ops: " ".join(ops)
+)
+def test_generalized_matches_product_enumeration(ops):
+    spec = ComparatorSpec(*ops)
+    for seed in range(30):
+        inst = random_instance(
+            seed, n=1 + seed % 3, m=1 + (seed // 3) % 3, tau=1 + (seed // 2) % 3,
+            k=seed % 4, x=seed % 3, y=(seed // 5) % 3, mode=EGALITARIAN, empty_prob=0.2,
+        )
+        result = brute_solve_generalized(inst, spec)
+        assert (result.verdict == "yes") == _any_feasible(inst, spec), f"seed {seed}"
+        if result.verdict == "yes":
+            assert verify_generalized(inst, spec, result.witness).feasible
