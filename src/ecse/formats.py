@@ -133,7 +133,10 @@ def parse_instance(text: str) -> Instance | PeInstance:
         pos += 1
         if tokens == ["end"]:
             raise ParseError(line, f"expected {expected_rows} level rows, got {len(rows)}")
-        row = tuple(_int(tok, line) for tok in tokens)
+        try:
+            row = tuple(map(int, tokens))
+        except ValueError:
+            row = tuple(_int(tok, line) for tok in tokens)  # names the bad token
         if len(row) != n:
             raise ParseError(line, f"level row has {len(row)} entries, expected n={n}")
         for c in row:

@@ -8,12 +8,23 @@ whose degree sums reach the remaining per-level thresholds.  In every
 connected component such a cover takes exactly one full side, so a sweep over
 components with reachable (budget, budget, score) triples decides the graph
 problem in polynomial time.
+
+The forcing rules run as a worklist, as unit propagation does for Horn
+clauses: an index from (level, candidate) to agents is built once, each
+forcing deletes its supporters and erases each partner nomination through
+that index, and agents left with one nomination join a heap.  Every agent is
+deleted, erased and pushed at most once, so the rules cost O(n log n).  The
+graph is built over distinct (level-1, level-2) nomination pairs, so
+union-find runs once per pair, not once per agent.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
+from heapq import heappop, heappush
+from itertools import compress
 
 from .model import (
     EQUITABLE,
@@ -66,9 +77,8 @@ def rr_x2_no_nomination(x2: X2Instance) -> X2Instance | None:
     (meaning: resolved no) if such an agent exists, else the input."""
     if x2.y != 1:
         raise ValueError("rule applies to target-one instances")
-    for a0 in range(x2.n):
-        if x2.row1[a0] == 0 and x2.row2[a0] == 0:
-            return None
+    if 0 in x2.row1 and (0, 0) in zip(x2.row1, x2.row2):
+        return None
     return x2
 
 
@@ -120,17 +130,69 @@ def rr_x2_force_single(x2: X2Instance) -> X2Instance | None:
 
 
 def apply_x2_rules(x2: X2Instance) -> X2Instance | None:
-    """Both rules to a joint fixed point; None means resolved no."""
-    while True:
-        checked = rr_x2_no_nomination(x2)
-        if checked is None:
+    """Both rules to a joint fixed point; None means resolved no.
+
+    The result equals that of alternating ``rr_x2_no_nomination`` and
+    ``rr_x2_force_single`` until neither changes anything, ``forced1`` and
+    ``forced2`` order included, and it is the input itself when no agent
+    nominates in only one level.  Single-nomination agents wait in a min-heap
+    by agent index, so the next one popped is the first single agent the
+    one-step rule would pick.  Forcing a candidate deletes its supporters,
+    taken from a (level, candidate) index built once, and erases each of
+    their other-level nominations once through the same index; an agent that
+    loses a nomination is pushed.  No agent is deleted, erased or pushed
+    twice, so the cost is O(n log n).
+    """
+    if rr_x2_no_nomination(x2) is None:
+        return None
+    if 0 not in x2.row1 and 0 not in x2.row2:
+        return x2
+    # a sorted list is already a heap
+    single = [a0 for a0, pair in enumerate(zip(x2.row1, x2.row2)) if 0 in pair]
+    # per level (index 1 and 2): nominations, and candidate -> its agents
+    rows = (None, list(x2.row1), list(x2.row2))
+    holders = (None, defaultdict(list), defaultdict(list))
+    for a0, (one, two) in enumerate(zip(x2.row1, x2.row2)):
+        holders[1][one].append(a0)
+        holders[2][two].append(a0)
+    budget = [None, x2.k1, x2.k2]
+    threshold = [None, x2.x1, x2.x2]
+    forced = (None, list(x2.forced1), list(x2.forced2))
+    alive = [True] * x2.n
+    while single:
+        a0 = heappop(single)
+        if not alive[a0]:
+            continue
+        t = 1 if rows[1][a0] else 2
+        here, there = rows[t], rows[3 - t]
+        star = here[a0]
+        budget[t] -= 1
+        if budget[t] < 0:
             return None
-        nxt = rr_x2_force_single(checked)
-        if nxt is None:
-            return None
-        if nxt is checked:
-            return checked
-        x2 = nxt
+        # a candidate still nominated was never erased, so all its live
+        # holders nominate it
+        supporters = [b for b in holders[t].pop(star) if alive[b]]
+        threshold[t] = max(0, threshold[t] - len(supporters))
+        forced[t].append(star)
+        for b in supporters:
+            alive[b] = False
+        partners = {there[b] for b in supporters if there[b]}
+        for partner in partners:
+            for b in holders[3 - t].pop(partner):
+                if alive[b]:
+                    there[b] = 0
+                    if not here[b]:
+                        return None
+                    heappush(single, b)
+    return replace(
+        x2,
+        n=sum(alive),
+        row1=tuple(compress(rows[1], alive)),
+        row2=tuple(compress(rows[2], alive)),
+        agent_ids=tuple(compress(x2.agent_ids, alive)),
+        k1=budget[1], k2=budget[2], x1=threshold[1], x2=threshold[2],
+        forced1=tuple(forced[1]), forced2=tuple(forced[2]),
+    )
 
 
 @dataclass(frozen=True)
@@ -158,7 +220,9 @@ class CbivcsInstance:
     components: tuple[CbivcsComponent, ...]
 
 
-def _components(left, right, edges) -> tuple[CbivcsComponent, ...]:
+def _components(left, right, pairs: Counter) -> tuple[CbivcsComponent, ...]:
+    """Connected components of the graph whose edges are the distinct
+    (left, right) nomination pairs, each counted with its multiplicity."""
     parent: dict[Vertex, Vertex] = {(1, c): (1, c) for c in left}
     parent.update({(2, c): (2, c) for c in right})
 
@@ -168,21 +232,21 @@ def _components(left, right, edges) -> tuple[CbivcsComponent, ...]:
             v = parent[v]
         return v
 
-    for u, v, _ in edges:
+    for u, v in pairs:
         ru, rv = find((1, u)), find((2, v))
         if ru != rv:
             parent[ru] = rv
     groups: dict[Vertex, list] = {}
     for v in parent:
         groups.setdefault(find(v), []).append(v)
-    edge_counts: dict[Vertex, int] = {}
-    for u, v, _ in edges:
-        edge_counts[find((1, u))] = edge_counts.get(find((1, u)), 0) + 1
+    edge_counts: Counter = Counter()
+    for (u, _), count in pairs.items():
+        edge_counts[find((1, u))] += count
     components = []
     for root, members in groups.items():
         lefts = tuple(sorted(c for side, c in members if side == 1))
         rights = tuple(sorted(c for side, c in members if side == 2))
-        components.append(CbivcsComponent(lefts, rights, edge_counts.get(root, 0)))
+        components.append(CbivcsComponent(lefts, rights, edge_counts[root]))
     # every component carries at least one edge, so both sides are nonempty
     components.sort(key=lambda comp: (comp.left[0], comp.right[0]))
     return tuple(components)
@@ -191,18 +255,16 @@ def _components(left, right, edges) -> tuple[CbivcsComponent, ...]:
 def build_cbivcs(x2: X2Instance) -> CbivcsInstance:
     """Agents as edges between their two nominations; rules must have run
     first so that every agent nominates at both levels."""
-    for a0 in range(x2.n):
-        if x2.row1[a0] == 0 or x2.row2[a0] == 0:
-            raise ValueError("agents must nominate at both levels; apply the rules first")
+    if 0 in x2.row1 or 0 in x2.row2:
+        raise ValueError("agents must nominate at both levels; apply the rules first")
     if x2.y != 1:
         raise ValueError("the graph reduction applies to target-one instances")
     left = tuple(sorted(set(x2.row1)))
     right = tuple(sorted(set(x2.row2)))
-    edges = tuple(
-        (x2.row1[a0], x2.row2[a0], x2.agent_ids[a0]) for a0 in range(x2.n)
-    )
+    edges = tuple(zip(x2.row1, x2.row2, x2.agent_ids))
+    pairs = Counter(zip(x2.row1, x2.row2))
     return CbivcsInstance(
-        left, right, edges, x2.k1, x2.k2, x2.x1, x2.x2, _components(left, right, edges)
+        left, right, edges, x2.k1, x2.k2, x2.x1, x2.x2, _components(left, right, pairs)
     )
 
 

@@ -5,6 +5,7 @@ Candidate ids in the worked example are alphabetical:
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -45,6 +46,26 @@ def trip_equitable_x3():
 @pytest.fixture
 def trip_equitable_x4():
     return make_instance(TRIP_ROWS, mode=EQUITABLE, k=2, x=4, y=1, m=6)
+
+
+def forcing_cascade(agents, chains, groups, k, seed):
+    """Equitable two-level target-one instance of ``chains`` three-agent
+    chains ``(p, 0) (p, q) (r, q)``, each of which triggers the forcing rule
+    twice (``p``, then ``r`` once ``q`` is erased), followed by block-random
+    filler: ``groups`` blocks of two left and two right candidates."""
+    rng = random.Random(seed)
+    row1, row2 = [], []
+    for i in range(chains):
+        p, r, q = 3 * i + 1, 3 * i + 2, 3 * i + 3
+        row1.extend([p, p, r])
+        row2.extend([0, q, q])
+    base = 3 * chains
+    while len(row1) < agents:
+        g = (len(row1) - 3 * chains) % groups
+        row1.append(base + 4 * g + rng.randint(1, 2))
+        row2.append(base + 4 * g + rng.randint(3, 4))
+    return Instance(EQUITABLE, agents, base + 4 * groups, 2, k, 0, 1,
+                    (tuple(row1), tuple(row2)))
 
 
 def random_cnf(rng, num_vars, num_clauses, max_clause=3, monotone=False):

@@ -43,6 +43,7 @@ from ecse.tau2 import apply_x2_rules, build_cbivcs, solve_cbivcs, solve_qcse_tau
 from conftest import (
     TRIP_ROWS,
     all_feasible_sequences,
+    forcing_cascade,
     make_instance,
     random_bipartite,
     random_cnf,
@@ -290,20 +291,7 @@ def test_criterion_5_tau2_scaling():
 
     # forcing cascades at scale: 100 three-agent chains whose single-nomination
     # agents trigger the forcing rule twice each, plus block-random filler
-    rng = random.Random(2)
-    chains, groups = 100, 97
-    row1, row2 = [], []
-    for i in range(chains):
-        p, r, q = 3 * i + 1, 3 * i + 2, 3 * i + 3
-        row1.extend([p, p, r])
-        row2.extend([0, q, q])
-    base = 3 * chains
-    while len(row1) < 10_000:
-        g = (len(row1) - 3 * chains) % groups
-        row1.append(base + 4 * g + rng.randint(1, 2))
-        row2.append(base + 4 * g + rng.randint(3, 4))
-    cases.append(Instance(EQUITABLE, 10_000, base + 4 * groups, 2, 500, 0, 1,
-                          (tuple(row1), tuple(row2))))
+    cases.append(forcing_cascade(10_000, chains=100, groups=97, k=500, seed=2))
 
     # block-structured nominations: many graph components, nontrivial x
     rng = random.Random(3)

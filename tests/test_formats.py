@@ -86,6 +86,21 @@ def test_out_of_range_error():
 
 
 @pytest.mark.parametrize(
+    "row, message",
+    [
+        ("4 3 two 6 x 3", "expected an integer, got 'two'"),
+        ("4 3 2 9 -1 3", "nomination 9 out of range 0..6"),
+        ("4 -2 2 6 7 3", "nomination -2 out of range 0..6"),
+    ],
+)
+def test_level_row_errors_name_the_row_and_first_bad_token(row, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance(TRIP_DOC.replace("4 3 2 6 2 3", row))
+    assert err.value.line == 11
+    assert str(err.value) == f"line 11: {message}"
+
+
+@pytest.mark.parametrize(
     "mutate, message",
     [
         (lambda d: d.replace("ecse v1", "ecse v2"), "header"),

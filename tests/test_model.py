@@ -50,6 +50,12 @@ def test_instance_rejects_bad_dimensions():
         Instance("both", 1, 3, 1, 1, 0, 0, ((1,),))
 
 
+def test_out_of_range_nomination_message_names_the_first_bad_value():
+    with pytest.raises(ValueError) as err:
+        Instance(EGALITARIAN, 4, 3, 2, 1, 0, 0, ((1, 2, 3, 0), (0, 5, -1, 4)))
+    assert str(err.value) == "nomination 5 out of range 0..3"
+
+
 def test_committee_sequence_must_be_canonical():
     with pytest.raises(ValueError):
         CommitteeSequence(((2, 1),))
