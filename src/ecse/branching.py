@@ -14,8 +14,8 @@ adds a prune of overshot agents and the zero-target rule at each node.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
+from math import comb
 
 from .kernel import rr_pe_qcse_zero_y
 from .model import (
@@ -42,14 +42,6 @@ class Fingerprint:
         return sum(self.bits)
 
 
-@dataclass
-class BranchStats:
-    nodes_expanded: int = 0
-    fingerprints_tried: int = 0
-    max_depth: int = 0
-    max_children: int = 0
-
-
 def _nonzero_levels(pe: PeInstance, a0: int) -> list[int]:
     return [t0 for t0 in range(pe.tau) if pe.profile[t0][a0] != 0]
 
@@ -71,15 +63,8 @@ def _fingerprint_count(pe: PeInstance, a0: int) -> int:
     if y > d:
         return 0
     if pe.mode == EQUITABLE:
-        return _binom(d, y)
-    return sum(_binom(d, size) for size in range(y, d + 1))
-
-
-def _binom(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+        return comb(d, y)
+    return sum(comb(d, size) for size in range(y, d + 1))
 
 
 def agent_fingerprints(pe: PeInstance, a: int) -> list[Fingerprint]:
@@ -170,17 +155,16 @@ def _branch(pe: PeInstance) -> SolveResult:
     threshold remains.
     """
     equitable = pe.mode == EQUITABLE
-    started = time.perf_counter()
-    stats = BranchStats()
+    stats = {"nodes_expanded": 0, "fingerprints_tried": 0, "max_depth": 0, "max_children": 0}
 
     def node(cur: PeInstance, depth: int) -> list[set] | None:
-        stats.nodes_expanded += 1
+        stats["nodes_expanded"] += 1
         if any(k < 0 for k in cur.kvec):
             return None
         if equitable and any(y < 0 for y in cur.yvec):
             return None
         # every surviving depth step burned committee budget and one agent
-        stats.max_depth = max(stats.max_depth, depth)
+        stats["max_depth"] = max(stats["max_depth"], depth)
         if equitable:
             cur = rr_pe_qcse_zero_y(cur)
         if all(y <= 0 for y in cur.yvec):
@@ -199,26 +183,19 @@ def _branch(pe: PeInstance) -> SolveResult:
         children = 0
         for chosen in _level_choices(cur, a0):
             children += 1
-            stats.fingerprints_tried += 1
+            stats["fingerprints_tried"] += 1
             elected = {t0: cur.profile[t0][a0] for t0 in chosen}
             sub = node(_child(cur, a0, chosen), depth + 1)
             if sub is not None:
-                stats.max_children = max(stats.max_children, children)
+                stats["max_children"] = max(stats["max_children"], children)
                 return _merge(sub, chosen, elected)
-        stats.max_children = max(stats.max_children, children)
+        stats["max_children"] = max(stats["max_children"], children)
         return None
 
     witness = node(pe, 0)
-    counters = {
-        "nodes_expanded": stats.nodes_expanded,
-        "fingerprints_tried": stats.fingerprints_tried,
-        "max_depth": stats.max_depth,
-        "max_children": stats.max_children,
-        "elapsed_micros": int((time.perf_counter() - started) * 1e6),
-    }
     if witness is None:
-        return SolveResult.no(counters)
-    return SolveResult.yes(CommitteeSequence.of(witness), counters)
+        return SolveResult.no(stats)
+    return SolveResult.yes(CommitteeSequence.of(witness), stats)
 
 
 def solve_pe_gcse_branch(pe: PeInstance) -> SolveResult:

@@ -42,7 +42,7 @@ from .model import (
     trivial_solve,
     verify,
 )
-from .oracle import OracleLimits, brute_solve, brute_solve_pe
+from .oracle import brute_solve, brute_solve_pe
 from .score_dp import solve_dp
 from .tau2 import solve_qcse_tau2
 
@@ -72,19 +72,19 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def solve_with_algo(inst, algo: str, limits: OracleLimits | None = None, max_nodes: int = 2_000_000):
+def solve_with_algo(inst, algo: str, max_nodes: int = 2_000_000):
     """Dispatch one back-end; returns (result, algorithm actually used)."""
     if isinstance(inst, PeInstance):
         if algo in ("auto", "branch"):
             solver = solve_pe_gcse_branch if inst.egalitarian else solve_pe_qcse_branch
             return solver(inst), "branch"
         if algo == "brute":
-            return brute_solve_pe(inst, limits), "brute"
+            return brute_solve_pe(inst), "brute"
         raise UsageError(f"algorithm {algo!r} does not apply to pre-elected instances")
     if algo == "auto":
         return _solve_auto(inst, max_nodes)
     if algo == "brute":
-        return brute_solve(inst, limits), "brute"
+        return brute_solve(inst), "brute"
     if algo == "branch":
         return solve_branch(inst), "branch"
     if algo == "dp":
@@ -114,20 +114,22 @@ def _solve_auto(inst: Instance, max_nodes):
     return solve_ip(inst, max_nodes=max_nodes), "ip"
 
 
-def _result_payload(result: SolveResult, algo: str) -> dict:
+def _result_payload(result: SolveResult, algo: str, micros: int) -> dict:
     return {
         "verdict": result.verdict,
         "algo": algo,
         "committees": [list(c) for c in result.witness] if result.witness else None,
-        "stats": result.stats,
+        "stats": {**result.stats, "elapsed_micros": micros},
     }
 
 
 def cmd_solve(args) -> int:
     inst = formats.parse_instance(_read(args.instance))
+    started = time.perf_counter()
     result, algo = solve_with_algo(inst, args.algo, max_nodes=args.max_nodes)
+    micros = int((time.perf_counter() - started) * 1e6)
     if args.json:
-        print(json.dumps(_result_payload(result, algo), sort_keys=True))
+        print(json.dumps(_result_payload(result, algo, micros), sort_keys=True))
     else:
         print(result.verdict.upper())
         if result.witness is not None:
@@ -261,12 +263,11 @@ def cmd_bench(args) -> int:
         for algo in algos:
             started = time.perf_counter()
             try:
-                result, used = solve_with_algo(inst, algo, None, args.max_nodes)
-                verdict = result.verdict
-                stats = dict(result.stats)
+                result, _ = solve_with_algo(inst, algo, args.max_nodes)
+                verdict, stats = result.verdict, result.stats
             except GuardExceeded:
                 verdict, stats = "undecided", {}
-            micros = stats.pop("elapsed_micros", int((time.perf_counter() - started) * 1e6))
+            micros = int((time.perf_counter() - started) * 1e6)
             counter_keys.update(stats)
             rows.append((path.name, algo, verdict, micros, stats))
     ordered = sorted(counter_keys)

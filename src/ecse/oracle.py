@@ -13,7 +13,6 @@ data model.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from operator import gt, lt
 
@@ -108,8 +107,7 @@ def _search(profile, options, yvec, cmp_y, stats) -> list[tuple[int, ...]] | Non
     return list(chosen) if rec(0) else None
 
 
-def _finish(found, stats, started) -> SolveResult:
-    stats["elapsed_micros"] = int((time.perf_counter() - started) * 1e6)
+def _finish(found, stats) -> SolveResult:
     if found is None:
         return SolveResult.no(stats)
     return SolveResult.yes(CommitteeSequence(tuple(found)), stats)
@@ -139,7 +137,6 @@ def brute_solve_pe(pe: PeInstance, limits: OracleLimits | None = None) -> SolveR
     nominated per level.
     """
     limits = limits or DEFAULT_LIMITS
-    started = time.perf_counter()
     effective_m = max((len(set(row) - {0}) for row in pe.profile), default=0)
     if pe.n > limits.max_n or effective_m > limits.max_m or pe.tau > limits.max_tau:
         raise OracleLimitError(
@@ -156,7 +153,7 @@ def brute_solve_pe(pe: PeInstance, limits: OracleLimits | None = None) -> SolveR
 
     stats = {"nodes": 0, "committees_enumerated": total}
     cmp_y = CMP_GE if pe.egalitarian else CMP_EQ
-    return _finish(_search(pe.profile, options, pe.yvec, cmp_y, stats), stats, started)
+    return _finish(_search(pe.profile, options, pe.yvec, cmp_y, stats), stats)
 
 
 def brute_solve_generalized(
@@ -168,7 +165,6 @@ def brute_solve_generalized(
     a committee, so enumeration runs over the full candidate set here.
     """
     limits = limits or DEFAULT_LIMITS
-    started = time.perf_counter()
     if inst.n > limits.max_n or inst.m > limits.max_m or inst.tau > limits.max_tau:
         raise OracleLimitError(f"n={inst.n}, m={inst.m}, tau={inst.tau} exceed limits {limits}")
 
@@ -189,4 +185,4 @@ def brute_solve_generalized(
         options.append([(c, sats) for c, sats in pairs if compares(spec.cmp_x, len(sats), inst.x)])
     stats = {"nodes": 0, "committees_enumerated": len(base) * inst.tau}
     yvec = (inst.y,) * inst.n
-    return _finish(_search(inst.profile, options, yvec, spec.cmp_y, stats), stats, started)
+    return _finish(_search(inst.profile, options, yvec, spec.cmp_y, stats), stats)

@@ -11,8 +11,6 @@ all-target vector at the last level decides the instance.
 
 from __future__ import annotations
 
-import time
-
 from .model import (
     CommitteeSequence,
     GuardExceeded,
@@ -37,7 +35,6 @@ def solve_dp(inst: Instance, prune: bool = True) -> SolveResult:
     up to tau); it exists so tests can confirm the cut never changes the
     outcome.  Egalitarian mode always caps, which is its exact semantics.
     """
-    started = time.perf_counter()
     renamed, renaming = rename_candidates(inst)
     if renamed.n > MAX_AGENTS:
         raise DpGuardError(f"{renamed.n} agents exceed the table guard ({MAX_AGENTS})")
@@ -83,7 +80,6 @@ def solve_dp(inst: Instance, prune: bool = True) -> SolveResult:
         stats["max_frontier"] = max(stats["max_frontier"], len(frontier))
 
     target = (y,) * renamed.n
-    stats["elapsed_micros"] = int((time.perf_counter() - started) * 1e6)
     if target not in trace[-1]:
         return SolveResult.no(stats)
 
@@ -95,5 +91,4 @@ def solve_dp(inst: Instance, prune: bool = True) -> SolveResult:
         vec = prev
     committees.reverse()
     witness = renaming.lift(CommitteeSequence(tuple(committees)))
-    stats["elapsed_micros"] = int((time.perf_counter() - started) * 1e6)
     return SolveResult.yes(witness, stats)

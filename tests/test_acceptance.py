@@ -111,9 +111,11 @@ def test_criterion_1_worked_example():
 
 
 def test_criterion_2_oracle_equivalence_suite():
-    """1000 seeded instances: optimized solvers match the oracle exactly."""
+    """1000 seeded instances: optimized solvers match the oracle exactly;
+    on the target-one equitable two-level ones every back-end's stats are
+    repeatable counters."""
     started = time.perf_counter()
-    checked = 0
+    checked = counters_checked = 0
     for seed in range(1000):
         inst = suite_instance(seed)
         truth = brute_solve(inst)
@@ -128,9 +130,19 @@ def test_criterion_2_oracle_equivalence_suite():
             assert result.verdict == truth.verdict, f"{name} differs on seed {seed}"
             if result.witness is not None:
                 assert verify(inst, result.witness).feasible, f"{name} witness, seed {seed}"
+        if "tau2" in results and inst.y == 1:
+            # stats hold deterministic counters only: no wall time, and a
+            # repeat call reports the same counters
+            solvers = {"brute": brute_solve, "branch": solve_branch, "dp": solve_dp,
+                       "ip": solve_ip, "tau2": solve_qcse_tau2}
+            for name, result in {"brute": truth, **results}.items():
+                assert "elapsed_micros" not in result.stats, f"{name} stats, seed {seed}"
+                assert solvers[name](inst).stats == result.stats, f"{name} repeat, seed {seed}"
+            counters_checked += 1
         checked += 1
     elapsed = time.perf_counter() - started
     assert checked == 1000
+    assert counters_checked > 0
     assert elapsed < 300, f"took {elapsed:.0f}s"
     _passed(f"criterion 2 (1000-instance oracle equivalence, {elapsed:.0f}s)")
 

@@ -62,6 +62,18 @@ def test_solve_json_and_algos(trip_file, capsys):
         assert "stats" in payload
 
 
+def test_solve_json_reports_wall_time_on_every_route(tmp_path, capsys):
+    # y = 0 is decided by the trivial rules; the trip instance goes to the DP
+    for doc, route in ((TRIP_DOC.replace("y 1", "y 0"), "trivial"), (TRIP_DOC, "dp")):
+        path = tmp_path / f"{route}.ecse"
+        path.write_text(doc)
+        code, out, _ = run(capsys, "solve", str(path), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["algo"] == route
+        assert isinstance(payload["stats"]["elapsed_micros"], int)
+
+
 def test_solve_tau2_requires_equitable(trip_file, capsys):
     code, _, err = run(capsys, "solve", trip_file, "--algo", "tau2")
     assert code == 2 and "tau2" in err

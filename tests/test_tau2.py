@@ -70,17 +70,21 @@ def test_apply_rules_reaches_fixed_point():
     assert out.forced1 == (1, 3)
 
 
+def edge_total(graph):
+    return sum(comp.edge_count for comp in graph.components)
+
+
 def test_build_cbivcs_shapes():
     graph = build_cbivcs(x2((1, 1), (2, 3)))
     assert graph.left == (1,) and graph.right == (2, 3)
-    assert len(graph.edges) == 2
+    assert edge_total(graph) == 2
     assert len(graph.components) == 1
     comp = graph.components[0]
     assert (comp.left, comp.right, comp.edge_count) == ((1,), (2, 3), 2)
 
     # identical agents: parallel edges are kept, degree counts agents
     twin = build_cbivcs(x2((1, 1), (2, 2)))
-    assert len(twin.edges) == 2
+    assert edge_total(twin) == 2
     assert twin.components[0].edge_count == 2
 
     empty = build_cbivcs(x2((), ()))
@@ -92,7 +96,7 @@ def test_build_cbivcs_shapes():
 
 def test_solve_cbivcs_single_edge():
     g = CbivcsInstance(
-        (1,), (2,), ((1, 2, 1),), 1, 1, 1, 0,
+        (1,), (2,), 1, 1, 1, 0,
         (CbivcsComponent((1,), (2,), 1),),
     )
     assert solve_cbivcs(g) == {(1, 1)}
@@ -102,7 +106,6 @@ def test_solve_cbivcs_two_components():
     # component A: single edge u1-v1; component B: path v2 - u2 - v3
     g = CbivcsInstance(
         (1, 2), (1, 2, 3),
-        ((1, 1, 1), (2, 2, 2), (2, 3, 3)),
         2, 1, 2, 1,
         (
             CbivcsComponent((1,), (1,), 1),
@@ -115,7 +118,7 @@ def test_solve_cbivcs_two_components():
 
 def test_solve_cbivcs_unreachable_targets():
     g = CbivcsInstance(
-        (1,), (2,), ((1, 2, 1),), 1, 1, 2, 0,
+        (1,), (2,), 1, 1, 2, 0,
         (CbivcsComponent((1,), (2,), 1),),
     )
     assert solve_cbivcs(g) is None
@@ -155,7 +158,7 @@ def full_side_invariant(inst):
     if x2inst is None:
         return
     graph = build_cbivcs(x2inst)
-    assert len(graph.edges) == x2inst.n  # agents and edges correspond one-to-one
+    assert edge_total(graph) == x2inst.n  # agents and edges correspond one-to-one
     cover = solve_cbivcs(graph)
     if cover is None:
         return
@@ -163,7 +166,7 @@ def full_side_invariant(inst):
         left = {(1, c) for c in comp.left}
         right = {(2, c) for c in comp.right}
         assert left <= cover or right <= cover
-    for c1, c2, _agent in graph.edges:
+    for c1, c2 in zip(x2inst.row1, x2inst.row2):
         assert ((1, c1) in cover) + ((2, c2) in cover) == 1
 
 
@@ -236,10 +239,10 @@ def naive_components(edges):
             v = parent[v]
         return v
 
-    for u, v, _ in edges:
+    for u, v in edges:
         parent[find((1, u))] = find((2, v))
     sides, counts = {}, Counter()
-    for u, v, _ in edges:
+    for u, v in edges:
         root = find((1, u))
         sides.setdefault(root, set()).update({(1, u), (2, v)})
         counts[root] += 1
@@ -259,11 +262,13 @@ def naive_components(edges):
 ))
 def test_components_match_per_edge_union_find(pairs):
     # few candidates per side, so most draws repeat a pair (parallel edges)
-    graph = build_cbivcs(x2([a for a, _ in pairs], [b for _, b in pairs]))
+    inst = x2([a for a, _ in pairs], [b for _, b in pairs])
+    graph = build_cbivcs(inst)
+    edges = list(zip(inst.row1, inst.row2))
     assert [
         (comp.left, comp.right, comp.edge_count) for comp in graph.components
-    ] == naive_components(graph.edges)
-    assert len(graph.edges) == len(pairs)
+    ] == naive_components(edges)
+    assert edge_total(graph) == len(edges) == len(pairs)
 
 
 def test_forcing_cascade_scales_to_1e5_agents():
