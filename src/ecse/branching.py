@@ -22,6 +22,7 @@ from .model import (
     EGALITARIAN,
     EQUITABLE,
     CommitteeSequence,
+    GuardExceeded,
     Instance,
     PeInstance,
     SolveResult,
@@ -152,7 +153,8 @@ def _branch(pe: PeInstance) -> SolveResult:
     candidates becoming forbidden.  A node where no target is left positive
     is decided by the greedy score-maximal committee per level; in
     equitable mode no agent is left there, so it accepts iff no positive
-    threshold remains.
+    threshold remains.  The search takes one frame per branched agent and
+    raises :class:`GuardExceeded` when that outgrows Python's recursion limit.
     """
     equitable = pe.mode == EQUITABLE
     stats = {"nodes_expanded": 0, "fingerprints_tried": 0, "max_depth": 0, "max_children": 0}
@@ -192,7 +194,10 @@ def _branch(pe: PeInstance) -> SolveResult:
         stats["max_children"] = max(stats["max_children"], children)
         return None
 
-    witness = node(pe, 0)
+    try:
+        witness = node(pe, 0)
+    except RecursionError:
+        raise GuardExceeded("branching nests deeper than Python's recursion limit") from None
     if witness is None:
         return SolveResult.no(stats)
     return SolveResult.yes(CommitteeSequence.of(witness), stats)

@@ -2,8 +2,9 @@
 
 Subcommands: ``solve``, ``verify``, ``kernelize``, ``generate``,
 ``export-ip``, ``bench``.  Exit codes: 0 on success, 2 for usage or parse
-errors, 3 when a guard or search budget refused to decide; with
-``--exit-verdict``, a successful ``solve`` exits 0 on yes and 1 on no.
+errors, 3 when a guard, a search budget or the recursion limit refused to
+decide; with ``--exit-verdict``, a successful ``solve`` exits 0 on yes and 1
+on no.
 """
 
 from __future__ import annotations

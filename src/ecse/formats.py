@@ -125,6 +125,7 @@ def parse_instance(text: str) -> Instance | PeInstance:
         raise ParseError(line, "tau must be at least 1")
 
     rows: list[tuple[int, ...]] = []
+    first_row = pos
     expected_rows = tau if n > 0 else 0
     while len(rows) < expected_rows:
         if pos >= len(lines):
@@ -139,9 +140,6 @@ def parse_instance(text: str) -> Instance | PeInstance:
             row = tuple(_int(tok, line) for tok in tokens)  # names the bad token
         if len(row) != n:
             raise ParseError(line, f"level row has {len(row)} entries, expected n={n}")
-        for c in row:
-            if c < 0 or c > m:
-                raise ParseError(line, f"nomination {c} out of range 0..{m}")
         rows.append(row)
     if n == 0:
         rows = [()] * tau
@@ -164,7 +162,10 @@ def parse_instance(text: str) -> Instance | PeInstance:
             return PeInstance(mode, n, m, tau, kvec, xvec, yvec, profile)
         return Instance(mode, n, m, tau, scalars["k"], scalars["x"], scalars["y"], profile)
     except ValueError as exc:
-        raise ParseError(line, str(exc)) from None
+        # the constructors range-check nominations but know no lines: name
+        # the first level row out of range, else the `end` line
+        bad = [ln for (ln, _), row in zip(lines[first_row:], rows) if not all(0 <= c <= m for c in row)]
+        raise ParseError(bad[0] if bad else line, str(exc)) from None
 
 
 def serialize_instance(inst: Instance | PeInstance) -> str:

@@ -103,7 +103,8 @@ def solve_ip_naive(model: IpModel, max_nodes: int = 2_000_000) -> dict[VarKey, i
     Variables are visited type by type in committee order; the last variable
     of a type is forced by the type-sum constraint.  Agent constraints prune
     via running sums and optimistic remaining capacity.  Raises
-    :class:`UndecidedError` when ``max_nodes`` search nodes are exhausted.
+    :class:`UndecidedError` when ``max_nodes`` search nodes are exhausted or
+    the search, one frame per variable, outgrows Python's recursion limit.
     """
     order: list[VarKey] = [
         (ti, ci) for ti in range(model.num_types) for ci in range(len(model.committees[ti]))
@@ -172,9 +173,11 @@ def solve_ip_naive(model: IpModel, max_nodes: int = 2_000_000) -> dict[VarKey, i
             del assignment[(ti, ci)]
         return False
 
-    if rec(0):
-        return dict(assignment)
-    return None
+    try:
+        found = rec(0)
+    except RecursionError:
+        raise UndecidedError(f"{len(order)} variables nest deeper than Python's recursion limit") from None
+    return dict(assignment) if found else None
 
 
 def lift_ip_witness(inst: Instance, model: IpModel, assignment: dict[VarKey, int]) -> CommitteeSequence:

@@ -35,9 +35,6 @@ class CriticalityTable:
     critical: tuple[bool, ...]
     threshold: int
 
-    def z_size(self, a: int) -> int:
-        return len(self.z_sets[a - 1])
-
 
 @dataclass(frozen=True)
 class KernelResult:

@@ -50,17 +50,12 @@ class X2Instance:
     x1: int
     x2: int
     y: int
-    agent_ids: tuple[int, ...] = ()
     forced1: tuple[int, ...] = ()
     forced2: tuple[int, ...] = ()
 
     def __post_init__(self):
         if len(self.row1) != self.n or len(self.row2) != self.n:
             raise ValueError("rows must have one entry per agent")
-        if not self.agent_ids:
-            object.__setattr__(self, "agent_ids", tuple(range(1, self.n + 1)))
-        elif len(self.agent_ids) != self.n:
-            raise ValueError("agent_ids must have one entry per agent")
 
 
 def x2_from_instance(inst: Instance) -> X2Instance:
@@ -111,10 +106,7 @@ def rr_x2_force_single(x2: X2Instance) -> X2Instance | None:
     if budget < 0:
         return None
     threshold = max(0, (x2.x1 if t == 1 else x2.x2) - len(supporters))
-    fields = {
-        "n": len(keep),
-        "agent_ids": tuple(x2.agent_ids[a0] for a0 in keep),
-    }
+    fields = {"n": len(keep)}
     if t == 1:
         fields.update(
             row1=new_here, row2=new_there, k1=budget, x1=threshold,
@@ -188,7 +180,6 @@ def apply_x2_rules(x2: X2Instance) -> X2Instance | None:
         n=sum(alive),
         row1=tuple(compress(rows[1], alive)),
         row2=tuple(compress(rows[2], alive)),
-        agent_ids=tuple(compress(x2.agent_ids, alive)),
         k1=budget[1], k2=budget[2], x1=threshold[1], x2=threshold[2],
         forced1=tuple(forced[1]), forced2=tuple(forced[2]),
     )

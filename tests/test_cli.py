@@ -255,3 +255,24 @@ def test_auto_reports_the_ip_budget_when_it_gives_up(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(path), "--max-nodes", "1")
     assert code == 3
     assert "gave up after 1 search nodes" in err
+
+
+def test_ip_too_deep_for_recursion_is_undecided(tmp_path, capsys):
+    # auto routes to the IP, whose search takes one frame per variable (1,768)
+    inst = random_instance(0, 13, 8, 30, 3, 1, 1, "egalitarian")
+    path = tmp_path / "deep_ip.ecse"
+    path.write_text(serialize_instance(inst))
+    code, _, err = run(capsys, "solve", str(path), "--exit-verdict")
+    assert code == 3
+    assert "recursion limit" in err
+
+
+def test_branching_too_deep_for_recursion_is_undecided(tmp_path, capsys):
+    # a yes-instance (auto decides it trivially) that branches once per agent
+    row = tuple(range(1, 1201))
+    inst = make_instance([row, row], mode="egalitarian", k=1200, x=0, y=1, m=1200)
+    path = tmp_path / "deep_branch.ecse"
+    path.write_text(serialize_instance(inst))
+    code, _, err = run(capsys, "solve", str(path), "--algo", "branch", "--exit-verdict")
+    assert code == 3
+    assert "recursion limit" in err

@@ -85,19 +85,30 @@ def test_out_of_range_error():
         parse_instance(doc)
 
 
+PE_TRIP_DOC = TRIP_DOC.replace("levels", "kvec 2 2\nxvec 4 4\nyvec 1 1 1 1 1 1\nlevels")
+
+
+def _bad_row(row, message, line=11, doc=TRIP_DOC, replaces="4 3 2 6 2 3"):
+    return pytest.param(doc.replace(replaces, row), line, message, id=f"{row}-{message}")
+
+
 @pytest.mark.parametrize(
-    "row, message",
+    "doc, line, message",
     [
-        ("4 3 two 6 x 3", "expected an integer, got 'two'"),
-        ("4 3 2 9 -1 3", "nomination 9 out of range 0..6"),
-        ("4 -2 2 6 7 3", "nomination -2 out of range 0..6"),
+        _bad_row("4 3 two 6 x 3", "expected an integer, got 'two'"),
+        _bad_row("4 3 2 9 -1 3", "nomination 9 out of range 0..6"),
+        _bad_row("4 -2 2 6 7 3", "nomination -2 out of range 0..6"),
+        # both rows out of range: the first one is named
+        _bad_row("1 5 8 5 3 4", "nomination 8 out of range 0..6", line=10,
+                 doc=TRIP_DOC.replace("4 3 2 6 2 3", "4 3 2 9 2 3"), replaces="1 5 1 5 3 4"),
+        _bad_row("4 3 2 6 2 7", "nomination 7 out of range 0..6", line=14, doc=PE_TRIP_DOC),
     ],
 )
-def test_level_row_errors_name_the_row_and_first_bad_token(row, message):
+def test_level_row_errors_name_the_row_and_first_bad_token(doc, line, message):
     with pytest.raises(ParseError) as err:
-        parse_instance(TRIP_DOC.replace("4 3 2 6 2 3", row))
-    assert err.value.line == 11
-    assert str(err.value) == f"line 11: {message}"
+        parse_instance(doc)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
 
 
 @pytest.mark.parametrize(

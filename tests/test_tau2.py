@@ -48,7 +48,6 @@ def test_rr_force_single_example():
     assert forced.row1 == (3,) and forced.row2 == (0,)
     assert forced.k1 == 1 and forced.x1 == 0
     assert forced.forced1 == (1,)
-    assert forced.agent_ids == (3,)
 
 
 def test_rr_force_single_identity():
