@@ -3,8 +3,9 @@
 Subcommands: ``solve``, ``verify``, ``kernelize``, ``generate``,
 ``export-ip``, ``bench``.  Exit codes: 0 on success, 2 for usage or parse
 errors, 3 when a guard, a search budget or the recursion limit refused to
-decide; with ``--exit-verdict``, a successful ``solve`` exits 0 on yes and 1
-on no.
+decide, 4 on an internal error (an unexpected exception, whose traceback goes
+to stderr; never a verdict); with ``--exit-verdict``, a successful ``solve``
+exits 0 on yes and 1 on no.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from . import formats
@@ -53,6 +55,7 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
+EXIT_CRASH = 4
 
 
 class UsageError(ValueError):
@@ -353,6 +356,10 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, formats.ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        # not BaseException: interrupts, exits and alarm deadlines propagate
+        traceback.print_exc()
+        return EXIT_CRASH
 
 
 if __name__ == "__main__":

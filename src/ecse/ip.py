@@ -122,7 +122,6 @@ def solve_ip_naive(model: IpModel, max_nodes: int = 2_000_000) -> dict[VarKey, i
     assignment: dict[VarKey, int] = {}
     remaining = list(model.type_counts)  # capacity left per type
     agent_sum = [0] * model.n
-    open_vars = [len(pairs) for pairs in model.agent_vars]
     open_by_type: list[dict[int, int]] = []
     for pairs in model.agent_vars:
         per: dict[int, int] = {}

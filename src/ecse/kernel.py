@@ -8,6 +8,15 @@ than ``n * y`` such levels is never a bottleneck (non-critical); once every
 agent is non-critical the instance is a guaranteed yes, and a level that no
 critical agent can use may be dropped.  Exhaustive application leaves at most
 ``n^2 * y`` levels.
+
+Exhaustive deletion runs as one sweep over the levels, with criticality
+computed once.  Whether a level is usable for an agent depends on that level
+alone, so a deletion only lowers the counts ``|Z(a)|`` of the agents that
+could use it: a critical agent stays critical, a needed level (one some
+critical agent can use) stays needed, and "nobody is critical" can only hold
+before the first deletion.  Deleting each unneeded level as the sweep reaches
+it, and promoting agents whose count falls to ``n * y``, thus deletes exactly
+what repeatedly deleting the first unneeded level would.
 """
 
 from __future__ import annotations
@@ -82,106 +91,94 @@ def compute_criticality(inst: Instance) -> CriticalityTable:
     return CriticalityTable(tuple(tuple(lv) for lv in z), critical, threshold)
 
 
-def _sub_instance(renamed: Instance, kept: list[int]) -> Instance:
-    rows = tuple(renamed.profile[t - 1] for t in kept)
-    return Instance(
-        renamed.mode, renamed.n, renamed.m, len(kept), renamed.k, renamed.x, renamed.y, rows
-    )
-
-
 def kernelize_ny(inst: Instance) -> KernelResult:
     """Exhaustive kernelization of an egalitarian instance.
 
     Applied in order: (0) a level without any valid committee resolves to
     no; (1) all agents non-critical resolves to yes, witnessed by the greedy
-    level assignment; (2) a level no critical agent can use is deleted and
-    criticality recomputed.  When nothing applies the reduced instance has
-    at most ``n^2 * y`` levels and at most ``n`` candidates.
+    level assignment; (2) a level no critical agent can use is deleted, in
+    one sweep over the levels (see the module docstring).  When nothing
+    applies the reduced instance has at most ``n^2 * y`` levels and at most
+    ``n`` candidates.
     """
     if inst.mode != EGALITARIAN:
         raise ValueError("the level kernel is defined for egalitarian instances")
     renamed, renaming = rename_candidates(inst)
     log: list[tuple] = []
+    every = tuple(range(1, inst.tau + 1))
 
     supports = [row_support(row) for row in renamed.profile]
     for t0, support in enumerate(supports):
         top = greedy_committee(support, renamed.k)
         if sum(support[c] for c in top) < renamed.x:
             log.append(("no-valid-committee", t0 + 1))
-            return KernelResult(
-                True, "no", None, None, tuple(range(1, inst.tau + 1)), (), tuple(log)
-            )
+            return KernelResult(True, "no", None, None, every, (), tuple(log))
 
-    kept = list(range(1, inst.tau + 1))
+    table = compute_criticality(renamed)
+    if not any(table.critical):
+        log.append(("all-non-critical",))
+        witness = _non_critical_witness(renamed, table, supports)
+        return KernelResult(True, "yes", renaming.lift(witness), None, every, (), tuple(log))
+
+    # users[t]: agents that can use level t; needed[t]: some critical agent can
+    counts = [len(z) for z in table.z_sets]
+    users: list[list[int]] = [[] for _ in range(inst.tau + 1)]
+    needed = [False] * (inst.tau + 1)
+    for a0, z in enumerate(table.z_sets):
+        for t in z:
+            users[t].append(a0)
+            needed[t] = needed[t] or table.critical[a0]
+    kept: list[int] = []
     deleted: list[int] = []
-    while kept:
-        sub = _sub_instance(renamed, kept)
-        table = compute_criticality(sub)
-        if not any(table.critical):
-            log.append(("all-non-critical",))
-            witness = _non_critical_witness(renamed, kept, table, supports)
-            return KernelResult(
-                True, "yes", renaming.lift(witness), None, tuple(kept), tuple(deleted), tuple(log)
-            )
-        critical_levels: set[int] = set()
-        for a0 in range(sub.n):
-            if table.critical[a0]:
-                critical_levels.update(table.z_sets[a0])
-        droppable = next((s for s in range(1, len(kept) + 1) if s not in critical_levels), None)
-        if droppable is None:
-            break
-        original = kept.pop(droppable - 1)
-        deleted.append(original)
-        log.append(("delete-level", original))
+    for t in every:
+        if needed[t]:
+            kept.append(t)
+            continue
+        deleted.append(t)
+        log.append(("delete-level", t))
+        for a0 in users[t]:  # not critical, since t is not needed
+            counts[a0] -= 1
+            if counts[a0] == table.threshold:
+                for s in table.z_sets[a0]:
+                    needed[s] = True
 
     if not kept:
         # every level was useless to critical agents; with a positive target
         # some agent can never score, without one the greedy committees do
         if inst.y > 0:
             return KernelResult(True, "no", None, None, (), tuple(deleted), tuple(log))
-        witness = _greedy_sequence(renamed, supports)
+        witness = _non_critical_witness(renamed, table, supports)
         return KernelResult(
             True, "yes", renaming.lift(witness), None, (), tuple(deleted), tuple(log)
         )
 
-    reduced = _sub_instance(renamed, kept)
+    rows = tuple(renamed.profile[t - 1] for t in kept)
+    reduced = Instance(
+        renamed.mode, renamed.n, renamed.m, len(kept), renamed.k, renamed.x, renamed.y, rows
+    )
     return KernelResult(False, None, None, reduced, tuple(kept), tuple(deleted), tuple(log))
 
 
-def _greedy_sequence(renamed: Instance, supports) -> CommitteeSequence:
-    committees = []
-    for support in supports:
-        committees.append(greedy_committee(support, renamed.k))
-    return CommitteeSequence.of(committees)
-
-
-def _non_critical_witness(renamed, kept, table, supports) -> CommitteeSequence:
+def _non_critical_witness(renamed, table, supports) -> CommitteeSequence:
     """Greedy level assignment: agents in index order each claim their y
     smallest still-free usable levels; every other level gets the plain
-    greedy committee (valid, by the step-0 check)."""
-    assigned: dict[int, tuple[int, ...]] = {}
+    greedy committee (valid, by the step-0 check), so with y = 0 every
+    level does."""
+    committees = [greedy_committee(support, renamed.k) for support in supports]
+    claimed: set[int] = set()
     for a0 in range(renamed.n):
         need = renamed.y
-        if need == 0:
-            continue
-        for s in table.z_sets[a0]:
+        for t in table.z_sets[a0]:
             if need == 0:
                 break
-            original = kept[s - 1]
-            if original in assigned:
+            if t in claimed:
                 continue
-            nominee = renamed.profile[original - 1][a0]
-            committee = greedy_committee(supports[original - 1], renamed.k, include=nominee)
-            assigned[original] = committee
+            claimed.add(t)
+            nominee = renamed.profile[t - 1][a0]
+            committees[t - 1] = greedy_committee(supports[t - 1], renamed.k, include=nominee)
             need -= 1
         if need:
             raise AssertionError("non-critical agent ran out of usable levels")
-    committees = []
-    for t in range(1, renamed.tau + 1):
-        if t in assigned:
-            committees.append(assigned[t])
-        else:
-            committees.append(greedy_committee(supports[t - 1], renamed.k))
     return CommitteeSequence.of(committees)
 
 

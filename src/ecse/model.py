@@ -420,9 +420,8 @@ def level_fingerprints(inst, t: int) -> dict[tuple[int, ...], Committee]:
 
 @dataclass(frozen=True)
 class CandidateRenaming:
-    """Per-level bijections between original and renamed candidate ids."""
+    """Per-level maps from renamed back to original candidate ids."""
 
-    old_to_new: tuple[dict[int, int], ...]
     new_to_old: tuple[dict[int, int], ...]
 
     def lift(self, seq: CommitteeSequence) -> CommitteeSequence:
@@ -442,7 +441,6 @@ def rename_candidates(inst: Instance) -> tuple[Instance, CandidateRenaming]:
     verdict is unchanged (committees never interact across levels).  The
     returned renaming lifts witnesses back to original ids.
     """
-    old_to_new: list[dict[int, int]] = []
     new_to_old: list[dict[int, int]] = []
     rows: list[tuple[int, ...]] = []
     for row in inst.profile:
@@ -451,10 +449,9 @@ def rename_candidates(inst: Instance) -> tuple[Instance, CandidateRenaming]:
             if c != 0 and c not in fwd:
                 fwd[c] = len(fwd) + 1
         rows.append(tuple(fwd[c] if c != 0 else 0 for c in row))
-        old_to_new.append(fwd)
         new_to_old.append({v: k for k, v in fwd.items()})
     renamed = Instance(inst.mode, inst.n, inst.n, inst.tau, inst.k, inst.x, inst.y, tuple(rows))
-    return renamed, CandidateRenaming(tuple(old_to_new), tuple(new_to_old))
+    return renamed, CandidateRenaming(tuple(new_to_old))
 
 
 # -- trivial cases ------------------------------------------------------------

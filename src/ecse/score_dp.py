@@ -41,16 +41,7 @@ def solve_dp(inst: Instance, prune: bool = True) -> SolveResult:
     y = renamed.y
     cap = renamed.egalitarian
 
-    levels = []
-    committees_enumerated = 0
-    for t in range(1, renamed.tau + 1):
-        fps = list(level_fingerprints(renamed, t).items())
-        committees_enumerated += len(fps)
-        levels.append(fps)
-
-    # frontier per level: score vector -> (previous vector, committee)
-    trace: list[dict[tuple[int, ...], tuple[tuple[int, ...] | None, tuple[int, ...]]]] = []
-    stats = {"table_entries": 0, "max_frontier": 0, "committees_enumerated": committees_enumerated}
+    stats = {"table_entries": 0, "max_frontier": 0, "committees_enumerated": 0}
 
     def step(vec: tuple[int, ...], fp: tuple[int, ...]) -> tuple[int, ...] | None:
         if cap:
@@ -60,22 +51,20 @@ def solve_dp(inst: Instance, prune: bool = True) -> SolveResult:
             return None
         return out
 
-    frontier: dict = {}
-    zero = (0,) * renamed.n
-    for fp, committee in levels[0]:
-        vec = step(zero, fp)
-        if vec is not None and vec not in frontier:
-            frontier[vec] = (None, committee)
-    trace.append(frontier)
-    for t0 in range(1, renamed.tau):
+    # frontier per level: score vector -> (previous vector, committee)
+    trace: list[dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]] = []
+    frontier: dict = {(0,) * renamed.n: None}
+    for t in range(1, renamed.tau + 1):
+        fps = list(level_fingerprints(renamed, t).items())
+        stats["committees_enumerated"] += len(fps)
         nxt: dict = {}
-        for vec in sorted(trace[-1]):
-            for fp, committee in levels[t0]:
+        for vec in sorted(frontier):
+            for fp, committee in fps:
                 out = step(vec, fp)
                 if out is not None and out not in nxt:
                     nxt[out] = (vec, committee)
-        trace.append(nxt)
-    for frontier in trace:
+        frontier = nxt
+        trace.append(frontier)
         stats["table_entries"] += len(frontier)
         stats["max_frontier"] = max(stats["max_frontier"], len(frontier))
 
@@ -84,7 +73,7 @@ def solve_dp(inst: Instance, prune: bool = True) -> SolveResult:
         return SolveResult.no(stats)
 
     committees: list[tuple[int, ...]] = []
-    vec: tuple[int, ...] | None = target
+    vec = target
     for t0 in range(renamed.tau - 1, -1, -1):
         prev, committee = trace[t0][vec]
         committees.append(committee)

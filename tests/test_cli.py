@@ -276,3 +276,14 @@ def test_branching_too_deep_for_recursion_is_undecided(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(path), "--algo", "branch", "--exit-verdict")
     assert code == 3
     assert "recursion limit" in err
+
+
+def test_unexpected_exception_exits_4_not_no(trip_file, capsys, monkeypatch):
+    # a crash must not read as the --exit-verdict NO code (1)
+    def broken(inst):
+        raise KeyError("lost")
+
+    monkeypatch.setattr("ecse.cli.solve_dp", broken)
+    code, _, err = run(capsys, "solve", trip_file, "--algo", "dp", "--exit-verdict")
+    assert code == 4
+    assert "Traceback" in err and "KeyError: 'lost'" in err

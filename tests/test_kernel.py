@@ -1,9 +1,22 @@
 """Criticality, the level kernel, and the equitable zero-target rule."""
 
+import random
+import time
+
 import pytest
 
 from ecse.kernel import compute_criticality, kernelize_ny, rr_pe_qcse_zero_y
-from ecse.model import EGALITARIAN, EQUITABLE, PeInstance, verify
+from ecse.model import (
+    EGALITARIAN,
+    EQUITABLE,
+    CommitteeSequence,
+    Instance,
+    PeInstance,
+    greedy_committee,
+    rename_candidates,
+    row_support,
+    verify,
+)
 from ecse.oracle import brute_solve_pe
 from ecse.score_dp import solve_dp
 from ecse.generators import random_instance
@@ -107,6 +120,109 @@ def test_surviving_levels_serve_critical_agents():
             if table.critical[a0]:
                 critical_levels.update(table.z_sets[a0])
         assert critical_levels >= set(range(1, kernel.tau + 1))
+
+
+def _reference_kernel(inst):
+    """The kernel as exhaustive rule application: rebuild the kept
+    sub-instance, recompute criticality, resolve yes when nobody is critical,
+    otherwise delete the first level no critical agent can use, and repeat.
+    Returns ``(verdict, witness, reduced instance, kept, deleted, rule log)``."""
+    renamed, renaming = rename_candidates(inst)
+    supports = [row_support(row) for row in renamed.profile]
+    greedy = [greedy_committee(support, inst.k) for support in supports]
+    every = tuple(range(1, inst.tau + 1))
+    for t0, support in enumerate(supports):
+        if sum(support[c] for c in greedy[t0]) < inst.x:
+            return "no", None, None, every, (), (("no-valid-committee", t0 + 1),)
+    kept, deleted, log = list(every), [], []
+    while kept:
+        rows = tuple(renamed.profile[t - 1] for t in kept)
+        sub = Instance(EGALITARIAN, inst.n, renamed.m, len(kept), inst.k, inst.x, inst.y, rows)
+        table = compute_criticality(sub)
+        if not any(table.critical):
+            committees = list(greedy)
+            claimed = set()
+            for a0 in range(inst.n):
+                free = [kept[s - 1] for s in table.z_sets[a0] if kept[s - 1] not in claimed]
+                assert len(free) >= inst.y
+                for t in free[: inst.y]:
+                    claimed.add(t)
+                    nominee = renamed.profile[t - 1][a0]
+                    committees[t - 1] = greedy_committee(supports[t - 1], inst.k, include=nominee)
+            log.append(("all-non-critical",))
+            witness = renaming.lift(CommitteeSequence.of(committees))
+            return "yes", witness, None, tuple(kept), tuple(deleted), tuple(log)
+        needed = set()
+        for a0 in range(inst.n):
+            if table.critical[a0]:
+                needed.update(table.z_sets[a0])
+        droppable = next((s for s in range(1, len(kept) + 1) if s not in needed), None)
+        if droppable is None:
+            return None, None, sub, tuple(kept), tuple(deleted), tuple(log)
+        deleted.append(kept.pop(droppable - 1))
+        log.append(("delete-level", deleted[-1]))
+    if inst.y > 0:
+        return "no", None, None, (), tuple(deleted), tuple(log)
+    witness = renaming.lift(CommitteeSequence.of(greedy))
+    return "yes", witness, None, (), tuple(deleted), tuple(log)
+
+
+def _kernel_inputs():
+    """Random egalitarian instances, then ones whose first agent nominates
+    nobody: it is critical with no usable level, so no level is needed until
+    deletions make other agents critical."""
+    for seed in range(700):
+        rng = random.Random(seed)
+        yield random_instance(
+            seed, n=rng.randint(1, 4), m=rng.randint(1, 4), tau=rng.randint(1, 40),
+            k=rng.randint(0, 3), x=rng.randint(0, 3), y=rng.randint(0, 3),
+            mode=EGALITARIAN, empty_prob=rng.choice((0.0, 0.2, 0.4, 0.6, 0.8)),
+        )
+    for seed in range(300):
+        rng = random.Random(seed)
+        n, m, y = rng.randint(2, 4), rng.randint(1, 3), rng.randint(0, 3)
+        rows = [
+            (0,) + tuple(rng.choice((0, rng.randint(1, m))) for _ in range(n - 1))
+            for _ in range(rng.randint(1, 40))
+        ]
+        k, x = rng.randint(1, 2), rng.randint(0, 2)
+        yield make_instance(rows, mode=EGALITARIAN, k=k, x=x, y=y, m=m)
+
+
+def test_kernel_matches_exhaustive_rule_application():
+    promoted = reduced = yes_after_deletions = 0
+    for i, inst in enumerate(_kernel_inputs()):
+        result = kernelize_ny(inst)
+        verdict, witness, instance, kept, deleted, log = _reference_kernel(inst)
+        assert result.resolved == (verdict is not None), f"input {i}"
+        assert result.verdict == verdict, f"input {i}"
+        assert result.witness == witness, f"input {i}"
+        assert result.instance == instance, f"input {i}"
+        assert (result.kept_levels, result.deleted_levels) == (kept, deleted), f"input {i}"
+        assert result.rule_log == log, f"input {i}"
+        if deleted and verdict is None:
+            reduced += 1
+            table = compute_criticality(inst)
+            needed = {t for a0, z in enumerate(table.z_sets) if table.critical[a0] for t in z}
+            promoted += not set(kept) <= needed
+        yes_after_deletions += bool(deleted) and verdict == "yes"
+    # deletions that leave a kernel, levels kept only for an agent the
+    # deletions made critical, and y = 0 instances emptied to a greedy yes
+    assert reduced > 20 and promoted > 10 and yes_after_deletions > 10
+
+
+def test_kernel_is_one_pass_over_many_levels():
+    tau = 2000
+    rows = [(1 if t0 % 666 == 0 else 0, 2, 3, 2) for t0 in range(tau)]
+    inst = make_instance(rows, mode=EGALITARIAN, k=2, x=1, y=1, m=3)
+    started = time.perf_counter()
+    result = kernelize_ny(inst)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 0.5, f"kernelize took {elapsed:.2f} s"
+    assert not result.resolved
+    assert result.kept_levels == (1, 667, 1333, 1999)
+    assert result.instance.tau <= inst.n ** 2 * inst.y
+    assert solve_dp(result.instance).verdict == solve_dp(inst).verdict
 
 
 def test_zero_target_rule_example():
