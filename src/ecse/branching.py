@@ -8,7 +8,8 @@ of a guessed-level candidate is erased (its fate is decided either way).  The
 parent is a yes iff some child is, so depth-first search over fingerprints
 decides the instance; depth is bounded by both the agent count and the total
 committee budget.  One search loop serves both modes: equitable mode only
-adds a prune of overshot agents and the zero-target rule at each node.
+adds a prune of overshot agents, and drops satisfied agents as each child is
+built, so the zero-target rule runs once, at the root.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .kernel import rr_pe_qcse_zero_y
+from .kernel import rr_pe_qcse_zero_y, strike_agents
 from .model import (
     EGALITARIAN,
     EQUITABLE,
@@ -84,33 +85,38 @@ def agent_fingerprints(pe: PeInstance, a: int) -> list[Fingerprint]:
 
 def _child(pe: PeInstance, a0: int, chosen: tuple[int, ...]) -> PeInstance:
     """The subinstance after committing agent ``a0`` to electing exactly its
-    nominees at the ``chosen`` levels."""
-    elected = {t0: pe.profile[t0][a0] for t0 in chosen}
-    kvec = tuple(k - (1 if t0 in elected else 0) for t0, k in enumerate(pe.kvec))
-    xvec = []
-    for t0, x in enumerate(pe.xvec):
-        if t0 in elected:
-            x -= sum(1 for c in pe.profile[t0] if c == elected[t0])
-        xvec.append(x)
-    keep = [b0 for b0 in range(pe.n) if b0 != a0]
-    yvec = []
-    for b0 in keep:
-        credit = sum(1 for t0 in chosen if pe.profile[t0][b0] == elected[t0])
-        yvec.append(pe.yvec[b0] - credit)
-    rows = []
-    for t0, row in enumerate(pe.profile):
+    nominees at the ``chosen`` levels.
+
+    Each chosen level pays one unit of budget, and its nominee's supporters
+    each pay one unit of threshold and of their own target.  Agent ``a0`` is
+    struck; in equitable mode so is every agent whose target is now zero.
+    That equals applying the zero-target rule to the child with only ``a0``
+    struck: a satisfied agent's nominee at a level is either ``a0``'s, which
+    is erased anyway, or forbidden by that agent.  The rule changes no bound,
+    so the child is its own fixpoint, and an overshot agent (negative target)
+    is kept for the search to prune.
+    """
+    kvec, xvec, yvec = list(pe.kvec), list(pe.xvec), list(pe.yvec)
+    for t0 in chosen:
+        row = pe.profile[t0]
         mine = row[a0]
-        rows.append(tuple(0 if (mine != 0 and row[b0] == mine) else row[b0] for b0 in keep))
-    return PeInstance(
-        pe.mode, pe.n - 1, pe.m, pe.tau, kvec, tuple(xvec), tuple(yvec), tuple(rows)
-    )
+        kvec[t0] -= 1
+        for b0, c in enumerate(row):
+            if c == mine:
+                xvec[t0] -= 1
+                yvec[b0] -= 1
+    drop = {a0}
+    if pe.mode == EQUITABLE:
+        drop.update(b0 for b0, y in enumerate(yvec) if y == 0)
+    return strike_agents(pe, drop, kvec, xvec, yvec)
 
 
 def branch_children(pe: PeInstance, a: int) -> list[PeInstance]:
     """One child instance per eligible fingerprint of agent ``a``.
 
-    The parent is a yes iff some child is.  Requires a positive remaining
-    target and at least one eligible fingerprint.
+    The parent is a yes iff some child is.  Equitable children come without
+    satisfied agents (the zero-target rule is already applied).  Requires a
+    positive remaining target and at least one eligible fingerprint.
     """
     a0 = a - 1
     if not 0 <= a0 < pe.n:
@@ -125,33 +131,20 @@ def branch_children(pe: PeInstance, a: int) -> list[PeInstance]:
 def _pick_agent(pe: PeInstance) -> int | None:
     """Open agent with the fewest eligible fingerprints (ties: lowest index);
     None when a positive-target agent has no fingerprint at all."""
-    best = None
-    best_count = None
-    for a0 in range(pe.n):
-        if pe.yvec[a0] <= 0:
-            continue
-        count = _fingerprint_count(pe, a0)
-        if count == 0:
-            return None
-        if best_count is None or count < best_count:
-            best, best_count = a0, count
-    return best
-
-
-def _merge(child_witness: list[set], chosen, elected) -> list[set]:
-    for t0 in chosen:
-        child_witness[t0] = child_witness[t0] | {elected[t0]}
-    return child_witness
+    counts = {a0: _fingerprint_count(pe, a0) for a0 in range(pe.n) if pe.yvec[a0] > 0}
+    best = min(counts, key=counts.get)
+    return best if counts[best] else None
 
 
 def _branch(pe: PeInstance) -> SolveResult:
     """Fingerprint DFS for both modes; the witness is reconstructed along
     the accepting path.
 
-    Equitable mode adds two steps per node: an overshot agent (negative
-    target) fails the node, and satisfied agents are removed eagerly, their
-    candidates becoming forbidden.  A node where no target is left positive
-    is decided by the greedy score-maximal committee per level; in
+    Equitable mode adds two steps: an overshot agent (negative target) fails
+    the node, and satisfied agents are removed eagerly, their candidates
+    becoming forbidden; the zero-target rule does so once for the root, and
+    each child is built without them.  A node where no target is left
+    positive is decided by the greedy score-maximal committee per level; in
     equitable mode no agent is left there, so it accepts iff no positive
     threshold remains.  The search takes one frame per branched agent and
     raises :class:`GuardExceeded` when that outgrows Python's recursion limit.
@@ -167,8 +160,6 @@ def _branch(pe: PeInstance) -> SolveResult:
             return None
         # every surviving depth step burned committee budget and one agent
         stats["max_depth"] = max(stats["max_depth"], depth)
-        if equitable:
-            cur = rr_pe_qcse_zero_y(cur)
         if all(y <= 0 for y in cur.yvec):
             committees: list[set] = [set() for _ in range(cur.tau)]
             for t0 in range(cur.tau):
@@ -182,20 +173,18 @@ def _branch(pe: PeInstance) -> SolveResult:
         a0 = _pick_agent(cur)
         if a0 is None:
             return None
-        children = 0
-        for chosen in _level_choices(cur, a0):
-            children += 1
+        for children, chosen in enumerate(_level_choices(cur, a0), 1):
             stats["fingerprints_tried"] += 1
-            elected = {t0: cur.profile[t0][a0] for t0 in chosen}
+            stats["max_children"] = max(stats["max_children"], children)
             sub = node(_child(cur, a0, chosen), depth + 1)
             if sub is not None:
-                stats["max_children"] = max(stats["max_children"], children)
-                return _merge(sub, chosen, elected)
-        stats["max_children"] = max(stats["max_children"], children)
+                for t0 in chosen:
+                    sub[t0].add(cur.profile[t0][a0])
+                return sub
         return None
 
     try:
-        witness = node(pe, 0)
+        witness = node(rr_pe_qcse_zero_y(pe) if equitable else pe, 0)
     except RecursionError:
         raise GuardExceeded("branching nests deeper than Python's recursion limit") from None
     if witness is None:

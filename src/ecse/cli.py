@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``solve``, ``verify``, ``kernelize``, ``generate``,
-``export-ip``, ``bench``.  Exit codes: 0 on success, 2 for usage or parse
-errors, 3 when a guard, a search budget or the recursion limit refused to
-decide, 4 on an internal error (an unexpected exception, whose traceback goes
-to stderr; never a verdict); with ``--exit-verdict``, a successful ``solve``
-exits 0 on yes and 1 on no.
+``export-ip``, ``bench``.  Exit codes: 0 on success, 2 for input errors (bad
+arguments, unreadable or malformed files, unsuitable instances), 3 when a
+guard, a search budget or the recursion limit refused to decide, 4 on any
+other exception (its traceback goes to stderr; never a verdict); with
+``--exit-verdict``, a successful ``solve`` exits 0 on yes and 1 on no.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .generators import (
     parse_dimacs,
     random_instance,
 )
-from .ip import build_ip, export_lp, solve_ip
+from .ip import MAX_NODES, build_ip, export_lp, solve_ip
 from .kernel import kernelize_ny
 from .model import (
     EGALITARIAN,
@@ -76,7 +76,7 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def solve_with_algo(inst, algo: str, max_nodes: int = 2_000_000):
+def solve_with_algo(inst, algo: str, max_nodes: int = MAX_NODES):
     """Dispatch one back-end; returns (result, algorithm actually used)."""
     if isinstance(inst, PeInstance):
         if algo in ("auto", "branch"):
@@ -150,6 +150,8 @@ def cmd_verify(args) -> int:
     if isinstance(inst, PeInstance):
         raise UsageError("verify expects a plain (non pre-elected) instance")
     seq = formats.parse_solution(_read(args.solution))
+    if len(seq) != inst.tau:
+        raise UsageError(f"solution has {len(seq)} committees, the instance has tau={inst.tau}")
     report = verify(inst, seq)
     if args.json:
         payload = {
@@ -175,6 +177,8 @@ def cmd_kernelize(args) -> int:
     inst = formats.parse_instance(_read(args.instance))
     if not isinstance(inst, Instance):
         raise UsageError("kernelize expects a plain instance")
+    if inst.mode != EGALITARIAN:
+        raise UsageError("kernelize expects an egalitarian (gcse) instance")
     result = kernelize_ny(inst)
     if args.json:
         payload = {
@@ -211,40 +215,44 @@ def cmd_export_ip(args) -> int:
 def cmd_generate(args) -> int:
     kind = args.source
     mode = EGALITARIAN if args.mode == "gcse" else EQUITABLE
-    if kind == "random":
-        inst = random_instance(
-            args.seed, args.n, args.m, args.tau, args.k, args.x, args.y, mode, args.empty_prob
-        )
-    elif kind == "cbvc":
-        graph, k = parse_cbvc(_read(_one_input(args)))
-        inst = gen_from_cbvc(graph, k)
-    elif kind in ("sat", "3sat", "x13sat", "monotone-x13sat", "nmx"):
-        cnf = parse_dimacs(_read(_one_input(args)))
-        if kind == "sat":
-            inst = gen_gcse_sat(cnf)
-        elif kind == "3sat":
-            inst = gen_gcse_3sat(cnf)
-        elif kind == "x13sat":
-            inst = gen_qcse_x13sat(cnf)
-        elif kind == "monotone-x13sat":
-            inst = gen_qcse_monotone_x13sat(cnf)
+    try:
+        if kind == "random":
+            inst = random_instance(
+                args.seed, args.n, args.m, args.tau, args.k, args.x, args.y, mode, args.empty_prob
+            )
+        elif kind == "cbvc":
+            graph, k = parse_cbvc(_read(_one_input(args)))
+            inst = gen_from_cbvc(graph, k)
+        elif kind in ("sat", "3sat", "x13sat", "monotone-x13sat", "nmx"):
+            cnf = parse_dimacs(_read(_one_input(args)))
+            if kind == "sat":
+                inst = gen_gcse_sat(cnf)
+            elif kind == "3sat":
+                inst = gen_gcse_3sat(cnf)
+            elif kind == "x13sat":
+                inst = gen_qcse_x13sat(cnf)
+            elif kind == "monotone-x13sat":
+                inst = gen_qcse_monotone_x13sat(cnf)
+            else:
+                inst = gen_nmx(cnf, mode)
+        elif kind == "3part":
+            values = [int(tok) for tok in _read(_one_input(args)).split()]
+            inst = gen_3part(values, mode)
+        elif kind == "or":
+            if not args.inputs:
+                raise UsageError("or-composition needs input instance files")
+            parts = []
+            for path in args.inputs:
+                part = formats.parse_instance(_read(path))
+                if not isinstance(part, Instance):
+                    raise UsageError("or-composition takes plain instances")
+                parts.append(part)
+            inst = or_compose(parts)
         else:
-            inst = gen_nmx(cnf, mode)
-    elif kind == "3part":
-        values = [int(tok) for tok in _read(_one_input(args)).split()]
-        inst = gen_3part(values, mode)
-    elif kind == "or":
-        if not args.inputs:
-            raise UsageError("or-composition needs input instance files")
-        parts = []
-        for path in args.inputs:
-            part = formats.parse_instance(_read(path))
-            if not isinstance(part, Instance):
-                raise UsageError("or-composition takes plain instances")
-            parts.append(part)
-        inst = or_compose(parts)
-    else:
-        raise UsageError(f"unknown generator {kind!r}")
+            raise UsageError(f"unknown generator {kind!r}")
+    except ValueError as exc:
+        # malformed source files and unmet generator preconditions are input errors
+        raise UsageError(str(exc)) from exc
     _emit(formats.serialize_instance(inst), args.out)
     return EXIT_OK
 
@@ -295,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--algo", choices=ALGORITHMS, default="auto")
     solve.add_argument("--json", action="store_true")
     solve.add_argument("--exit-verdict", action="store_true")
-    solve.add_argument("--max-nodes", type=int, default=2_000_000)
+    solve.add_argument("--max-nodes", type=int, default=MAX_NODES)
     solve.add_argument("--out")
     solve.set_defaults(func=cmd_solve)
 
@@ -336,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run solvers over a directory of instances")
     bench.add_argument("directory")
     bench.add_argument("--algo", action="append", choices=ALGORITHMS)
-    bench.add_argument("--max-nodes", type=int, default=2_000_000)
+    bench.add_argument("--max-nodes", type=int, default=MAX_NODES)
     bench.add_argument("--out")
     bench.set_defaults(func=cmd_bench)
     return parser
@@ -353,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     except GuardExceeded as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    except (UsageError, formats.ParseError, ValueError) as exc:
+    except (UsageError, formats.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:

@@ -30,6 +30,9 @@ class UndecidedError(GuardExceeded):
     """Search budget exhausted before a verdict; never a wrong answer."""
 
 
+MAX_NODES = 2_000_000
+
+
 @dataclass(frozen=True)
 class IpModel:
     """Integer program over variables x[type, committee].
@@ -97,7 +100,7 @@ def build_ip(inst: Instance) -> IpModel:
     )
 
 
-def solve_ip_naive(model: IpModel, max_nodes: int = 2_000_000) -> dict[VarKey, int] | None:
+def solve_ip_naive(model: IpModel, max_nodes: int = MAX_NODES) -> dict[VarKey, int] | None:
     """Feasible assignment by depth-first value search, or None.
 
     Variables are visited type by type in committee order; the last variable
@@ -194,7 +197,7 @@ def lift_ip_witness(inst: Instance, model: IpModel, assignment: dict[VarKey, int
     return CommitteeSequence(tuple(committees))
 
 
-def solve_ip(inst: Instance, max_nodes: int = 2_000_000) -> SolveResult:
+def solve_ip(inst: Instance, max_nodes: int = MAX_NODES) -> SolveResult:
     """Rename, build, search, and lift back to original candidate ids."""
     renamed, renaming = rename_candidates(inst)
     model = build_ip(renamed)

@@ -17,6 +17,10 @@ critical agent can use) stays needed, and "nobody is critical" can only hold
 before the first deletion.  Deleting each unneeded level as the sweep reaches
 it, and promoting agents whose count falls to ``n * y``, thus deletes exactly
 what repeatedly deleting the first unneeded level would.
+
+``strike_agents`` builds every sub-instance that drops agents: the zero-target
+rule and each child of fingerprint branching, in both modes.  At each level it
+erases every nomination of a candidate that a dropped agent nominates there.
 """
 
 from __future__ import annotations
@@ -66,15 +70,6 @@ class KernelResult:
             raise ValueError("exactly one of verdict and instance must be set")
 
 
-def _best_score_with(support: dict[int, int], k: int, candidate: int) -> int:
-    """Score of the best size-<=k committee containing ``candidate``;
-    -1 when k = 0 makes inclusion impossible."""
-    if k < 1:
-        return -1
-    others = sorted((support[c] for c in support if c != candidate), reverse=True)
-    return support[candidate] + sum(others[: k - 1])
-
-
 def compute_criticality(inst: Instance) -> CriticalityTable:
     """Z(a) and criticality flags for an egalitarian instance."""
     if inst.mode != EGALITARIAN:
@@ -83,7 +78,10 @@ def compute_criticality(inst: Instance) -> CriticalityTable:
     z: list[list[int]] = [[] for _ in range(inst.n)]
     for t0, row in enumerate(inst.profile):
         support = row_support(row)
-        usable = {c for c in support if _best_score_with(support, inst.k, c) >= inst.x}
+        usable = {
+            c for c in support
+            if inst.k >= 1 and sum(support[d] for d in greedy_committee(support, inst.k, c)) >= inst.x
+        }
         for a0, c in enumerate(row):
             if c != 0 and c in usable:
                 z[a0].append(t0 + 1)
@@ -182,6 +180,20 @@ def _non_critical_witness(renamed, table, supports) -> CommitteeSequence:
     return CommitteeSequence.of(committees)
 
 
+def strike_agents(pe: PeInstance, drop, kvec, xvec, yvec) -> PeInstance:
+    """The sub-instance without the agents in ``drop``: at each level every
+    nomination of a candidate that a dropped agent nominates there is erased
+    too.  ``kvec``/``xvec`` are the new per-level bounds and ``yvec`` holds
+    one target per agent of ``pe``; the dropped agents' entries are ignored."""
+    keep = [a0 for a0 in range(pe.n) if a0 not in drop]
+    rows = []
+    for row in pe.profile:
+        banned = {row[a0] for a0 in drop} - {0}
+        rows.append(tuple(0 if row[a0] in banned else row[a0] for a0 in keep))
+    targets = tuple(yvec[a0] for a0 in keep)
+    return PeInstance(pe.mode, len(keep), pe.m, pe.tau, tuple(kvec), tuple(xvec), targets, tuple(rows))
+
+
 def rr_pe_qcse_zero_y(pe: PeInstance) -> PeInstance:
     """Remove satisfied agents from an equitable pre-elected instance.
 
@@ -192,21 +204,7 @@ def rr_pe_qcse_zero_y(pe: PeInstance) -> PeInstance:
     """
     if pe.mode != EQUITABLE:
         raise ValueError("the zero-target rule applies to equitable instances")
-    zeros = [a0 for a0 in range(pe.n) if pe.yvec[a0] == 0]
+    zeros = {a0 for a0 in range(pe.n) if pe.yvec[a0] == 0}
     if not zeros:
         return pe
-    keep = [a0 for a0 in range(pe.n) if pe.yvec[a0] != 0]
-    rows = []
-    for t0, row in enumerate(pe.profile):
-        banned = {row[a0] for a0 in zeros if row[a0] != 0}
-        rows.append(tuple(0 if row[a0] in banned else row[a0] for a0 in keep))
-    return PeInstance(
-        pe.mode,
-        len(keep),
-        pe.m,
-        pe.tau,
-        pe.kvec,
-        pe.xvec,
-        tuple(pe.yvec[a0] for a0 in keep),
-        tuple(rows),
-    )
+    return strike_agents(pe, zeros, pe.kvec, pe.xvec, pe.yvec)

@@ -1,5 +1,8 @@
 """Fingerprint branching: children semantics, solver verdicts, search bounds."""
 
+import itertools
+import random
+
 import pytest
 
 from ecse.branching import (
@@ -11,7 +14,16 @@ from ecse.branching import (
     solve_pe_gcse_branch,
     solve_pe_qcse_branch,
 )
-from ecse.model import EGALITARIAN, EQUITABLE, PeInstance, pe_feasible, verify
+from ecse.kernel import rr_pe_qcse_zero_y
+from ecse.model import (
+    EGALITARIAN,
+    EQUITABLE,
+    PeInstance,
+    greedy_committee,
+    pe_feasible,
+    row_support,
+    verify,
+)
 from ecse.oracle import brute_solve, brute_solve_pe
 from ecse.generators import random_instance
 
@@ -171,3 +183,130 @@ def test_fingerprint_type_invariants(trip_equitable_x3):
                 if bit:
                     assert pe.profile[t0][a - 1] != 0
             assert fp.popcount == pe.yvec[a - 1]
+
+
+def _random_pe(seed):
+    """Seeded pre-elected instance of either mode whose bounds and targets
+    scatter around a common value, within -1..3."""
+    rng = random.Random(seed)
+    n, m, tau = rng.randint(1, 6), rng.randint(1, 4), rng.randint(1, 5)
+    mode = rng.choice((EGALITARIAN, EQUITABLE))
+    empty = rng.choice((0.0, 0.1, 0.25, 0.5))
+    profile = random_instance(seed, n, m, tau, 0, 0, 0, mode, empty).profile
+
+    def around(base, size):
+        return tuple(max(-1, min(3, base + rng.choice((-1, 0, 0, 0, 1)))) for _ in range(size))
+
+    kvec, xvec = around(rng.randint(1, 3), tau), around(rng.randint(0, 2), tau)
+    return PeInstance(mode, n, m, tau, kvec, xvec, around(rng.randint(0, 2), n), profile)
+
+
+def test_equitable_children_have_no_satisfied_agents():
+    branched = 0
+    for seed in range(400):
+        pe = _random_pe(seed)
+        if pe.mode != EQUITABLE:
+            continue
+        for a0, y in enumerate(pe.yvec):
+            if 0 < y <= sum(1 for row in pe.profile if row[a0] != 0):
+                for child in branch_children(pe, a0 + 1):
+                    branched += 1
+                    assert 0 not in child.yvec, f"seed {seed}, agent {a0 + 1}"
+    assert branched > 200
+
+
+def _reference_child(pe, a0, chosen):
+    """Agent ``a0`` committed to electing its nominees at ``chosen``: only
+    ``a0`` is struck, its nominee's nominations erased at every level."""
+    elected = {t0: pe.profile[t0][a0] for t0 in chosen}
+    kvec = tuple(k - (t0 in elected) for t0, k in enumerate(pe.kvec))
+    xvec = tuple(
+        x - (pe.profile[t0].count(elected[t0]) if t0 in elected else 0)
+        for t0, x in enumerate(pe.xvec)
+    )
+    keep = [b0 for b0 in range(pe.n) if b0 != a0]
+    yvec = tuple(pe.yvec[b0] - sum(pe.profile[t0][b0] == elected[t0] for t0 in chosen) for b0 in keep)
+    rows = tuple(
+        tuple(0 if row[a0] != 0 and row[b0] == row[a0] else row[b0] for b0 in keep)
+        for row in pe.profile
+    )
+    return PeInstance(pe.mode, pe.n - 1, pe.m, pe.tau, kvec, xvec, yvec, rows)
+
+
+def _reference_branch(pe):
+    """Fingerprint DFS applying the zero-target rule at every equitable node;
+    branches on the open agent with the fewest fingerprints (lowest index on
+    ties) and tries its level sets by size, then lexicographically."""
+    equitable = pe.mode == EQUITABLE
+    stats = {"nodes_expanded": 0, "fingerprints_tried": 0, "max_depth": 0, "max_children": 0}
+
+    def choices(cur, a0):
+        levels = [t0 for t0 in range(cur.tau) if cur.profile[t0][a0] != 0]
+        y = cur.yvec[a0]
+        sizes = [y] if equitable else range(y, len(levels) + 1)
+        return [c for size in sizes for c in itertools.combinations(levels, size)]
+
+    def node(cur, depth):
+        stats["nodes_expanded"] += 1
+        if any(k < 0 for k in cur.kvec) or (equitable and any(y < 0 for y in cur.yvec)):
+            return None
+        stats["max_depth"] = max(stats["max_depth"], depth)
+        if equitable:
+            cur = rr_pe_qcse_zero_y(cur)
+        if all(y <= 0 for y in cur.yvec):
+            committees = [set() for _ in range(cur.tau)]
+            for t0, row in enumerate(cur.profile):
+                if cur.xvec[t0] > 0:
+                    support = row_support(row)
+                    top = greedy_committee(support, cur.kvec[t0])
+                    if sum(support[c] for c in top) < cur.xvec[t0]:
+                        return None
+                    committees[t0] = set(top)
+            return committees
+        options = {a0: choices(cur, a0) for a0 in range(cur.n) if cur.yvec[a0] > 0}
+        a0 = min(options, key=lambda b0: len(options[b0]))
+        for i, chosen in enumerate(options[a0], 1):
+            stats["fingerprints_tried"] += 1
+            stats["max_children"] = max(stats["max_children"], i)
+            sub = node(_reference_child(cur, a0, chosen), depth + 1)
+            if sub is not None:
+                return [s | {cur.profile[t0][a0]} if t0 in chosen else s for t0, s in enumerate(sub)]
+        return None
+
+    witness = node(pe, 0)
+    if witness is None:
+        return None, stats
+    return [tuple(sorted(s)) for s in witness], stats
+
+
+def test_search_matches_reference_search():
+    yes = deep = 0
+    for seed in range(1000):
+        pe = _random_pe(seed)
+        solver = solve_pe_qcse_branch if pe.mode == EQUITABLE else solve_pe_gcse_branch
+        result = solver(pe)
+        witness, stats = _reference_branch(pe)
+        assert result.verdict == ("yes" if witness is not None else "no"), f"seed {seed}"
+        assert (result.witness and list(result.witness.committees)) == witness, f"seed {seed}"
+        assert result.stats == stats, f"seed {seed}"
+        yes += witness is not None
+        deep += stats["max_depth"] >= 2
+    assert yes > 200 and deep > 150
+
+
+def test_search_counters_at_benchmark_size():
+    # searches of benchmark size; their counters feed the benchmark's counters digest
+    inst = random_instance(24, 14, 4, 9, 2, 4, 3, EQUITABLE)
+    result = solve_branch(inst)
+    assert result.verdict == "no"
+    assert result.stats == {
+        "nodes_expanded": 4626, "fingerprints_tried": 4625, "max_depth": 11, "max_children": 84,
+    }
+    inst = random_instance(13, 14, 4, 8, 2, 5, 4, EGALITARIAN)
+    result = solve_branch(inst)
+    assert result.witness.committees == (
+        (2, 3), (2, 3), (1, 3), (1, 3), (3, 4), (2, 3), (1, 2), (2, 4),
+    )
+    assert result.stats == {
+        "nodes_expanded": 4084, "fingerprints_tried": 4083, "max_depth": 8, "max_children": 16,
+    }

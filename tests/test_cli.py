@@ -287,3 +287,29 @@ def test_unexpected_exception_exits_4_not_no(trip_file, capsys, monkeypatch):
     code, _, err = run(capsys, "solve", trip_file, "--algo", "dp", "--exit-verdict")
     assert code == 4
     assert "Traceback" in err and "KeyError: 'lost'" in err
+
+
+def test_backend_value_error_is_a_crash(trip_file, capsys, monkeypatch):
+    # only input errors exit 2; a back-end's broken invariant is a crash
+    def broken(inst):
+        raise ValueError("invariant broken")
+
+    monkeypatch.setattr("ecse.cli.solve_dp", broken)
+    code, _, err = run(capsys, "solve", trip_file, "--algo", "dp")
+    assert code == 4
+    assert "Traceback" in err and "ValueError: invariant broken" in err
+
+
+def test_input_errors_exit_2(tmp_path, capsys):
+    equit = tmp_path / "equit.ecse"
+    equit.write_text(TRIP_DOC.replace("mode gcse", "mode qcse"))
+    code, _, err = run(capsys, "kernelize", str(equit))
+    assert code == 2 and "egalitarian" in err
+
+    cnf = tmp_path / "bad.cnf"
+    cnf.write_text("p cnf 2 1\n1 -3 0\n")
+    code, _, err = run(capsys, "generate", "--from", "sat", str(cnf))
+    assert code == 2 and "exceeds variable count" in err
+
+    code, _, err = run(capsys, "generate", "--from", "random", "--empty-prob", "2")
+    assert code == 2 and "empty_prob" in err
