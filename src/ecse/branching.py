@@ -27,6 +27,7 @@ from .model import (
     Instance,
     PeInstance,
     SolveResult,
+    _check_agent,
     greedy_committee,
     lift,
     row_support,
@@ -44,36 +45,21 @@ class Fingerprint:
         return sum(self.bits)
 
 
-def _nonzero_levels(pe: PeInstance, a0: int) -> list[int]:
-    return [t0 for t0 in range(pe.tau) if pe.profile[t0][a0] != 0]
-
-
 def _level_choices(pe: PeInstance, a0: int):
     """Elected-level sets of the eligible fingerprints of agent ``a0``, in
     (popcount, position) order: at least y_a levels in egalitarian mode,
     exactly y_a in equitable mode."""
-    levels = _nonzero_levels(pe, a0)
+    levels = [t0 for t0, row in enumerate(pe.profile) if row[a0] != 0]
     y = pe.yvec[a0]
     sizes = (y,) if pe.mode == EQUITABLE else range(y, len(levels) + 1)
     for size in sizes:
         yield from itertools.combinations(levels, size)
 
 
-def _fingerprint_count(pe: PeInstance, a0: int) -> int:
-    d = len(_nonzero_levels(pe, a0))
-    y = pe.yvec[a0]
-    if y > d:
-        return 0
-    if pe.mode == EQUITABLE:
-        return comb(d, y)
-    return sum(comb(d, size) for size in range(y, d + 1))
-
-
 def agent_fingerprints(pe: PeInstance, a: int) -> list[Fingerprint]:
     """All eligible fingerprints of agent ``a`` (1-based), mode-aware."""
+    _check_agent(pe, a)
     a0 = a - 1
-    if not 0 <= a0 < pe.n:
-        raise IndexError(f"agent {a} out of range 1..{pe.n}")
     if pe.yvec[a0] <= 0:
         raise ValueError("fingerprints are branched only for positive targets")
     out = []
@@ -118,22 +104,30 @@ def branch_children(pe: PeInstance, a: int) -> list[PeInstance]:
     satisfied agents (the zero-target rule is already applied).  Requires a
     positive remaining target and at least one eligible fingerprint.
     """
+    _check_agent(pe, a)
     a0 = a - 1
-    if not 0 <= a0 < pe.n:
-        raise IndexError(f"agent {a} out of range 1..{pe.n}")
     if pe.yvec[a0] <= 0:
         raise ValueError(f"agent {a} has no positive target to branch on")
-    if pe.yvec[a0] > len(_nonzero_levels(pe, a0)):
+    if pe.yvec[a0] > sum(1 for row in pe.profile if row[a0] != 0):
         raise ValueError(f"agent {a} admits no eligible fingerprint")
     return [_child(pe, a0, chosen) for chosen in _level_choices(pe, a0)]
 
 
 def _pick_agent(pe: PeInstance) -> int | None:
-    """Open agent with the fewest eligible fingerprints (ties: lowest index);
-    None when a positive-target agent has no fingerprint at all."""
-    counts = {a0: _fingerprint_count(pe, a0) for a0 in range(pe.n) if pe.yvec[a0] > 0}
-    best = min(counts, key=counts.get)
-    return best if counts[best] else None
+    """Open agent with the fewest eligible fingerprints (ties: lowest index),
+    counted in one pass over the columns; None at the first open agent
+    without any."""
+    equitable = pe.mode == EQUITABLE
+    best = best_count = None
+    for a0, (y, column) in enumerate(zip(pe.yvec, zip(*pe.profile))):
+        if y > 0:
+            d = len(column) - column.count(0)
+            count = comb(d, y) if equitable else sum(comb(d, s) for s in range(y, d + 1))
+            if count == 0:
+                return None
+            if best is None or count < best_count:
+                best, best_count = a0, count
+    return best
 
 
 def _branch(pe: PeInstance) -> SolveResult:

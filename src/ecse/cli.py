@@ -69,6 +69,13 @@ def _read(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
+def _plain_instance(path: str, command: str) -> Instance:
+    inst = formats.parse_instance(_read(path))
+    if isinstance(inst, PeInstance):
+        raise UsageError(f"{command} takes a plain instance, {path} is pre-elected")
+    return inst
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -146,9 +153,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst = formats.parse_instance(_read(args.instance))
-    if isinstance(inst, PeInstance):
-        raise UsageError("verify expects a plain (non pre-elected) instance")
+    inst = _plain_instance(args.instance, "verify")
     seq = formats.parse_solution(_read(args.solution))
     if len(seq) != inst.tau:
         raise UsageError(f"solution has {len(seq)} committees, the instance has tau={inst.tau}")
@@ -174,9 +179,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kernelize(args) -> int:
-    inst = formats.parse_instance(_read(args.instance))
-    if not isinstance(inst, Instance):
-        raise UsageError("kernelize expects a plain instance")
+    inst = _plain_instance(args.instance, "kernelize")
     if inst.mode != EGALITARIAN:
         raise UsageError("kernelize expects an egalitarian (gcse) instance")
     result = kernelize_ny(inst)
@@ -204,12 +207,29 @@ def cmd_kernelize(args) -> int:
 
 
 def cmd_export_ip(args) -> int:
-    inst = formats.parse_instance(_read(args.instance))
-    if not isinstance(inst, Instance):
-        raise UsageError("export-ip expects a plain instance")
+    inst = _plain_instance(args.instance, "export-ip")
     renamed, _ = rename_candidates(inst)
     _emit(export_lp(build_ip(renamed)), args.out)
     return EXIT_OK
+
+
+def _from_cnf(generator):
+    return lambda text, mode: generator(parse_dimacs(text))
+
+
+#: ``generate --from`` kinds; those reading one input file map to a builder
+#: of the instance from that file's text and the mode
+GENERATORS = {
+    "cbvc": lambda text, mode: gen_from_cbvc(*parse_cbvc(text)),
+    "sat": _from_cnf(gen_gcse_sat),
+    "3sat": _from_cnf(gen_gcse_3sat),
+    "x13sat": _from_cnf(gen_qcse_x13sat),
+    "monotone-x13sat": _from_cnf(gen_qcse_monotone_x13sat),
+    "nmx": lambda text, mode: gen_nmx(parse_dimacs(text), mode),
+    "3part": lambda text, mode: gen_3part([int(tok) for tok in text.split()], mode),
+    "or": None,
+    "random": None,
+}
 
 
 def cmd_generate(args) -> int:
@@ -220,47 +240,19 @@ def cmd_generate(args) -> int:
             inst = random_instance(
                 args.seed, args.n, args.m, args.tau, args.k, args.x, args.y, mode, args.empty_prob
             )
-        elif kind == "cbvc":
-            graph, k = parse_cbvc(_read(_one_input(args)))
-            inst = gen_from_cbvc(graph, k)
-        elif kind in ("sat", "3sat", "x13sat", "monotone-x13sat", "nmx"):
-            cnf = parse_dimacs(_read(_one_input(args)))
-            if kind == "sat":
-                inst = gen_gcse_sat(cnf)
-            elif kind == "3sat":
-                inst = gen_gcse_3sat(cnf)
-            elif kind == "x13sat":
-                inst = gen_qcse_x13sat(cnf)
-            elif kind == "monotone-x13sat":
-                inst = gen_qcse_monotone_x13sat(cnf)
-            else:
-                inst = gen_nmx(cnf, mode)
-        elif kind == "3part":
-            values = [int(tok) for tok in _read(_one_input(args)).split()]
-            inst = gen_3part(values, mode)
         elif kind == "or":
             if not args.inputs:
                 raise UsageError("or-composition needs input instance files")
-            parts = []
-            for path in args.inputs:
-                part = formats.parse_instance(_read(path))
-                if not isinstance(part, Instance):
-                    raise UsageError("or-composition takes plain instances")
-                parts.append(part)
-            inst = or_compose(parts)
+            inst = or_compose([_plain_instance(path, "generate --from or") for path in args.inputs])
         else:
-            raise UsageError(f"unknown generator {kind!r}")
+            if len(args.inputs) != 1:
+                raise UsageError(f"generator {kind!r} takes exactly one input file")
+            inst = GENERATORS[kind](_read(args.inputs[0]), mode)
     except ValueError as exc:
         # malformed source files and unmet generator preconditions are input errors
         raise UsageError(str(exc)) from exc
     _emit(formats.serialize_instance(inst), args.out)
     return EXIT_OK
-
-
-def _one_input(args) -> str:
-    if len(args.inputs) != 1:
-        raise UsageError(f"generator {args.source!r} takes exactly one input file")
-    return args.inputs[0]
 
 
 def cmd_bench(args) -> int:
@@ -320,9 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     kern.set_defaults(func=cmd_kernelize)
 
     gen = sub.add_parser("generate", help="build instances from source problems")
-    gen.add_argument("--from", dest="source", required=True,
-                     choices=["cbvc", "sat", "3sat", "x13sat", "monotone-x13sat",
-                              "nmx", "3part", "or", "random"])
+    gen.add_argument("--from", dest="source", required=True, choices=GENERATORS)
     gen.add_argument("inputs", nargs="*")
     gen.add_argument("--mode", choices=["gcse", "qcse"], default="gcse")
     gen.add_argument("--seed", type=int, default=0)

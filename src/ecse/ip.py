@@ -63,8 +63,8 @@ class IpModel:
 def build_ip(inst: Instance) -> IpModel:
     """Group levels into types and enumerate each type's valid committees.
 
-    Callers should rename candidates first so the per-type enumeration stays
-    within the guard; types are ordered by first occurrence.
+    Types are ordered by first occurrence; the enumeration raises
+    :class:`EnumerationLimitError` where :func:`valid_committees` refuses.
     """
     type_index: dict[tuple[int, ...], int] = {}
     type_levels: list[list[int]] = []

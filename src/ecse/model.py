@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import comb
 
 EGALITARIAN = "egalitarian"
 EQUITABLE = "equitable"
@@ -43,7 +44,11 @@ class GuardExceeded(RuntimeError):
 
 
 class EnumerationLimitError(GuardExceeded):
-    """Too many distinct candidates in a level for subset enumeration."""
+    """Too many distinct candidates or subsets in a level for enumeration."""
+
+
+#: most subsets :func:`valid_committees` tries in one level
+MAX_COMMITTEES = 2**20
 
 
 def _as_committee(candidates) -> Committee:
@@ -348,12 +353,6 @@ def row_support(row) -> dict[int, int]:
     return support
 
 
-def level_support(inst, t: int) -> dict[int, int]:
-    """Support count per candidate nominated in level ``t`` (1-based)."""
-    _check_level(inst, t)
-    return row_support(inst.profile[t - 1])
-
-
 def greedy_committee(support: dict[int, int], k: int, include: int | None = None) -> Committee:
     """Score-maximal committee of size <= k, optionally forced to contain
     ``include``; ties among equally supported candidates break by id."""
@@ -373,14 +372,16 @@ def greedy_committee(support: dict[int, int], k: int, include: int | None = None
 
 def valid_committees(support: dict[int, int], k: int, x: int) -> list[Committee]:
     """All committees of nominated candidates with size <= k and score >= x,
-    in (size, lexicographic) order."""
+    in (size, lexicographic) order.  Refuses above 30 distinct candidates or
+    :data:`MAX_COMMITTEES` subsets to try."""
     nominated = sorted(support)
-    if len(nominated) > 30:
+    d = len(nominated)
+    if d > 30 or sum(comb(d, s) for s in range(min(k, d) + 1)) > MAX_COMMITTEES:
         raise EnumerationLimitError(
-            f"{len(nominated)} distinct candidates in one level; rename first"
+            f"{d} distinct candidates with k={k} in one level exceed the enumeration guard"
         )
     out: list[Committee] = []
-    for size in range(0, min(k, len(nominated)) + 1):
+    for size in range(min(k, d) + 1):
         for combo in itertools.combinations(nominated, size):
             if sum(map(support.__getitem__, combo)) >= x:
                 out.append(combo)
@@ -392,10 +393,11 @@ def enumerate_valid_committees(inst, t: int) -> list[Committee]:
     nominated there with size <= k and committee score >= x.
 
     Candidates nominated by nobody are omitted since adding them never
-    changes any score.  Raises :class:`EnumerationLimitError` above 30
-    distinct nominated candidates (apply :func:`rename_candidates` first).
+    changes any score.  Raises :class:`EnumerationLimitError` where
+    :func:`valid_committees` refuses.
     """
-    return valid_committees(level_support(inst, t), inst.k, inst.x)
+    _check_level(inst, t)
+    return valid_committees(row_support(inst.profile[t - 1]), inst.k, inst.x)
 
 
 def level_fingerprints(inst, t: int) -> dict[tuple[int, ...], Committee]:
@@ -470,8 +472,8 @@ def trivial_solve(inst: Instance) -> SolveResult | None:
         if inst.egalitarian:
             # per level the top-k committee is score-maximal
             committees = []
-            for t in range(1, inst.tau + 1):
-                support = level_support(inst, t)
+            for row in inst.profile:
+                support = row_support(row)
                 best = greedy_committee(support, inst.k)
                 if sum(support[c] for c in best) < inst.x:
                     return SolveResult.no({"trivial_y0_egalitarian": 1})

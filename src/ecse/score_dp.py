@@ -7,6 +7,10 @@ an entry above the target (scores only grow, so such a vector is dead);
 egalitarian mode caps entries at the target, where excess satisfaction is
 irrelevant.  Either way at most (y+1)^n vectors survive per level and the
 all-target vector at the last level decides the instance.
+
+The table is capped: once the vectors kept over all levels so far, the level
+being built included, pass ``MAX_TABLE_ENTRIES`` (about 0.3 GB at n = 13),
+the sweep refuses with :class:`DpGuardError` instead of exhausting memory.
 """
 
 from __future__ import annotations
@@ -22,10 +26,11 @@ from .model import (
 
 
 class DpGuardError(GuardExceeded):
-    """Too many agents for the score-vector table."""
+    """Too many agents or score vectors for the score-vector table."""
 
 
 MAX_AGENTS = 20
+MAX_TABLE_ENTRIES = 1_000_000
 
 
 def solve_dp(inst: Instance, prune: bool = True) -> SolveResult:
@@ -58,11 +63,14 @@ def solve_dp(inst: Instance, prune: bool = True) -> SolveResult:
         fps = list(level_fingerprints(renamed, t).items())
         stats["committees_enumerated"] += len(fps)
         nxt: dict = {}
+        room = MAX_TABLE_ENTRIES - stats["table_entries"]
         for vec in sorted(frontier):
             for fp, committee in fps:
                 out = step(vec, fp)
                 if out is not None and out not in nxt:
                     nxt[out] = (vec, committee)
+                    if len(nxt) > room:
+                        raise DpGuardError(f"score table exceeds {MAX_TABLE_ENTRIES} entries")
         frontier = nxt
         trace.append(frontier)
         stats["table_entries"] += len(frontier)

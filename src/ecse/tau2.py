@@ -314,8 +314,7 @@ def solve_cbivcs(g: CbivcsInstance) -> set[Vertex] | None:
 
 def solve_qcse_tau2(inst: Instance) -> SolveResult:
     """Exact polynomial solver for equitable two-level instances."""
-    if inst.mode != EQUITABLE or inst.tau != 2:
-        raise ValueError("expected an equitable two-level instance")
+    x2 = x2_from_instance(inst)
     if inst.y != 1:
         result = trivial_solve(inst)
         if result is None:
@@ -323,7 +322,7 @@ def solve_qcse_tau2(inst: Instance) -> SolveResult:
         return result
 
     stats = {"forced": 0, "components": 0, "surviving_agents": 0}
-    x2 = apply_x2_rules(x2_from_instance(inst))
+    x2 = apply_x2_rules(x2)
     if x2 is None:
         return SolveResult.no(stats)
     stats["forced"] = len(x2.forced1) + len(x2.forced2)

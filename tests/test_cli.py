@@ -1,13 +1,26 @@
 """Command-line surface: output contracts, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
 from ecse.cli import main
 from ecse.formats import parse_instance, parse_solution, serialize_instance
-from ecse.model import verify
-from ecse.generators import random_instance
+from ecse.model import EGALITARIAN, EQUITABLE, verify
+from ecse.generators import (
+    gen_3part,
+    gen_from_cbvc,
+    gen_gcse_3sat,
+    gen_gcse_sat,
+    gen_nmx,
+    gen_qcse_monotone_x13sat,
+    gen_qcse_x13sat,
+    or_compose,
+    parse_cbvc,
+    parse_dimacs,
+    random_instance,
+)
 
 from conftest import make_instance
 
@@ -313,3 +326,82 @@ def test_input_errors_exit_2(tmp_path, capsys):
 
     code, _, err = run(capsys, "generate", "--from", "random", "--empty-prob", "2")
     assert code == 2 and "empty_prob" in err
+
+
+CNF = "p cnf 3 3\n1 2 -3 0\n-1 2 0\n3 0\n"
+MONOTONE_CNF = "p cnf 3 3\n1 2 3 0\n1 2 3 0\n1 2 3 0\n"
+NMX_CNF = "p cnf 3 4\n1 2 3 0\n1 2 3 0\n-1 -2 -3 0\n-1 -2 -3 0\n"
+CBVC = "p cbvc 2 2 1\n1 1\n1 2\n2 1\n"
+UNIT_DOC = "ecse v1\nmode gcse\nn 1\nm 2\ntau 1\nk 1\nx 0\ny 1\nlevels\n1\nend\n"
+PE_DOC = (
+    "ecse v1\nmode gcse\nn 2\nm 2\ntau 2\nk 0\nx 0\ny 0\n"
+    "kvec 1 1\nxvec 1 1\nyvec 1 1\nlevels\n1 2\n2 1\nend\n"
+)
+
+# (--from kind, --mode, input file texts, the instance it must write); the
+# kinds that read --mode run in both modes, the others in the default one
+GENERATE_CASES = [
+    ("cbvc", "gcse", [CBVC], lambda: gen_from_cbvc(*parse_cbvc(CBVC))),
+    ("sat", "gcse", [CNF], lambda: gen_gcse_sat(parse_dimacs(CNF))),
+    ("3sat", "gcse", [CNF], lambda: gen_gcse_3sat(parse_dimacs(CNF))),
+    ("x13sat", "gcse", [CNF], lambda: gen_qcse_x13sat(parse_dimacs(CNF))),
+    ("monotone-x13sat", "gcse", [MONOTONE_CNF],
+     lambda: gen_qcse_monotone_x13sat(parse_dimacs(MONOTONE_CNF))),
+    ("nmx", "gcse", [NMX_CNF], lambda: gen_nmx(parse_dimacs(NMX_CNF), EGALITARIAN)),
+    ("nmx", "qcse", [MONOTONE_CNF], lambda: gen_nmx(parse_dimacs(MONOTONE_CNF), EQUITABLE)),
+    ("3part", "gcse", ["1 2 3 2 2 2\n"], lambda: gen_3part([1, 2, 3, 2, 2, 2], EGALITARIAN)),
+    ("3part", "qcse", ["1 2 3 2 2 2\n"], lambda: gen_3part([1, 2, 3, 2, 2, 2], EQUITABLE)),
+    ("or", "gcse", [UNIT_DOC, UNIT_DOC], lambda: or_compose([parse_instance(UNIT_DOC)] * 2)),
+    ("random", "gcse", [], lambda: random_instance(0, 6, 4, 3, 2, 1, 1, EGALITARIAN, 0.0)),
+    ("random", "qcse", [], lambda: random_instance(0, 6, 4, 3, 2, 1, 1, EQUITABLE, 0.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, mode, texts, build", GENERATE_CASES, ids=[f"{k}-{m}" for k, m, *_ in GENERATE_CASES]
+)
+def test_generate_writes_the_generator_output(kind, mode, texts, build, tmp_path, capsys):
+    paths = []
+    for i, text in enumerate(texts):
+        path = tmp_path / f"input{i}"
+        path.write_text(text)
+        paths.append(str(path))
+    code, out, err = run(capsys, "generate", "--from", kind, "--mode", mode, *paths)
+    assert (code, err) == (0, "")
+    assert out == serialize_instance(build())
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{pe}", "{sol}"],
+    ["kernelize", "{pe}"],
+    ["export-ip", "{pe}"],
+    ["generate", "--from", "or", "{pe}"],
+])
+def test_plain_only_commands_refuse_pre_elected_files(argv, tmp_path, capsys):
+    pe = tmp_path / "pe.ecse"
+    pe.write_text(PE_DOC)
+    sol = tmp_path / "sol.txt"
+    sol.write_text("2\n1\n2\n")
+    code, out, err = run(capsys, *[a.format(pe=pe, sol=sol) for a in argv])
+    assert code == 2 and out == ""
+    assert "pre-elected" in err and argv[0] in err
+
+
+def test_dp_table_cap_exits_3(trip_file, capsys, monkeypatch):
+    monkeypatch.setattr("ecse.score_dp.MAX_TABLE_ENTRIES", 1)
+    code, out, err = run(capsys, "solve", trip_file, "--algo", "dp")
+    assert code == 3 and out == ""
+    assert "score table" in err
+
+
+def test_solve_refuses_a_huge_committee_enumeration_at_once(tmp_path, capsys):
+    # 25/25/24 distinct candidates per level, under the 30-candidate guard;
+    # auto routes it to the IP, which would enumerate 3,850,756 committees
+    # per level
+    path = tmp_path / "wide.ecse"
+    path.write_text(serialize_instance(random_instance(0, 40, 40, 3, 9, 1, 1, EGALITARIAN)))
+    started = time.perf_counter()
+    code, out, err = run(capsys, "solve", str(path))
+    assert time.perf_counter() - started < 2.0
+    assert code == 3 and out == ""
+    assert "enumeration guard" in err

@@ -1,6 +1,8 @@
 """Core model: scores, verification, trivial cases, renaming, enumeration."""
 
 import itertools
+import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from ecse.model import (
     EQUITABLE_SPEC,
     CommitteeSequence,
     ComparatorSpec,
+    MAX_COMMITTEES,
     EnumerationLimitError,
     Instance,
     agent_score,
@@ -23,6 +26,7 @@ from ecse.model import (
     rename_candidates,
     solve_easy_generalized,
     trivial_solve,
+    valid_committees,
     verify,
     verify_generalized,
 )
@@ -366,6 +370,18 @@ def test_enumerate_guard():
     inst = make_instance([row], mode=EGALITARIAN, k=2, x=0, y=1)
     with pytest.raises(EnumerationLimitError):
         enumerate_valid_committees(inst, 1)
+
+
+def test_enumeration_cap_refuses_before_enumerating():
+    # 25 singly supported candidates and k = 9: 3,850,756 subsets to try
+    support = {c: 1 for c in range(1, 26)}
+    started = time.perf_counter()
+    with pytest.raises(EnumerationLimitError):
+        valid_committees(support, 9, 1)
+    assert time.perf_counter() - started < 0.1
+    assert sum(math.comb(25, s) for s in range(10)) > MAX_COMMITTEES
+    # every level the score DP admits (at most 20 candidates) stays under it
+    assert sum(math.comb(20, s) for s in range(21)) <= MAX_COMMITTEES
 
 
 def test_level_fingerprints_trip(trip_egalitarian):

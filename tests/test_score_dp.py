@@ -67,3 +67,17 @@ def test_pruned_equals_unpruned_small():
         unpruned = solve_dp(inst, prune=False)
         assert pruned.verdict == unpruned.verdict, f"seed {seed}"
         assert pruned.stats["table_entries"] <= unpruned.stats["table_entries"]
+
+
+@pytest.mark.parametrize("mode", [EGALITARIAN, EQUITABLE])
+@pytest.mark.parametrize("prune", [True, False])
+def test_table_cap_refuses_one_entry_past_it(mode, prune, monkeypatch):
+    inst = random_instance(3, 8, 4, 4, 2, 1, 1, mode)
+    full = solve_dp(inst, prune=prune)
+    entries = full.stats["table_entries"]
+    assert entries > 2
+    monkeypatch.setattr("ecse.score_dp.MAX_TABLE_ENTRIES", entries)
+    assert solve_dp(inst, prune=prune) == full
+    monkeypatch.setattr("ecse.score_dp.MAX_TABLE_ENTRIES", entries - 1)
+    with pytest.raises(DpGuardError, match="score table"):
+        solve_dp(inst, prune=prune)
