@@ -20,7 +20,6 @@ from math import comb
 
 from .kernel import rr_pe_qcse_zero_y, strike_agents
 from .model import (
-    EGALITARIAN,
     EQUITABLE,
     CommitteeSequence,
     GuardExceeded,
@@ -130,9 +129,10 @@ def _pick_agent(pe: PeInstance) -> int | None:
     return best
 
 
-def _branch(pe: PeInstance) -> SolveResult:
-    """Fingerprint DFS for both modes; the witness is reconstructed along
-    the accepting path.
+def solve_branch(inst: Instance | PeInstance) -> SolveResult:
+    """Fingerprint DFS for both modes and both instance types (a plain
+    instance is lifted first); the witness is reconstructed along the
+    accepting path.
 
     Equitable mode adds two steps: an overshot agent (negative target) fails
     the node, and satisfied agents are removed eagerly, their candidates
@@ -143,6 +143,7 @@ def _branch(pe: PeInstance) -> SolveResult:
     threshold remains.  The search takes one frame per branched agent and
     raises :class:`GuardExceeded` when that outgrows Python's recursion limit.
     """
+    pe = lift(inst) if isinstance(inst, Instance) else inst
     equitable = pe.mode == EQUITABLE
     stats = {"nodes_expanded": 0, "fingerprints_tried": 0, "max_depth": 0, "max_children": 0}
 
@@ -184,24 +185,3 @@ def _branch(pe: PeInstance) -> SolveResult:
     if witness is None:
         return SolveResult.no(stats)
     return SolveResult.yes(CommitteeSequence.of(witness), stats)
-
-
-def solve_pe_gcse_branch(pe: PeInstance) -> SolveResult:
-    """Exact egalitarian branching solver; witness topped up greedily at the
-    terminal."""
-    if pe.mode != EGALITARIAN:
-        raise ValueError("egalitarian solver got an equitable instance")
-    return _branch(pe)
-
-
-def solve_pe_qcse_branch(pe: PeInstance) -> SolveResult:
-    """Exact equitable branching solver; the terminal accepts only when no
-    agents and no positive thresholds remain."""
-    if pe.mode != EQUITABLE:
-        raise ValueError("equitable solver got an egalitarian instance")
-    return _branch(pe)
-
-
-def solve_branch(inst: Instance) -> SolveResult:
-    """Branching solver on a plain instance (lift, then search)."""
-    return _branch(lift(inst))

@@ -18,7 +18,7 @@ import traceback
 from pathlib import Path
 
 from . import formats
-from .branching import solve_branch, solve_pe_gcse_branch, solve_pe_qcse_branch
+from .branching import solve_branch
 from .generators import (
     gen_3part,
     gen_from_cbvc,
@@ -45,7 +45,7 @@ from .model import (
     trivial_solve,
     verify,
 )
-from .oracle import brute_solve, brute_solve_pe
+from .oracle import brute_solve
 from .score_dp import solve_dp
 from .tau2 import solve_qcse_tau2
 
@@ -84,14 +84,14 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def solve_with_algo(inst, algo: str, max_nodes: int = MAX_NODES):
-    """Dispatch one back-end; returns (result, algorithm actually used)."""
+    """Dispatch one back-end; returns (result, algorithm actually used).
+
+    A pre-elected instance takes only ``brute`` and ``branch``, which
+    ``auto`` means for it."""
     if isinstance(inst, PeInstance):
-        if algo in ("auto", "branch"):
-            solver = solve_pe_gcse_branch if inst.egalitarian else solve_pe_qcse_branch
-            return solver(inst), "branch"
-        if algo == "brute":
-            return brute_solve_pe(inst), "brute"
-        raise UsageError(f"algorithm {algo!r} does not apply to pre-elected instances")
+        if algo not in ("auto", "branch", "brute"):
+            raise UsageError(f"algorithm {algo!r} does not apply to pre-elected instances")
+        algo = "branch" if algo == "auto" else algo
     if algo == "auto":
         return _solve_auto(inst, max_nodes)
     if algo == "brute":
@@ -112,16 +112,24 @@ def solve_with_algo(inst, algo: str, max_nodes: int = MAX_NODES):
 def _solve_auto(inst: Instance, max_nodes):
     """Routing: trivial rules, then the polynomial two-level pipeline, then
     the score DP for few agents, branching for small committee budgets, and
-    otherwise the integer program, whose search budget is ``max_nodes``."""
+    finally the integer program, whose search budget is ``max_nodes``.  A
+    search that refuses (:class:`GuardExceeded`) hands the instance on to
+    the next one that applies; only the integer program's refusal is final."""
     result = trivial_solve(inst)
     if result is not None:
         return result, "trivial"
     if inst.mode == EQUITABLE and inst.tau == 2:
         return solve_qcse_tau2(inst), "tau2"
+    attempts = []
     if inst.n <= 12:
-        return solve_dp(inst), "dp"
+        attempts.append(("dp", solve_dp))
     if inst.k * inst.tau <= 24:
-        return solve_branch(inst), "branch"
+        attempts.append(("branch", solve_branch))
+    for algo, solver in attempts:
+        try:
+            return solver(inst), algo
+        except GuardExceeded:
+            pass
     return solve_ip(inst, max_nodes=max_nodes), "ip"
 
 
@@ -153,7 +161,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst = _plain_instance(args.instance, "verify")
+    inst = formats.parse_instance(_read(args.instance))
     seq = formats.parse_solution(_read(args.solution))
     if len(seq) != inst.tau:
         raise UsageError(f"solution has {len(seq)} committees, the instance has tau={inst.tau}")

@@ -216,10 +216,10 @@ def export_lp(model: IpModel) -> str:
     """Serialize the program in LP text format.
 
     Variables are named ``x_t<type>_c<committee>`` (1-based); agent rows come
-    first, then the type sums, then bounds and integrality.  An agent with no
-    eligible variable gets a zero-coefficient row on the first variable (the
-    standard way to spell an unsatisfiable-sum row in LP text), provided any
-    variable exists.
+    first, then the type sums, then bounds and integrality.  A row with no
+    eligible variable is written as a zero-coefficient row (the standard way
+    to spell an empty sum in LP text) on the first variable, or, when the
+    model has none, on a placeholder ``x_none`` fixed to 0.
     """
     names = {
         (ti, ci): f"x_t{ti + 1}_c{ci + 1}"
@@ -227,22 +227,18 @@ def export_lp(model: IpModel) -> str:
         for ci in range(len(model.committees[ti]))
     }
     ordered = [names[key] for key in sorted(names)]
+    empty_sum = f"0 {ordered[0] if ordered else 'x_none'}"
     op = "=" if model.equitable else ">="
     lines = ["Minimize", " obj: 0", "Subject To"]
     for a0, pairs in enumerate(model.agent_vars):
-        if pairs:
-            expr = " + ".join(names[key] for key in pairs)
-        elif ordered:
-            expr = f"0 {ordered[0]}"
-        else:
-            continue
+        expr = " + ".join(names[key] for key in pairs) or empty_sum
         lines.append(f" a{a0 + 1}: {expr} {op} {model.y}")
-    for ti in range(model.num_types):
-        if not model.committees[ti]:
-            continue
-        expr = " + ".join(names[(ti, ci)] for ci in range(len(model.committees[ti])))
+    for ti, committees in enumerate(model.committees):
+        expr = " + ".join(names[(ti, ci)] for ci in range(len(committees))) or empty_sum
         lines.append(f" t{ti + 1}: {expr} = {model.type_counts[ti]}")
     lines.append("Bounds")
+    if not ordered and (model.agent_vars or model.committees):
+        lines.append(" 0 <= x_none <= 0")
     for ti in range(model.num_types):
         for ci in range(len(model.committees[ti])):
             lines.append(f" 0 <= {names[(ti, ci)]} <= {model.type_counts[ti]}")

@@ -299,46 +299,41 @@ def _all_scores(inst, seq: CommitteeSequence) -> tuple[tuple[int, ...], tuple[in
     return tuple(level_scores), tuple(agent_scores)
 
 
-def verify_generalized(inst: Instance, spec: ComparatorSpec, seq: CommitteeSequence) -> VerificationReport:
-    """Check ``seq`` against the comparator triple ``spec``.
+def verify_generalized(
+    inst: Instance | PeInstance, spec: ComparatorSpec, seq: CommitteeSequence
+) -> VerificationReport:
+    """Check ``seq`` against the comparator triple ``spec``, each level
+    against its own budget and threshold and each agent against its own
+    target (constant on a plain instance).
 
     Violations are reported in level order (size before score), then agent
     order; the report always carries all level and agent scores.
     """
     level_scores, agent_scores = _all_scores(inst, seq)
+    if isinstance(inst, PeInstance):
+        kvec, xvec, yvec = inst.kvec, inst.xvec, inst.yvec
+    else:
+        kvec, xvec, yvec = map(itertools.repeat, (inst.k, inst.x, inst.y))
     violation = None
-    for t0, committee in enumerate(seq):
-        if not compares(spec.cmp_k, len(committee), inst.k):
+    for t0, (committee, k, x) in enumerate(zip(seq, kvec, xvec)):
+        if not compares(spec.cmp_k, len(committee), k):
             violation = Violation("level-size", t0 + 1)
             break
-        if not compares(spec.cmp_x, level_scores[t0], inst.x):
+        if not compares(spec.cmp_x, level_scores[t0], x):
             violation = Violation("level-score", t0 + 1)
             break
     if violation is None:
-        for a0, score in enumerate(agent_scores):
-            if not compares(spec.cmp_y, score, inst.y):
+        for a0, (score, y) in enumerate(zip(agent_scores, yvec)):
+            if not compares(spec.cmp_y, score, y):
                 violation = Violation("agent-score", a0 + 1)
                 break
     return VerificationReport(violation is None, level_scores, agent_scores, violation)
 
 
-def verify(inst: Instance, seq: CommitteeSequence) -> VerificationReport:
+def verify(inst: Instance | PeInstance, seq: CommitteeSequence) -> VerificationReport:
     """Feasibility report for ``seq`` under the instance's own mode."""
     spec = EGALITARIAN_SPEC if inst.egalitarian else EQUITABLE_SPEC
     return verify_generalized(inst, spec, seq)
-
-
-def pe_feasible(pe: PeInstance, committees) -> bool:
-    """Check a committee sequence against pre-elected semantics."""
-    seq = CommitteeSequence.of(committees)
-    level_scores, agent_scores = _all_scores(pe, seq)
-    if any(len(c) > k for c, k in zip(seq, pe.kvec)):
-        return False
-    if any(score < x for score, x in zip(level_scores, pe.xvec)):
-        return False
-    if pe.egalitarian:
-        return all(score >= y for score, y in zip(agent_scores, pe.yvec))
-    return all(score == y for score, y in zip(agent_scores, pe.yvec))
 
 
 # -- per-level structure ------------------------------------------------------
@@ -462,10 +457,13 @@ def rename_candidates(inst: Instance) -> tuple[Instance, CandidateRenaming]:
 def trivial_solve(inst: Instance) -> SolveResult | None:
     """Dispatch the linear-time special cases; None when none applies.
 
-    Cases, in order: y > tau (no), y = 0, y = tau, and k >= m (egalitarian
+    Cases, in order: y > tau (no, unless there are no agents to satisfy
+    and no threshold to meet), y = 0, y = tau, and k >= m (egalitarian
     only).  The fired rule is flagged in ``stats`` as ``trivial_<rule>``.
     """
     if inst.y > inst.tau:
+        if inst.n == 0 and inst.x == 0:
+            return SolveResult.yes(CommitteeSequence.of([()] * inst.tau), {"trivial_y_gt_tau": 1})
         return SolveResult.no({"trivial_y_gt_tau": 1})
 
     if inst.y == 0:

@@ -4,10 +4,10 @@ These are the ground truth for every property test in the suite.  They are
 deliberately plain: per level the committees that meet the level constraints
 are enumerated, then one depth-first search over the level product checks
 the agent targets, with only the obvious dead-branch cuts (an agent that can
-no longer reach, or has already passed, its target).  All three entry points
-share that search; plain instances are renamed and lifted to pre-elected
-ones first.  Nothing here is shared with the optimized solvers beyond the
-data model.
+no longer reach, or has already passed, its target).  Both entry points
+share that search; :func:`brute_solve` renames and lifts a plain instance to
+a pre-elected one first.  Nothing here is shared with the optimized solvers
+beyond the data model.
 """
 
 from __future__ import annotations
@@ -113,47 +113,43 @@ def _finish(found, stats) -> SolveResult:
     return SolveResult.yes(CommitteeSequence(tuple(found)), stats)
 
 
-def brute_solve(inst: Instance, limits: OracleLimits | None = None) -> SolveResult:
+def brute_solve(inst: Instance | PeInstance, limits: OracleLimits | None = None) -> SolveResult:
     """Exact verdict by exhaustion, witness included on yes.
 
-    Candidates are renamed first, so the limits apply to the candidates
-    actually nominated; the lifted instance is solved by
-    :func:`brute_solve_pe` and its witness mapped back to the original ids.
+    A plain instance has its candidates renamed first, so the limits apply
+    to the candidates actually nominated; it is then lifted and solved, and
+    the witness mapped back to the original ids.
+
+    On a pre-elected instance each level's options are its valid
+    committees: nominated candidates only, at most ``kvec[t]`` of them,
+    scoring at least ``xvec[t]``.  A negative budget admits no committee at
+    all, so any such level makes the instance a no.  The candidate limit
+    applies to the distinct candidates nominated per level.
     """
-    renamed, renaming = rename_candidates(inst)
-    result = brute_solve_pe(lift(renamed), limits)
-    if result.witness is None:
-        return result
-    return SolveResult.yes(renaming.lift(result.witness), result.stats)
-
-
-def brute_solve_pe(pe: PeInstance, limits: OracleLimits | None = None) -> SolveResult:
-    """Exhaustive solver for pre-elected instances.
-
-    Each level's options are its valid committees: nominated candidates
-    only, at most ``kvec[t]`` of them, scoring at least ``xvec[t]``.  A
-    negative budget admits no committee at all, so any such level makes the
-    instance a no.  The candidate limit applies to the distinct candidates
-    nominated per level.
-    """
+    if isinstance(inst, Instance):
+        renamed, renaming = rename_candidates(inst)
+        result = brute_solve(lift(renamed), limits)
+        if result.witness is None:
+            return result
+        return SolveResult.yes(renaming.lift(result.witness), result.stats)
     limits = limits or DEFAULT_LIMITS
-    effective_m = max((len(set(row) - {0}) for row in pe.profile), default=0)
-    if pe.n > limits.max_n or effective_m > limits.max_m or pe.tau > limits.max_tau:
+    effective_m = max((len(set(row) - {0}) for row in inst.profile), default=0)
+    if inst.n > limits.max_n or effective_m > limits.max_m or inst.tau > limits.max_tau:
         raise OracleLimitError(
-            f"n={pe.n}, m={effective_m} (effective), tau={pe.tau} exceed limits {limits}"
+            f"n={inst.n}, m={effective_m} (effective), tau={inst.tau} exceed limits {limits}"
         )
     options = []
     total = 0
-    for t0, row in enumerate(pe.profile):
-        committees = valid_committees(row_support(row), pe.kvec[t0], pe.xvec[t0])
+    for t0, row in enumerate(inst.profile):
+        committees = valid_committees(row_support(row), inst.kvec[t0], inst.xvec[t0])
         if len(committees) > limits.max_committees_per_level:
             raise OracleLimitError(f"{len(committees)} committees at level {t0 + 1}")
         total += len(committees)
         options.append([(c, _satisfied(row, c)) for c in committees])
 
     stats = {"nodes": 0, "committees_enumerated": total}
-    cmp_y = CMP_GE if pe.egalitarian else CMP_EQ
-    return _finish(_search(pe.profile, options, pe.yvec, cmp_y, stats), stats)
+    cmp_y = CMP_GE if inst.egalitarian else CMP_EQ
+    return _finish(_search(inst.profile, options, inst.yvec, cmp_y, stats), stats)
 
 
 def brute_solve_generalized(

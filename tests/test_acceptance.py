@@ -8,7 +8,7 @@ clock budgets.
 import random
 import time
 
-from ecse.branching import branch_children, lift, solve_branch, solve_pe_gcse_branch, solve_pe_qcse_branch
+from ecse.branching import branch_children, lift, solve_branch
 from ecse.generators import (
     gen_3part,
     gen_from_cbvc,
@@ -30,7 +30,7 @@ from ecse.model import (
     solve_easy_generalized,
     verify,
 )
-from ecse.oracle import OracleLimits, brute_solve, brute_solve_generalized, brute_solve_pe
+from ecse.oracle import OracleLimits, brute_solve, brute_solve_generalized
 from ecse.score_dp import solve_dp
 from ecse.sources import (
     cbvc_has_cover,
@@ -338,7 +338,7 @@ def test_criterion_6_branching_structure():
     for seed in range(0, 1000, 3):
         inst = suite_instance(seed)
         pe = lift(inst)
-        result = solve_pe_gcse_branch(pe) if inst.egalitarian else solve_pe_qcse_branch(pe)
+        result = solve_branch(pe)
         assert result.stats["max_depth"] <= min(inst.n, sum(pe.kvec)), f"seed {seed}"
         assert result.stats["max_children"] <= 2 ** inst.tau, f"seed {seed}"
 
@@ -363,8 +363,8 @@ def test_criterion_6_branching_structure():
         if agent is None:
             continue
         checked += 1
-        parent = brute_solve_pe(pe).verdict
-        verdicts = [brute_solve_pe(child).verdict for child in branch_children(pe, agent)]
+        parent = brute_solve(pe).verdict
+        verdicts = [brute_solve(child).verdict for child in branch_children(pe, agent)]
         assert (parent == "yes") == ("yes" in verdicts), f"seed {seed}"
     _passed("criterion 6 (branch depth/width bounds; OR-equivalence on 300)")
 

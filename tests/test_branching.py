@@ -11,8 +11,6 @@ from ecse.branching import (
     branch_children,
     lift,
     solve_branch,
-    solve_pe_gcse_branch,
-    solve_pe_qcse_branch,
 )
 from ecse.kernel import rr_pe_qcse_zero_y
 from ecse.model import (
@@ -20,11 +18,10 @@ from ecse.model import (
     EQUITABLE,
     PeInstance,
     greedy_committee,
-    pe_feasible,
     row_support,
     verify,
 )
-from ecse.oracle import brute_solve, brute_solve_pe
+from ecse.oracle import brute_solve
 from ecse.generators import random_instance
 
 from conftest import TRIP_ROWS, make_instance
@@ -48,7 +45,7 @@ def test_lift_preserves_verdicts():
             k=seed % 3, x=seed % 3, y=seed % 3,
             mode=EGALITARIAN if seed % 2 else EQUITABLE, empty_prob=0.25,
         )
-        assert brute_solve_pe(lift(inst)).verdict == brute_solve(inst).verdict
+        assert brute_solve(lift(inst)).verdict == brute_solve(inst).verdict
 
 
 def test_agent_fingerprints_trip(trip_egalitarian, trip_equitable_x3):
@@ -103,15 +100,15 @@ def test_branch_children_or_equivalence():
         if agent is None:
             continue
         checked += 1
-        parent = brute_solve_pe(pe).verdict
+        parent = brute_solve(pe).verdict
         children = branch_children(pe, agent)
-        child_verdicts = [brute_solve_pe(child).verdict for child in children]
+        child_verdicts = [brute_solve(child).verdict for child in children]
         assert (parent == "yes") == ("yes" in child_verdicts)
     assert checked >= 200
 
 
 def test_solve_trip_egalitarian(trip_egalitarian):
-    result = solve_pe_gcse_branch(lift(trip_egalitarian))
+    result = solve_branch(lift(trip_egalitarian))
     assert result.verdict == "yes"
     assert verify(trip_egalitarian, result.witness).feasible
     assert result.witness.committees[0] == (1, 5)
@@ -120,29 +117,29 @@ def test_solve_trip_egalitarian(trip_egalitarian):
 def test_negative_budget_is_no(trip_egalitarian):
     pe = lift(trip_egalitarian)
     pe = PeInstance(pe.mode, pe.n, pe.m, pe.tau, (-1, 2), pe.xvec, pe.yvec, pe.profile)
-    result = solve_pe_gcse_branch(pe)
+    result = solve_branch(pe)
     assert result.verdict == "no"
     assert result.stats["nodes_expanded"] == 1
 
 
 def test_terminal_success_path():
     inst = make_instance([(1, 2), (2, 1)], mode=EGALITARIAN, k=1, x=0, y=0)
-    result = solve_pe_gcse_branch(lift(inst))
+    result = solve_branch(lift(inst))
     assert result.verdict == "yes"
     assert result.witness.committees == ((), ())
 
 
 def test_solve_trip_equitable(trip_equitable_x3, trip_equitable_x4):
-    result = solve_pe_qcse_branch(lift(trip_equitable_x3))
+    result = solve_branch(lift(trip_equitable_x3))
     assert result.verdict == "yes"
     report = verify(trip_equitable_x3, result.witness)
     assert report.feasible and set(report.agent_scores) == {1}
-    assert solve_pe_qcse_branch(lift(trip_equitable_x4)).verdict == "no"
+    assert solve_branch(lift(trip_equitable_x4)).verdict == "no"
 
 
 def test_equitable_rejects_starved_agent_without_branching():
     inst = make_instance([(1, 0), (0, 0)], mode=EQUITABLE, k=1, x=0, y=2)
-    result = solve_pe_qcse_branch(lift(inst))
+    result = solve_branch(lift(inst))
     assert result.verdict == "no"
     assert result.stats["fingerprints_tried"] == 0
 
@@ -155,11 +152,11 @@ def test_verdicts_and_bounds_against_oracle():
             mode=EGALITARIAN if seed % 2 else EQUITABLE, empty_prob=(seed % 3) / 8,
         )
         pe = lift(inst)
-        result = solve_pe_gcse_branch(pe) if inst.egalitarian else solve_pe_qcse_branch(pe)
+        result = solve_branch(pe)
         assert result.verdict == brute_solve(inst).verdict, f"seed {seed}"
         if result.witness is not None:
             assert verify(inst, result.witness).feasible
-            assert pe_feasible(pe, result.witness.committees)
+            assert verify(pe, result.witness).feasible
         assert result.stats["max_depth"] <= min(inst.n, sum(pe.kvec))
         assert result.stats["max_children"] <= 2 ** inst.tau
 
@@ -167,10 +164,8 @@ def test_verdicts_and_bounds_against_oracle():
 def test_solve_branch_dispatch(trip_egalitarian, trip_equitable_x3):
     assert solve_branch(trip_egalitarian).verdict == "yes"
     assert solve_branch(trip_equitable_x3).verdict == "yes"
-    with pytest.raises(ValueError):
-        solve_pe_gcse_branch(lift(trip_equitable_x3))
-    with pytest.raises(ValueError):
-        solve_pe_qcse_branch(lift(trip_egalitarian))
+    assert solve_branch(lift(trip_egalitarian)).verdict == "yes"
+    assert solve_branch(lift(trip_equitable_x3)).verdict == "yes"
 
 
 def test_fingerprint_type_invariants(trip_equitable_x3):
@@ -283,8 +278,7 @@ def test_search_matches_reference_search():
     yes = deep = 0
     for seed in range(1000):
         pe = _random_pe(seed)
-        solver = solve_pe_qcse_branch if pe.mode == EQUITABLE else solve_pe_gcse_branch
-        result = solver(pe)
+        result = solve_branch(pe)
         witness, stats = _reference_branch(pe)
         assert result.verdict == ("yes" if witness is not None else "no"), f"seed {seed}"
         assert (result.witness and list(result.witness.committees)) == witness, f"seed {seed}"

@@ -8,6 +8,7 @@ import pytest
 from ecse.cli import main
 from ecse.formats import parse_instance, parse_solution, serialize_instance
 from ecse.model import EGALITARIAN, EQUITABLE, verify
+from ecse.oracle import brute_solve
 from ecse.generators import (
     gen_3part,
     gen_from_cbvc,
@@ -372,7 +373,6 @@ def test_generate_writes_the_generator_output(kind, mode, texts, build, tmp_path
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "{pe}", "{sol}"],
     ["kernelize", "{pe}"],
     ["export-ip", "{pe}"],
     ["generate", "--from", "or", "{pe}"],
@@ -385,6 +385,33 @@ def test_plain_only_commands_refuse_pre_elected_files(argv, tmp_path, capsys):
     code, out, err = run(capsys, *[a.format(pe=pe, sol=sol) for a in argv])
     assert code == 2 and out == ""
     assert "pre-elected" in err and argv[0] in err
+
+
+def test_verify_pre_elected_file(tmp_path, capsys):
+    # per-level budgets and thresholds and per-agent targets, none of them
+    # the scalar k, x, y the header carries
+    pe = tmp_path / "pe.ecse"
+    pe.write_text(
+        "ecse v1\nmode gcse\nn 3\nm 3\ntau 2\nk 0\nx 0\ny 0\n"
+        "kvec 1 2\nxvec 1 2\nyvec 2 1 0\nlevels\n1 2 3\n1 1 2\nend\n"
+    )
+    sol = tmp_path / "pe.sol"
+    code, _, _ = run(capsys, "solve", str(pe), "--out", str(sol))
+    assert code == 0
+    code, out, _ = run(capsys, "verify", str(pe), str(sol))
+    assert (code, out) == (0, "FEASIBLE\n")
+    sol.write_text("ecse-sol v1\n2\n2\n1 2\n")
+    code, out, _ = run(capsys, "verify", str(pe), str(sol))
+    assert (code, out) == (0, "INFEASIBLE agent-score a=1\n")
+
+
+def test_auto_falls_through_a_dp_refusal(trip_file, capsys, monkeypatch):
+    monkeypatch.setattr("ecse.score_dp.MAX_TABLE_ENTRIES", 1)
+    code, out, _ = run(capsys, "solve", trip_file, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["algo"] != "dp"
+    assert payload["verdict"] == brute_solve(parse_instance(TRIP_DOC)).verdict
 
 
 def test_dp_table_cap_exits_3(trip_file, capsys, monkeypatch):

@@ -4,12 +4,14 @@ The seeded sweeps elsewhere cover volume; these properties add shrinking, so
 any regression reports a minimal instance.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecse.branching import solve_branch
+from ecse.cli import solve_with_algo
 from ecse.ip import solve_ip
-from ecse.model import EGALITARIAN, EQUITABLE, Instance, verify
+from ecse.model import EGALITARIAN, EQUITABLE, Instance, trivial_solve, verify
 from ecse.oracle import brute_solve
 from ecse.score_dp import solve_dp
 from ecse.tau2 import solve_qcse_tau2
@@ -59,3 +61,19 @@ def test_tau2_matches_oracle(inst):
     assert result.verdict == brute_solve(inst).verdict
     if result.witness is not None:
         assert verify(inst, result.witness).feasible
+
+
+@pytest.mark.parametrize("mode", [EGALITARIAN, EQUITABLE])
+@pytest.mark.parametrize("tau", [1, 2, 3])
+@pytest.mark.parametrize("x", [0, 1])
+def test_no_agents_with_target_above_tau(mode, tau, x):
+    # with nobody to satisfy, y > tau constrains nothing; only x can fail
+    inst = Instance(mode, 0, 0, tau, 0, x, tau + 1, ((),) * tau)
+    truth = brute_solve(inst).verdict
+    results = [trivial_solve(inst), solve_with_algo(inst, "auto")[0]]
+    if mode == EQUITABLE and tau == 2:
+        results.append(solve_qcse_tau2(inst))
+    for result in results:
+        assert result.verdict == truth
+        if result.witness is not None:
+            assert verify(inst, result.witness).feasible

@@ -1,9 +1,11 @@
 """Type-grouped integer program: model shape, search, export, lifting."""
 
+import random
+
 import pytest
 
 from ecse.ip import IpModel, UndecidedError, build_ip, export_lp, lift_ip_witness, solve_ip, solve_ip_naive
-from ecse.model import EGALITARIAN, EQUITABLE, verify
+from ecse.model import EGALITARIAN, EQUITABLE, Instance, rename_candidates, verify
 from ecse.oracle import brute_solve
 from ecse.generators import random_instance
 
@@ -139,3 +141,65 @@ def test_export_lp_empty_model():
 def test_export_deterministic(trip_egalitarian):
     model = build_ip(trip_egalitarian)
     assert export_lp(model) == export_lp(model)
+
+
+def test_export_lp_keeps_unsatisfiable_rows():
+    # the second level elects candidate 1 for everyone; the first admits no
+    # committee, so its type row must survive as an empty, unsatisfiable sum
+    inst = Instance(EGALITARIAN, 3, 3, 2, 1, 3, 1, ((1, 2, 3), (1, 1, 1)))
+    assert solve_ip(inst).verdict == "no"
+    text = export_lp(build_ip(rename_candidates(inst)[0]))
+    assert " t1: 0 x_t2_c1 = 1\n" in text
+    # with no variable at all, every row sits on a placeholder fixed to 0
+    text = export_lp(build_ip(make_instance([(1,)], k=0, x=1, y=1)))
+    assert " a1: 0 x_none >= 1\n t1: 0 x_none = 1\nBounds\n 0 <= x_none <= 0\n" in text
+
+
+def _milp_feasible(text: str) -> bool:
+    """Feasibility of an exported program, read back into scipy's MILP."""
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    rows, bounds, general, section = [], {}, set(), None
+    for line in text.splitlines():
+        if not line.startswith(" "):
+            section = line
+        elif section == "Subject To":
+            lhs, sense, rhs = line.split(":")[1].rsplit(None, 2)
+            terms = [term.split() for term in lhs.split(" + ")]
+            rows.append(({t[-1]: float(t[0]) if len(t) == 2 else 1.0 for t in terms}, sense, int(rhs)))
+        elif section == "Bounds":
+            low, _, name, _, high = line.split()
+            bounds[name] = (int(low), int(high))
+        elif section == "General":
+            general.add(line.strip())
+    names = sorted(bounds)
+    if not names:
+        return not rows
+    column = {name: j for j, name in enumerate(names)}
+    matrix = np.zeros((len(rows), len(names)))
+    for i, (coef, _, _) in enumerate(rows):
+        for name, value in coef.items():
+            matrix[i, column[name]] = value
+    low = [rhs for _, _, rhs in rows]
+    high = [rhs if sense == "=" else np.inf for _, sense, rhs in rows]
+    result = optimize.milp(
+        np.zeros(len(names)),
+        constraints=optimize.LinearConstraint(matrix, low, high),
+        bounds=optimize.Bounds([bounds[n][0] for n in names], [bounds[n][1] for n in names]),
+        integrality=[name in general for name in names],
+    )
+    assert result.status in (0, 2), result.message
+    return result.status == 0
+
+
+def test_exported_program_agrees_with_solve_ip():
+    pytest.importorskip("scipy")
+    rng = random.Random(2024)
+    for seed in range(600):
+        inst = random_instance(
+            seed, n=rng.randint(0, 4), m=rng.randint(1, 4), tau=rng.randint(1, 4),
+            k=rng.randint(0, 3), x=rng.randint(0, 3), y=rng.randint(0, 3),
+            mode=rng.choice([EGALITARIAN, EQUITABLE]), empty_prob=0.2,
+        )
+        text = export_lp(build_ip(rename_candidates(inst)[0]))
+        assert _milp_feasible(text) == (solve_ip(inst).verdict == "yes"), f"seed {seed}"

@@ -17,7 +17,7 @@ from ecse.model import (
     row_support,
     verify,
 )
-from ecse.oracle import brute_solve_pe
+from ecse.oracle import brute_solve
 from ecse.score_dp import solve_dp
 from ecse.generators import random_instance
 
@@ -262,4 +262,4 @@ def test_zero_target_rule_preserves_verdicts():
             inst.profile,
         )
         out = rr_pe_qcse_zero_y(pe)
-        assert brute_solve_pe(out).verdict == brute_solve_pe(pe).verdict, f"seed {seed}"
+        assert brute_solve(out).verdict == brute_solve(pe).verdict, f"seed {seed}"

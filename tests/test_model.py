@@ -22,7 +22,6 @@ from ecse.model import (
     committee_score,
     enumerate_valid_committees,
     level_fingerprints,
-    pe_feasible,
     rename_candidates,
     solve_easy_generalized,
     trivial_solve,
@@ -138,8 +137,8 @@ def test_pe_feasible_matches_scalar_semantics(trip_equitable_x3):
     from ecse.branching import lift
 
     pe = lift(trip_equitable_x3)
-    assert pe_feasible(pe, [(1, 3), (3, 6)])
-    assert not pe_feasible(pe, [(1, 5), (2, 3)])
+    assert verify(pe, CommitteeSequence.of([(1, 3), (3, 6)])).feasible
+    assert not verify(pe, CommitteeSequence.of([(1, 5), (2, 3)])).feasible
 
 
 # -- hypothesis properties ------------------------------------------------------

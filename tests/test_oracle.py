@@ -14,7 +14,7 @@ from ecse.model import (
     verify,
     verify_generalized,
 )
-from ecse.oracle import OracleLimitError, OracleLimits, brute_solve, brute_solve_generalized, brute_solve_pe
+from ecse.oracle import OracleLimitError, OracleLimits, brute_solve, brute_solve_generalized
 from ecse.branching import lift
 from ecse.generators import random_instance
 
@@ -80,7 +80,7 @@ def test_witnesses_verify_on_samples():
 def test_pe_lift_matches_plain(trip_egalitarian, trip_equitable_x3):
     for inst in (trip_egalitarian, trip_equitable_x3):
         plain = brute_solve(inst)
-        lifted = brute_solve_pe(lift(inst))
+        lifted = brute_solve(lift(inst))
         assert plain.verdict == lifted.verdict
         if plain.verdict == "yes":
             assert verify(inst, lifted.witness).feasible
@@ -89,12 +89,12 @@ def test_pe_lift_matches_plain(trip_egalitarian, trip_equitable_x3):
 def test_pe_negative_budget_is_no():
     pe = lift(make_instance([(1,)], mode=EGALITARIAN, k=1, x=0, y=0))
     pe = type(pe)(pe.mode, pe.n, pe.m, pe.tau, (-1,), pe.xvec, pe.yvec, pe.profile)
-    assert brute_solve_pe(pe).verdict == "no"
+    assert brute_solve(pe).verdict == "no"
 
 
 def test_pe_all_zero_targets():
     pe = lift(make_instance([(1, 2), (2, 1)], mode=EGALITARIAN, k=2, x=0, y=0))
-    result = brute_solve_pe(pe)
+    result = brute_solve(pe)
     assert result.verdict == "yes"
     assert result.witness.committees == ((), ())
 
@@ -144,7 +144,7 @@ def test_pe_respects_candidate_limit():
     # nine agents, nine distinct nominees in the only level
     pe = lift(make_instance([tuple(range(1, 10))], mode=EGALITARIAN, k=1, x=0, y=0))
     with pytest.raises(OracleLimitError):
-        brute_solve_pe(pe, OracleLimits(max_n=9, max_m=4, max_tau=2))
+        brute_solve(pe, OracleLimits(max_n=9, max_m=4, max_tau=2))
 
 
 def _any_feasible(inst, spec) -> bool:
