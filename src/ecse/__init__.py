@@ -42,7 +42,7 @@ from .formats import (
 )
 from .oracle import OracleLimitError, OracleLimits, brute_solve, brute_solve_generalized
 from .kernel import CriticalityTable, KernelResult, compute_criticality, kernelize_ny, rr_pe_qcse_zero_y
-from .branching import Fingerprint, agent_fingerprints, branch_children, lift, solve_branch
+from .branching import branch_children, lift, solve_branch
 from .score_dp import DpGuardError, solve_dp
 from .tau2 import (
     CbivcsInstance,

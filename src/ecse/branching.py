@@ -15,33 +15,22 @@ built, so the zero-target rule runs once, at the root.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 
 from .kernel import rr_pe_qcse_zero_y, strike_agents
 from .model import (
     EQUITABLE,
+    MAX_NODES,
     CommitteeSequence,
-    GuardExceeded,
     Instance,
     PeInstance,
     SolveResult,
     _check_agent,
+    dfs,
     greedy_committee,
     lift,
     row_support,
 )
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    """Per-level election pattern of one agent's nominations."""
-
-    bits: tuple[bool, ...]
-
-    @property
-    def popcount(self) -> int:
-        return sum(self.bits)
 
 
 def _level_choices(pe: PeInstance, a0: int):
@@ -53,19 +42,6 @@ def _level_choices(pe: PeInstance, a0: int):
     sizes = (y,) if pe.mode == EQUITABLE else range(y, len(levels) + 1)
     for size in sizes:
         yield from itertools.combinations(levels, size)
-
-
-def agent_fingerprints(pe: PeInstance, a: int) -> list[Fingerprint]:
-    """All eligible fingerprints of agent ``a`` (1-based), mode-aware."""
-    _check_agent(pe, a)
-    a0 = a - 1
-    if pe.yvec[a0] <= 0:
-        raise ValueError("fingerprints are branched only for positive targets")
-    out = []
-    for chosen in _level_choices(pe, a0):
-        bits = tuple(t0 in chosen for t0 in range(pe.tau))
-        out.append(Fingerprint(bits))
-    return out
 
 
 def _child(pe: PeInstance, a0: int, chosen: tuple[int, ...]) -> PeInstance:
@@ -131,8 +107,8 @@ def _pick_agent(pe: PeInstance) -> int | None:
 
 def solve_branch(inst: Instance | PeInstance) -> SolveResult:
     """Fingerprint DFS for both modes and both instance types (a plain
-    instance is lifted first); the witness is reconstructed along the
-    accepting path.
+    instance is lifted first); the witness is rebuilt along the accepting
+    path.
 
     Equitable mode adds two steps: an overshot agent (negative target) fails
     the node, and satisfied agents are removed eagerly, their candidates
@@ -140,48 +116,45 @@ def solve_branch(inst: Instance | PeInstance) -> SolveResult:
     each child is built without them.  A node where no target is left
     positive is decided by the greedy score-maximal committee per level; in
     equitable mode no agent is left there, so it accepts iff no positive
-    threshold remains.  The search takes one frame per branched agent and
-    raises :class:`GuardExceeded` when that outgrows Python's recursion limit.
+    threshold remains.  The search runs through :func:`ecse.model.dfs`, which
+    raises :class:`~ecse.model.UndecidedError` after :data:`MAX_NODES` nodes.
     """
     pe = lift(inst) if isinstance(inst, Instance) else inst
     equitable = pe.mode == EQUITABLE
     stats = {"nodes_expanded": 0, "fingerprints_tried": 0, "max_depth": 0, "max_children": 0}
+    path: list[tuple[PeInstance, int, tuple[int, ...]]] = []  # (node, agent, chosen levels)
+    leaf: list[set] = []  # greedy committees of the last leaf reached
 
-    def node(cur: PeInstance, depth: int) -> list[set] | None:
+    def expand(cur: PeInstance):
         stats["nodes_expanded"] += 1
-        if any(k < 0 for k in cur.kvec):
-            return None
-        if equitable and any(y < 0 for y in cur.yvec):
-            return None
+        if any(k < 0 for k in cur.kvec) or (equitable and any(y < 0 for y in cur.yvec)):
+            return False
         # every surviving depth step burned committee budget and one agent
-        stats["max_depth"] = max(stats["max_depth"], depth)
+        stats["max_depth"] = max(stats["max_depth"], len(path))
         if all(y <= 0 for y in cur.yvec):
-            committees: list[set] = [set() for _ in range(cur.tau)]
+            leaf[:] = [set() for _ in range(cur.tau)]
             for t0 in range(cur.tau):
                 if cur.xvec[t0] > 0:
                     support = row_support(cur.profile[t0])
                     top = greedy_committee(support, cur.kvec[t0])
                     if sum(support[c] for c in top) < cur.xvec[t0]:
-                        return None
-                    committees[t0] = set(top)
-            return committees
+                        return False
+                    leaf[t0] = set(top)
+            return True
         a0 = _pick_agent(cur)
-        if a0 is None:
-            return None
-        for children, chosen in enumerate(_level_choices(cur, a0), 1):
-            stats["fingerprints_tried"] += 1
-            stats["max_children"] = max(stats["max_children"], children)
-            sub = node(_child(cur, a0, chosen), depth + 1)
-            if sub is not None:
-                for t0 in chosen:
-                    sub[t0].add(cur.profile[t0][a0])
-                return sub
-        return None
+        return a0 is not None and children(cur, a0)
 
-    try:
-        witness = node(rr_pe_qcse_zero_y(pe) if equitable else pe, 0)
-    except RecursionError:
-        raise GuardExceeded("branching nests deeper than Python's recursion limit") from None
-    if witness is None:
+    def children(cur: PeInstance, a0: int):
+        for count, chosen in enumerate(_level_choices(cur, a0), 1):
+            stats["fingerprints_tried"] += 1
+            stats["max_children"] = max(stats["max_children"], count)
+            path.append((cur, a0, chosen))
+            yield _child(cur, a0, chosen)
+            path.pop()
+
+    if not dfs(rr_pe_qcse_zero_y(pe) if equitable else pe, expand, MAX_NODES):
         return SolveResult.no(stats)
-    return SolveResult.yes(CommitteeSequence.of(witness), stats)
+    for cur, a0, chosen in path:
+        for t0 in chosen:
+            leaf[t0].add(cur.profile[t0][a0])
+    return SolveResult.yes(CommitteeSequence.of(leaf), stats)

@@ -3,9 +3,9 @@
 Subcommands: ``solve``, ``verify``, ``kernelize``, ``generate``,
 ``export-ip``, ``bench``.  Exit codes: 0 on success, 2 for input errors (bad
 arguments, unreadable or malformed files, unsuitable instances), 3 when a
-guard, a search budget or the recursion limit refused to decide, 4 on any
-other exception (its traceback goes to stderr; never a verdict); with
-``--exit-verdict``, a successful ``solve`` exits 0 on yes and 1 on no.
+guard or a search node budget refused to decide, 4 on any other exception
+(its traceback goes to stderr; never a verdict); with ``--exit-verdict``, a
+successful ``solve`` exits 0 on yes and 1 on no.
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ from .generators import (
     parse_dimacs,
     random_instance,
 )
-from .ip import MAX_NODES, build_ip, export_lp, solve_ip
+from .ip import build_ip, export_lp, solve_ip
 from .kernel import kernelize_ny
 from .model import (
     EGALITARIAN,
     EQUITABLE,
+    MAX_NODES,
     GuardExceeded,
     Instance,
     PeInstance,
@@ -279,6 +280,8 @@ def cmd_bench(args) -> int:
                 verdict, stats = result.verdict, result.stats
             except GuardExceeded:
                 verdict, stats = "undecided", {}
+            except UsageError:
+                verdict, stats = "inapplicable", {}
             micros = int((time.perf_counter() - started) * 1e6)
             counter_keys.update(stats)
             rows.append((path.name, algo, verdict, micros, stats))

@@ -3,9 +3,9 @@
 Levels with identical nomination rows are interchangeable, so the model
 groups them into types and counts, per type, how many of its levels elect
 each valid committee.  Feasibility of the program is equivalent to the
-instance; it is decided here by plain depth-first search with constraint
-propagation (exact, budgeted) and can be exported in LP text format for
-external solvers.
+instance; it is decided here by depth-first search with constraint
+propagation (exact, refused after a node budget) and can be exported in LP
+text format for external solvers.
 """
 
 from __future__ import annotations
@@ -13,24 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import (
+    MAX_NODES,
     Committee,
     CommitteeSequence,
-    GuardExceeded,
     Instance,
     SolveResult,
+    UndecidedError,
+    dfs,
     rename_candidates,
     row_support,
     valid_committees,
 )
 
 VarKey = tuple[int, int]  # (type index, committee index), both 0-based
-
-
-class UndecidedError(GuardExceeded):
-    """Search budget exhausted before a verdict; never a wrong answer."""
-
-
-MAX_NODES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -105,9 +100,9 @@ def solve_ip_naive(model: IpModel, max_nodes: int = MAX_NODES) -> dict[VarKey, i
 
     Variables are visited type by type in committee order; the last variable
     of a type is forced by the type-sum constraint.  Agent constraints prune
-    via running sums and optimistic remaining capacity.  Raises
-    :class:`UndecidedError` when ``max_nodes`` search nodes are exhausted or
-    the search, one frame per variable, outgrows Python's recursion limit.
+    via running sums and optimistic remaining capacity.  The search runs
+    through :func:`ecse.model.dfs`, one node per variable prefix, and raises
+    :class:`UndecidedError` when ``max_nodes`` search nodes are exhausted.
     """
     order: list[VarKey] = [
         (ti, ci) for ti in range(model.num_types) for ci in range(len(model.committees[ti]))
@@ -131,7 +126,6 @@ def solve_ip_naive(model: IpModel, max_nodes: int = MAX_NODES) -> dict[VarKey, i
         for ti, _ in pairs:
             per[ti] = per.get(ti, 0) + 1
         open_by_type.append(per)
-    nodes = 0
 
     def optimistic(a0: int) -> int:
         bound = agent_sum[a0]
@@ -148,38 +142,31 @@ def solve_ip_naive(model: IpModel, max_nodes: int = MAX_NODES) -> dict[VarKey, i
                 return False
         return True
 
-    def rec(idx: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise UndecidedError(f"gave up after {max_nodes} search nodes")
+    def expand(idx: int):
         if not feasible_so_far():
             return False
         if idx == len(order):
-            return all(remaining[ti] == 0 for ti in range(model.num_types))
-        ti, ci = order[idx]
+            return all(left == 0 for left in remaining)
+        return values(idx)
+
+    def values(idx: int):
+        """Assign each value of variable ``idx`` in turn, then undo it."""
+        key = ti, ci = order[idx]
         last_of_type = ci == len(model.committees[ti]) - 1
-        values = [remaining[ti]] if last_of_type else range(remaining[ti] + 1)
-        for value in values:
-            assignment[(ti, ci)] = value
+        for value in [remaining[ti]] if last_of_type else range(remaining[ti] + 1):
+            assignment[key] = value
             remaining[ti] -= value
-            for a0 in consumers[(ti, ci)]:
+            for a0 in consumers[key]:
                 agent_sum[a0] += value
                 open_by_type[a0][ti] -= 1
-            if rec(idx + 1):
-                return True
-            for a0 in consumers[(ti, ci)]:
+            yield idx + 1
+            for a0 in consumers[key]:
                 agent_sum[a0] -= value
                 open_by_type[a0][ti] += 1
             remaining[ti] += value
-            del assignment[(ti, ci)]
-        return False
+            del assignment[key]
 
-    try:
-        found = rec(0)
-    except RecursionError:
-        raise UndecidedError(f"{len(order)} variables nest deeper than Python's recursion limit") from None
-    return dict(assignment) if found else None
+    return dict(assignment) if dfs(0, expand, max_nodes) else None
 
 
 def lift_ip_witness(inst: Instance, model: IpModel, assignment: dict[VarKey, int]) -> CommitteeSequence:

@@ -13,7 +13,8 @@ Conventions used throughout the package:
 * level indices ``t`` and agent indices ``a`` in public signatures are 1-based,
 * committees are canonical tuples of strictly increasing candidate ids.
 
-All values are immutable; every function here is pure.
+All values are immutable, and every function here is pure except
+:func:`dfs`, whose callbacks may change state the caller shares with them.
 """
 
 from __future__ import annotations
@@ -45,6 +46,41 @@ class GuardExceeded(RuntimeError):
 
 class EnumerationLimitError(GuardExceeded):
     """Too many distinct candidates or subsets in a level for enumeration."""
+
+
+class UndecidedError(GuardExceeded):
+    """Search budget exhausted before a verdict; never a wrong answer."""
+
+
+#: node budget of the branching and IP searches (``--max-nodes`` sets the IP's)
+MAX_NODES = 2_000_000
+
+
+def dfs(root, expand, max_nodes: int) -> bool:
+    """Depth-first search over an explicit stack; True iff a node accepts.
+
+    ``expand(state)`` returns True to accept, a falsy value to reject, or an
+    iterator over the child states (never None).  A child iterator may make
+    its change before each ``yield`` and undo it after, so the changes along
+    an accepting path stay in place.  Raises :class:`UndecidedError` instead
+    of a ``max_nodes + 1``-th expansion.
+    """
+    stack = [iter((root,))]
+    nodes = 0
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > max_nodes:
+            raise UndecidedError(f"gave up after {max_nodes} search nodes")
+        found = expand(state)
+        if found is True:
+            return True
+        if found:
+            stack.append(found)
+    return False
 
 
 #: most subsets :func:`valid_committees` tries in one level

@@ -6,8 +6,7 @@ import random
 import pytest
 
 from ecse.branching import (
-    Fingerprint,
-    agent_fingerprints,
+    _level_choices,
     branch_children,
     lift,
     solve_branch,
@@ -49,11 +48,11 @@ def test_lift_preserves_verdicts():
 
 
 def test_agent_fingerprints_trip(trip_egalitarian, trip_equitable_x3):
-    fps = agent_fingerprints(lift(trip_egalitarian), 1)
-    assert [fp.bits for fp in fps] == [(True, False), (False, True), (True, True)]
-    assert all(fp.popcount >= 1 for fp in fps)
-    fps = agent_fingerprints(lift(trip_equitable_x3), 1)
-    assert [fp.bits for fp in fps] == [(True, False), (False, True)]
+    # a fingerprint is given by its set of elected levels (0-based)
+    choices = list(_level_choices(lift(trip_egalitarian), 0))
+    assert choices == [(0,), (1,), (0, 1)]
+    assert all(len(chosen) >= 1 for chosen in choices)
+    assert list(_level_choices(lift(trip_equitable_x3), 0)) == [(0,), (1,)]
 
 
 def test_branch_children_updates(trip_egalitarian):
@@ -170,14 +169,14 @@ def test_solve_branch_dispatch(trip_egalitarian, trip_equitable_x3):
 
 def test_fingerprint_type_invariants(trip_equitable_x3):
     pe = lift(trip_equitable_x3)
-    for a in range(1, 7):
-        for fp in agent_fingerprints(pe, a):
-            assert isinstance(fp, Fingerprint)
-            assert len(fp.bits) == pe.tau
-            for t0, bit in enumerate(fp.bits):
-                if bit:
-                    assert pe.profile[t0][a - 1] != 0
-            assert fp.popcount == pe.yvec[a - 1]
+    for a0 in range(6):
+        for chosen in _level_choices(pe, a0):
+            assert isinstance(chosen, tuple)
+            assert list(chosen) == sorted(set(chosen))
+            assert all(0 <= t0 < pe.tau for t0 in chosen)
+            for t0 in chosen:
+                assert pe.profile[t0][a0] != 0
+            assert len(chosen) == pe.yvec[a0]
 
 
 def _random_pe(seed):

@@ -7,6 +7,7 @@ import pytest
 
 from ecse.cli import main
 from ecse.formats import parse_instance, parse_solution, serialize_instance
+from ecse.ip import solve_ip
 from ecse.model import EGALITARIAN, EQUITABLE, verify
 from ecse.oracle import brute_solve
 from ecse.generators import (
@@ -215,6 +216,24 @@ def test_bench_csv_stable(tmp_path, capsys):
     assert strip_micros(first) == strip_micros(second)
 
 
+def test_bench_writes_inapplicable_rows(tmp_path, capsys):
+    (tmp_path / "pe.ecse").write_text(
+        "ecse v1\nmode gcse\nn 3\nm 3\ntau 2\nk 0\nx 0\ny 0\n"
+        "kvec 1 2\nxvec 1 2\nyvec 2 1 0\nlevels\n1 2 3\n1 1 2\nend\n"
+    )
+    inst = random_instance(3, 6, 4, 3, 2, 1, 1, "egalitarian")
+    (tmp_path / "plain.ecse").write_text(serialize_instance(inst))
+    code, out, _ = run(capsys, "bench", str(tmp_path), "--algo", "dp", "--algo", "auto")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[:2] for row in rows] == [
+        ["pe.ecse", "auto"], ["pe.ecse", "dp"], ["plain.ecse", "auto"], ["plain.ecse", "dp"],
+    ]
+    assert rows[0][2] == "yes" and rows[1][2] == "inapplicable"
+    assert set(rows[1][4:]) <= {""}
+    assert rows[2][2] == rows[3][2] == brute_solve(inst).verdict
+
+
 def test_bench_empty_dir(tmp_path, capsys):
     code, _, err = run(capsys, "bench", str(tmp_path))
     assert code == 2 and "no .ecse" in err
@@ -271,25 +290,41 @@ def test_auto_reports_the_ip_budget_when_it_gives_up(tmp_path, capsys):
     assert "gave up after 1 search nodes" in err
 
 
-def test_ip_too_deep_for_recursion_is_undecided(tmp_path, capsys):
-    # auto routes to the IP, whose search takes one frame per variable (1,768)
-    inst = random_instance(0, 13, 8, 30, 3, 1, 1, "egalitarian")
-    path = tmp_path / "deep_ip.ecse"
+def _solve_verified_yes(tmp_path, capsys, inst, *argv):
+    path, sol = tmp_path / "deep.ecse", tmp_path / "deep.sol"
     path.write_text(serialize_instance(inst))
-    code, _, err = run(capsys, "solve", str(path), "--exit-verdict")
-    assert code == 3
-    assert "recursion limit" in err
+    code, _, err = run(capsys, "solve", str(path), "--exit-verdict", "--out", str(sol), *argv)
+    assert code == 0, err
+    code, out, _ = run(capsys, "verify", str(path), str(sol))
+    assert code == 0 and out.strip() == "FEASIBLE"
 
 
-def test_branching_too_deep_for_recursion_is_undecided(tmp_path, capsys):
+def test_ip_deep_search_decides_yes(tmp_path, capsys):
+    # auto routes to the IP, whose search path is one node per variable (1,768)
+    inst = random_instance(0, 13, 8, 30, 3, 1, 1, "egalitarian")
+    _solve_verified_yes(tmp_path, capsys, inst)
+
+
+def test_branching_deep_search_decides_yes(tmp_path, capsys):
     # a yes-instance (auto decides it trivially) that branches once per agent
     row = tuple(range(1, 1201))
     inst = make_instance([row, row], mode="egalitarian", k=1200, x=0, y=1, m=1200)
-    path = tmp_path / "deep_branch.ecse"
+    _solve_verified_yes(tmp_path, capsys, inst, "--algo", "branch")
+
+
+def test_branching_budget_refuses_and_auto_falls_through_to_ip(tmp_path, capsys, monkeypatch):
+    # n > 12 and k*tau <= 24: auto tries branching (51 nodes) before the IP
+    inst = random_instance(1, 13, 4, 4, 2, 3, 2, "egalitarian")
+    path = tmp_path / "mid.ecse"
     path.write_text(serialize_instance(inst))
-    code, _, err = run(capsys, "solve", str(path), "--algo", "branch", "--exit-verdict")
+    monkeypatch.setattr("ecse.branching.MAX_NODES", 10)
+    code, _, err = run(capsys, "solve", str(path), "--algo", "branch")
     assert code == 3
-    assert "recursion limit" in err
+    assert "gave up after 10 search nodes" in err
+    code, out, _ = run(capsys, "solve", str(path), "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["algo"] == "ip"
+    assert payload["verdict"] == solve_ip(inst).verdict == "yes"
 
 
 def test_unexpected_exception_exits_4_not_no(trip_file, capsys, monkeypatch):

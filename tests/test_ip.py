@@ -103,6 +103,67 @@ def test_budget_raises_undecided():
         solve_ip(inst, max_nodes=1)
 
 
+def _reference_ip_search(model):
+    """Recursive value search in the same variable and value order as
+    ``solve_ip_naive``; returns (assignment or None, nodes visited)."""
+    order = [(ti, ci) for ti, cs in enumerate(model.committees) for ci in range(len(cs))]
+    if any(not cs and count > 0 for cs, count in zip(model.committees, model.type_counts)):
+        return None, 0
+    assignment = {}
+    nodes = 0
+
+    def agent_ok(a0):
+        total = sum(assignment.get(key, 0) for key in model.agent_vars[a0])
+        if model.equitable and total > model.y:
+            return False
+        # each type with an open variable of the agent may still add its remaining levels
+        open_types = {ti for ti, ci in model.agent_vars[a0] if (ti, ci) not in assignment}
+        return total + sum(remaining(ti) for ti in open_types) >= model.y
+
+    def remaining(ti):
+        used = sum(v for (tj, _), v in assignment.items() if tj == ti)
+        return model.type_counts[ti] - used
+
+    def rec(idx):
+        nonlocal nodes
+        nodes += 1
+        if not all(agent_ok(a0) for a0 in range(model.n)):
+            return False
+        if idx == len(order):
+            return all(remaining(ti) == 0 for ti in range(model.num_types))
+        ti, ci = order[idx]
+        left = remaining(ti)
+        for value in [left] if ci == len(model.committees[ti]) - 1 else range(left + 1):
+            assignment[(ti, ci)] = value
+            if rec(idx + 1):
+                return True
+            del assignment[(ti, ci)]
+        return False
+
+    return (dict(assignment) if rec(0) else None), nodes
+
+
+def test_search_matches_recursive_reference():
+    rng = random.Random(11)
+    yes = 0
+    for seed in range(300):
+        inst = random_instance(
+            seed, n=rng.randint(0, 5), m=rng.randint(1, 4), tau=rng.randint(1, 6),
+            k=rng.randint(0, 3), x=rng.randint(0, 3), y=rng.randint(0, 3),
+            mode=rng.choice([EGALITARIAN, EQUITABLE]), empty_prob=rng.choice([0.0, 0.2, 0.5]),
+        )
+        model = build_ip(rename_candidates(inst)[0])
+        expected, nodes = _reference_ip_search(model)
+        assert solve_ip_naive(model) == expected, f"seed {seed}"
+        yes += expected is not None
+        if nodes:
+            # the budget counts the same nodes: exactly enough decides, one fewer refuses
+            assert solve_ip_naive(model, max_nodes=nodes) == expected, f"seed {seed}"
+            with pytest.raises(UndecidedError):
+                solve_ip_naive(model, max_nodes=nodes - 1)
+    assert 60 < yes < 240
+
+
 def test_agrees_with_oracle():
     for seed in range(200):
         inst = random_instance(
