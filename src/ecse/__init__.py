@@ -25,6 +25,7 @@ from .model import (
     Violation,
     agent_score,
     committee_score,
+    counting_bound,
     enumerate_valid_committees,
     level_fingerprints,
     rename_candidates,

@@ -10,6 +10,16 @@ decides the instance; depth is bounded by both the agent count and the total
 committee budget.  One search loop serves both modes: equitable mode only
 adds a prune of overshot agents, and drops satisfied agents as each child is
 built, so the zero-target rule runs once, at the root.
+
+Before it picks an agent, every inner node is bounded by
+:func:`ecse.model.counting_bound`, which refutes by counting alone.  In
+equitable mode every agent left at an inner node is open and must be
+satisfied exactly its target more times, and each level's committee
+satisfies exactly its score, so the targets' sum must be a sum of one
+reachable score per level.  In egalitarian mode each level's best
+committee bounds both its threshold and how often it can satisfy open
+agents.  A refuted node has no yes below it, so pruning it keeps every
+verdict and, as the search order is unchanged, every witness.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from .model import (
     PeInstance,
     SolveResult,
     _check_agent,
+    counting_bound,
     dfs,
     greedy_committee,
     lift,
@@ -105,7 +116,7 @@ def _pick_agent(pe: PeInstance) -> int | None:
     return best
 
 
-def solve_branch(inst: Instance | PeInstance) -> SolveResult:
+def solve_branch(inst: Instance | PeInstance, max_nodes: int = MAX_NODES) -> SolveResult:
     """Fingerprint DFS for both modes and both instance types (a plain
     instance is lifted first); the witness is rebuilt along the accepting
     path.
@@ -116,12 +127,21 @@ def solve_branch(inst: Instance | PeInstance) -> SolveResult:
     each child is built without them.  A node where no target is left
     positive is decided by the greedy score-maximal committee per level; in
     equitable mode no agent is left there, so it accepts iff no positive
-    threshold remains.  The search runs through :func:`ecse.model.dfs`, which
-    raises :class:`~ecse.model.UndecidedError` after :data:`MAX_NODES` nodes.
+    threshold remains.  Every other node must pass
+    :func:`~ecse.model.counting_bound` before it branches; a refuted node
+    counts in ``nodes_expanded`` and in ``bound_prunes``.  The bound is
+    sound in equitable mode because every agent left is open and the level
+    scores sum to the targets' sum, and in egalitarian mode because no level
+    scores more than its best committee.  The search runs through
+    :func:`ecse.model.dfs`, which raises :class:`~ecse.model.UndecidedError`
+    after ``max_nodes`` nodes.
     """
     pe = lift(inst) if isinstance(inst, Instance) else inst
     equitable = pe.mode == EQUITABLE
-    stats = {"nodes_expanded": 0, "fingerprints_tried": 0, "max_depth": 0, "max_children": 0}
+    stats = {
+        "nodes_expanded": 0, "fingerprints_tried": 0, "max_depth": 0, "max_children": 0,
+        "bound_prunes": 0,
+    }
     path: list[tuple[PeInstance, int, tuple[int, ...]]] = []  # (node, agent, chosen levels)
     leaf: list[set] = []  # greedy committees of the last leaf reached
 
@@ -141,6 +161,9 @@ def solve_branch(inst: Instance | PeInstance) -> SolveResult:
                         return False
                     leaf[t0] = set(top)
             return True
+        if not counting_bound(cur):
+            stats["bound_prunes"] += 1
+            return False
         a0 = _pick_agent(cur)
         return a0 is not None and children(cur, a0)
 
@@ -152,7 +175,7 @@ def solve_branch(inst: Instance | PeInstance) -> SolveResult:
             yield _child(cur, a0, chosen)
             path.pop()
 
-    if not dfs(rr_pe_qcse_zero_y(pe) if equitable else pe, expand, MAX_NODES):
+    if not dfs(rr_pe_qcse_zero_y(pe) if equitable else pe, expand, max_nodes):
         return SolveResult.no(stats)
     for cur, a0, chosen in path:
         for t0 in chosen:

@@ -15,6 +15,7 @@ import json
 import sys
 import time
 import traceback
+from functools import partial
 from pathlib import Path
 
 from . import formats
@@ -98,7 +99,7 @@ def solve_with_algo(inst, algo: str, max_nodes: int = MAX_NODES):
     if algo == "brute":
         return brute_solve(inst), "brute"
     if algo == "branch":
-        return solve_branch(inst), "branch"
+        return solve_branch(inst, max_nodes=max_nodes), "branch"
     if algo == "dp":
         return solve_dp(inst), "dp"
     if algo == "tau2":
@@ -113,9 +114,10 @@ def solve_with_algo(inst, algo: str, max_nodes: int = MAX_NODES):
 def _solve_auto(inst: Instance, max_nodes):
     """Routing: trivial rules, then the polynomial two-level pipeline, then
     the score DP for few agents, branching for small committee budgets, and
-    finally the integer program, whose search budget is ``max_nodes``.  A
-    search that refuses (:class:`GuardExceeded`) hands the instance on to
-    the next one that applies; only the integer program's refusal is final."""
+    finally the integer program; branching and the integer program each get
+    a search budget of ``max_nodes``.  A search that refuses
+    (:class:`GuardExceeded`) hands the instance on to the next one that
+    applies; only the integer program's refusal is final."""
     result = trivial_solve(inst)
     if result is not None:
         return result, "trivial"
@@ -125,7 +127,7 @@ def _solve_auto(inst: Instance, max_nodes):
     if inst.n <= 12:
         attempts.append(("dp", solve_dp))
     if inst.k * inst.tau <= 24:
-        attempts.append(("branch", solve_branch))
+        attempts.append(("branch", partial(solve_branch, max_nodes=max_nodes)))
     for algo, solver in attempts:
         try:
             return solver(inst), algo

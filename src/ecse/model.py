@@ -52,7 +52,7 @@ class UndecidedError(GuardExceeded):
     """Search budget exhausted before a verdict; never a wrong answer."""
 
 
-#: node budget of the branching and IP searches (``--max-nodes`` sets the IP's)
+#: default node budget of the branching and IP searches (``--max-nodes`` sets it)
 MAX_NODES = 2_000_000
 
 
@@ -399,6 +399,87 @@ def greedy_committee(support: dict[int, int], k: int, include: int | None = None
         if c != include:
             picked.append(c)
     return tuple(sorted(picked))
+
+
+def _score_set(row, k: int, x: int) -> int:
+    """Bitmask of the scores of at least ``x`` that some committee of at
+    most ``k`` candidates reaches in ``row`` (bit s set iff s is reached):
+    a subset sum over the candidates' supports, bounded in cardinality."""
+    if k < 0:
+        return 0
+    supports = row_support(row).values()
+    if k >= len(supports):
+        scores = 1
+        for w in supports:
+            scores |= scores << w
+    else:
+        # bit j * stride + s: some j candidates score s; a candidate of
+        # support w moves (j, s) to (j + 1, s + w), and keep drops j > k
+        stride = len(row) + 1
+        keep = (1 << (k + 1) * stride) - 1
+        pairs = 1
+        for w in supports:
+            pairs |= (pairs << stride + w) & keep
+        low = (1 << stride) - 1
+        scores = 0
+        while pairs:
+            scores |= pairs & low
+            pairs >>= stride
+    return scores >> x << x if x > 0 else scores
+
+
+def _top_score(row, k: int) -> int:
+    """Score of the best committee of at most ``k`` candidates in ``row``."""
+    return sum(sorted(row_support(row).values(), reverse=True)[:k])
+
+
+def counting_bound(pe: PeInstance) -> bool:
+    """A necessary condition for a yes, by counting alone: False only when
+    no committee sequence meets the budgets, thresholds and targets.
+
+    Only the open agents (positive target) are counted toward the targets.
+    No committee is enumerated, so unlike :func:`valid_committees` the check
+    never raises :class:`EnumerationLimitError`.
+
+    * Equitable mode: a feasible sequence satisfies no agent with target
+      zero or less, so each level's committee satisfies exactly as many open
+      agents as its score, and the level scores sum to the open targets'
+      sum.  That sum must therefore lie in the sumset of the per-level score
+      sets, each a subset sum of open supports under the level's budget and
+      threshold (Bellman's subset-sum recurrence, on bitmasks).
+    * Egalitarian mode: every agent counts toward the thresholds, so each
+      level's ``kvec[t]`` best-supported candidates must reach ``xvec[t]``;
+      and the open targets are met at most as often as the levels' best
+      committees, counted over open agents, satisfy open agents.
+    """
+    is_open = [y > 0 for y in pe.yvec]
+    need = sum(itertools.compress(pe.yvec, is_open))
+    rows = pe.profile if all(is_open) else [
+        tuple(itertools.compress(row, is_open)) for row in pe.profile
+    ]
+    if pe.mode == EQUITABLE:
+        mask = (2 << need) - 1
+        reach = 1  # bit s: the levels so far can satisfy s open agents in all
+        for row, k, x in zip(rows, pe.kvec, pe.xvec):
+            scores = _score_set(row, k, x) & mask
+            total = 0
+            while scores:
+                low = scores & -scores  # 2**s for the lowest score s left
+                total |= reach * low
+                scores ^= low
+            reach = total & mask
+            if not reach:
+                return False
+        return bool(reach >> need & 1)
+    for row, k, x in zip(pe.profile, pe.kvec, pe.xvec):
+        if k < 0 or x > 0 and _top_score(row, k) < x:
+            return False
+    best = 0
+    for row, k in zip(rows, pe.kvec):
+        if best >= need:
+            break
+        best += _top_score(row, k)
+    return need <= best
 
 
 def valid_committees(support: dict[int, int], k: int, x: int) -> list[Committee]:

@@ -16,6 +16,7 @@ from ecse.model import (
     EGALITARIAN,
     EQUITABLE,
     PeInstance,
+    counting_bound,
     greedy_committee,
     row_support,
     verify,
@@ -227,12 +228,41 @@ def _reference_child(pe, a0, chosen):
     return PeInstance(pe.mode, pe.n - 1, pe.m, pe.tau, kvec, xvec, yvec, rows)
 
 
-def _reference_branch(pe):
+def _reference_bound(pe):
+    """``counting_bound`` by enumeration: the scores of every committee of at
+    most k nominated candidates, counted over the open agents, as sets."""
+    open_agents = [a0 for a0 in range(pe.n) if pe.yvec[a0] > 0]
+    need = sum(pe.yvec[a0] for a0 in open_agents)
+    reach, best = {0}, 0
+    for row, k, x in zip(pe.profile, pe.kvec, pe.xvec):
+        if k < 0:
+            return False
+        nominated = sorted(set(row) - {0})
+        committees = [
+            set(combo) for size in range(min(k, len(nominated)) + 1)
+            for combo in itertools.combinations(nominated, size)
+        ]
+        scores = [sum(row[a0] in chosen for a0 in open_agents) for chosen in committees]
+        if pe.mode == EQUITABLE:
+            reach = {r + s for r in reach for s in scores if s >= x}
+        else:
+            if max(sum(c in chosen for c in row) for chosen in committees) < x:
+                return False
+            best += max(scores)
+    return need in reach if pe.mode == EQUITABLE else need <= best
+
+
+def _reference_branch(pe, bound=True):
     """Fingerprint DFS applying the zero-target rule at every equitable node;
     branches on the open agent with the fewest fingerprints (lowest index on
-    ties) and tries its level sets by size, then lexicographically."""
+    ties) and tries its level sets by size, then lexicographically.  With
+    ``bound``, a node that still has an open agent is pruned first if
+    ``_reference_bound`` refutes it."""
     equitable = pe.mode == EQUITABLE
-    stats = {"nodes_expanded": 0, "fingerprints_tried": 0, "max_depth": 0, "max_children": 0}
+    stats = {
+        "nodes_expanded": 0, "fingerprints_tried": 0, "max_depth": 0, "max_children": 0,
+        "bound_prunes": 0,
+    }
 
     def choices(cur, a0):
         levels = [t0 for t0 in range(cur.tau) if cur.profile[t0][a0] != 0]
@@ -257,6 +287,9 @@ def _reference_branch(pe):
                         return None
                     committees[t0] = set(top)
             return committees
+        if bound and not _reference_bound(cur):
+            stats["bound_prunes"] += 1
+            return None
         options = {a0: choices(cur, a0) for a0 in range(cur.n) if cur.yvec[a0] > 0}
         a0 = min(options, key=lambda b0: len(options[b0]))
         for i, chosen in enumerate(options[a0], 1):
@@ -273,8 +306,25 @@ def _reference_branch(pe):
     return [tuple(sorted(s)) for s in witness], stats
 
 
+def test_counting_bound_matches_enumeration():
+    checked = refuted = 0
+    for seed in range(1000):
+        pe = _random_pe(seed)
+        nodes = [pe] + [
+            child for a0, y in enumerate(pe.yvec)
+            if 0 < y <= sum(1 for row in pe.profile if row[a0] != 0)
+            for child in branch_children(pe, a0 + 1)
+        ]
+        for node in nodes:
+            expected = _reference_bound(node)
+            assert counting_bound(node) == expected, f"seed {seed}"
+            checked += 1
+            refuted += not expected
+    assert checked > 3000 and refuted > 500
+
+
 def test_search_matches_reference_search():
-    yes = deep = 0
+    yes = deep = deep_unbounded = pruned = 0
     for seed in range(1000):
         pe = _random_pe(seed)
         result = solve_branch(pe)
@@ -282,9 +332,16 @@ def test_search_matches_reference_search():
         assert result.verdict == ("yes" if witness is not None else "no"), f"seed {seed}"
         assert (result.witness and list(result.witness.committees)) == witness, f"seed {seed}"
         assert result.stats == stats, f"seed {seed}"
+        # the bound only ever removes nodes, never a verdict or a witness
+        unbounded_witness, unbounded = _reference_branch(pe, bound=False)
+        assert unbounded_witness == witness, f"seed {seed}"
+        assert stats["nodes_expanded"] <= unbounded["nodes_expanded"], f"seed {seed}"
         yes += witness is not None
         deep += stats["max_depth"] >= 2
-    assert yes > 200 and deep > 150
+        deep_unbounded += unbounded["max_depth"] >= 2
+        pruned += stats["nodes_expanded"] < unbounded["nodes_expanded"]
+    # the bound cuts some deep searches short, so both depths are floored
+    assert yes > 200 and deep_unbounded > 150 and deep > 100 and pruned > 150
 
 
 def test_search_counters_at_benchmark_size():
@@ -293,7 +350,8 @@ def test_search_counters_at_benchmark_size():
     result = solve_branch(inst)
     assert result.verdict == "no"
     assert result.stats == {
-        "nodes_expanded": 4626, "fingerprints_tried": 4625, "max_depth": 11, "max_children": 84,
+        "nodes_expanded": 597, "fingerprints_tried": 596, "max_depth": 6, "max_children": 84,
+        "bound_prunes": 409,
     }
     inst = random_instance(13, 14, 4, 8, 2, 5, 4, EGALITARIAN)
     result = solve_branch(inst)
@@ -301,5 +359,16 @@ def test_search_counters_at_benchmark_size():
         (2, 3), (2, 3), (1, 3), (1, 3), (3, 4), (2, 3), (1, 2), (2, 4),
     )
     assert result.stats == {
-        "nodes_expanded": 4084, "fingerprints_tried": 4083, "max_depth": 8, "max_children": 16,
+        "nodes_expanded": 1040, "fingerprints_tried": 1039, "max_depth": 7, "max_children": 16,
+        "bound_prunes": 226,
     }
+
+
+def test_counting_bound_refutes_i20_at_the_root():
+    # equitable, 20 agents with target 3 over 12 levels of budget 2 and
+    # threshold 5: the least reachable scores already sum to 65 > 60
+    inst = random_instance(3, 20, 4, 12, 2, 5, 3, EQUITABLE)
+    assert not counting_bound(lift(inst))
+    result = solve_branch(inst)
+    assert result.verdict == "no"
+    assert result.stats["nodes_expanded"] == 1 and result.stats["bound_prunes"] == 1

@@ -312,16 +312,18 @@ def test_branching_deep_search_decides_yes(tmp_path, capsys):
     _solve_verified_yes(tmp_path, capsys, inst, "--algo", "branch")
 
 
-def test_branching_budget_refuses_and_auto_falls_through_to_ip(tmp_path, capsys, monkeypatch):
-    # n > 12 and k*tau <= 24: auto tries branching (51 nodes) before the IP
-    inst = random_instance(1, 13, 4, 4, 2, 3, 2, "egalitarian")
+def test_branching_budget_refuses_and_auto_falls_through_to_ip(tmp_path, capsys):
+    # n > 12 and k*tau <= 24: auto tries branching (53 nodes) before the IP
+    # (which decides within 20), and --max-nodes budgets both searches
+    inst = random_instance(531, 13, 5, 6, 1, 3, 1, "egalitarian", 0.2)
     path = tmp_path / "mid.ecse"
     path.write_text(serialize_instance(inst))
-    monkeypatch.setattr("ecse.branching.MAX_NODES", 10)
-    code, _, err = run(capsys, "solve", str(path), "--algo", "branch")
+    code, _, err = run(capsys, "solve", str(path), "--algo", "branch", "--max-nodes", "10")
     assert code == 3
     assert "gave up after 10 search nodes" in err
     code, out, _ = run(capsys, "solve", str(path), "--json")
+    assert code == 0 and json.loads(out)["algo"] == "branch"
+    code, out, _ = run(capsys, "solve", str(path), "--json", "--max-nodes", "20")
     payload = json.loads(out)
     assert code == 0 and payload["algo"] == "ip"
     assert payload["verdict"] == solve_ip(inst).verdict == "yes"

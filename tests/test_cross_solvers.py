@@ -11,7 +11,16 @@ from hypothesis import strategies as st
 from ecse.branching import solve_branch
 from ecse.cli import solve_with_algo
 from ecse.ip import solve_ip
-from ecse.model import EGALITARIAN, EQUITABLE, Instance, trivial_solve, verify
+from ecse.model import (
+    EGALITARIAN,
+    EQUITABLE,
+    Instance,
+    PeInstance,
+    counting_bound,
+    lift,
+    trivial_solve,
+    verify,
+)
 from ecse.oracle import brute_solve
 from ecse.score_dp import solve_dp
 from ecse.tau2 import solve_qcse_tau2
@@ -44,6 +53,33 @@ def test_all_backends_match_oracle(inst):
         assert result.verdict == truth
         if result.witness is not None:
             assert verify(inst, result.witness).feasible
+
+
+@st.composite
+def tiny_pe_instances(draw):
+    """Pre-elected instances whose budgets, thresholds and targets range
+    over -1..3, with empty nominations."""
+    n = draw(st.integers(0, 4))
+    m = draw(st.integers(1, 4))
+    tau = draw(st.integers(1, 3))
+    rows = tuple(tuple(draw(st.integers(0, m)) for _ in range(n)) for _ in range(tau))
+    vector = st.integers(-1, 3)
+    return PeInstance(
+        draw(st.sampled_from([EGALITARIAN, EQUITABLE])),
+        n,
+        m,
+        tau,
+        tuple(draw(vector) for _ in range(tau)),
+        tuple(draw(vector) for _ in range(tau)),
+        tuple(draw(vector) for _ in range(n)),
+        rows,
+    )
+
+
+@given(st.one_of(tiny_instances().map(lift), tiny_pe_instances()))
+@settings(max_examples=300, deadline=None)
+def test_counting_bound_never_refutes_a_yes(pe):
+    assert counting_bound(pe) or brute_solve(pe).verdict == "no"
 
 
 @st.composite
