@@ -168,6 +168,8 @@ def cmd_verify(args) -> int:
     seq = formats.parse_solution(_read(args.solution))
     if len(seq) != inst.tau:
         raise UsageError(f"solution has {len(seq)} committees, the instance has tau={inst.tau}")
+    if any(committee and committee[-1] > inst.m for committee in seq):
+        raise UsageError(f"solution elects a candidate above the instance's m={inst.m}")
     report = verify(inst, seq)
     if args.json:
         payload = {

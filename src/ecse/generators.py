@@ -191,24 +191,23 @@ def threesat_sequence_to_assignment(cnf: CnfFormula, seq: CommitteeSequence) -> 
     return tuple(2 * i - 1 in seq.committees[0] for i in range(1, cnf.num_vars + 1))
 
 
+def _literal_rows(cnf: CnfFormula, filler: int) -> tuple[tuple[int, ...], ...]:
+    """One row per variable, one nomination per clause: candidate 1 where
+    the clause holds the variable unnegated, 2 where negated, else ``filler``."""
+    return tuple(
+        tuple(1 if i in clause else 2 if -i in clause else filler for clause in cnf.clauses)
+        for i in range(1, cnf.num_vars + 1)
+    )
+
+
 def gen_gcse_sat(cnf: CnfFormula) -> Instance:
     """SAT as an egalitarian election with two candidates: level per
     variable, agent per clause, k = 1, x = 0, y = 1."""
     if cnf.num_vars < 1:
         raise ValueError("need at least one variable")
     _check_simple_clauses(cnf)
-    rows = []
-    for i in range(1, cnf.num_vars + 1):
-        row = []
-        for clause in cnf.clauses:
-            if i in clause:
-                row.append(1)
-            elif -i in clause:
-                row.append(2)
-            else:
-                row.append(0)
-        rows.append(tuple(row))
-    return Instance(EGALITARIAN, len(cnf.clauses), 2, cnf.num_vars, 1, 0, 1, tuple(rows))
+    rows = _literal_rows(cnf, 0)
+    return Instance(EGALITARIAN, len(cnf.clauses), 2, cnf.num_vars, 1, 0, 1, rows)
 
 
 def sat_assignment_to_sequence(cnf: CnfFormula, assignment: tuple[bool, ...]) -> CommitteeSequence:
@@ -275,25 +274,16 @@ def gen_nmx(cnf: CnfFormula, mode: str) -> Instance:
         for v in range(1, cnf.num_vars + 1):
             if pos[v] != 2 or neg[v] != 2:
                 raise ValueError(f"variable {v} must occur twice negated and twice unnegated")
-        filler = 3
-        rows = []
-        for i in range(1, cnf.num_vars + 1):
-            row = []
-            for clause in cnf.clauses:
-                row.append(1 if i in clause else 2 if -i in clause else filler)
-            rows.append(tuple(row))
-        return Instance(EGALITARIAN, n_clauses, 3, tau, 2, n_clauses - 2, tau - 2, tuple(rows))
+        rows = _literal_rows(cnf, 3)
+        return Instance(EGALITARIAN, n_clauses, 3, tau, 2, n_clauses - 2, tau - 2, rows)
     if mode == EQUITABLE:
         for v in range(1, cnf.num_vars + 1):
             if neg[v] != 0:
                 raise ValueError(f"variable {v} appears negated in equitable input")
             if pos[v] != 3:
                 raise ValueError(f"variable {v} must occur exactly three times")
-        filler = 2
-        rows = []
-        for i in range(1, cnf.num_vars + 1):
-            rows.append(tuple(1 if i in clause else filler for clause in cnf.clauses))
-        return Instance(EQUITABLE, n_clauses, 2, tau, 2, n_clauses - 3, tau - 2, tuple(rows))
+        rows = _literal_rows(cnf, 2)
+        return Instance(EQUITABLE, n_clauses, 2, tau, 2, n_clauses - 3, tau - 2, rows)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -61,37 +61,28 @@ def build_ip(inst: Instance) -> IpModel:
     Types are ordered by first occurrence; the enumeration raises
     :class:`EnumerationLimitError` where :func:`valid_committees` refuses.
     """
-    type_index: dict[tuple[int, ...], int] = {}
-    type_levels: list[list[int]] = []
-    for t in range(1, inst.tau + 1):
-        row = inst.profile[t - 1]
-        if row not in type_index:
-            type_index[row] = len(type_levels)
-            type_levels.append([])
-        type_levels[type_index[row]].append(t)
-    rows = list(type_index)
-    committees = tuple(
-        tuple(valid_committees(row_support(row), inst.k, inst.x)) for row in rows
-    )
-    agent_vars: list[tuple[VarKey, ...]] = []
-    for a0 in range(inst.n):
-        pairs: list[VarKey] = []
-        for ti, row in enumerate(rows):
-            c = row[a0]
-            if c == 0:
-                continue
-            for ci, committee in enumerate(committees[ti]):
-                if c in committee:
-                    pairs.append((ti, ci))
-        agent_vars.append(tuple(pairs))
+    levels_of: dict[tuple[int, ...], list[int]] = {}
+    for t, row in enumerate(inst.profile, 1):
+        levels_of.setdefault(row, []).append(t)
+    committees: list[tuple[Committee, ...]] = []
+    agent_vars: list[list[VarKey]] = [[] for _ in range(inst.n)]
+    for ti, row in enumerate(levels_of):
+        committees.append(tuple(valid_committees(row_support(row), inst.k, inst.x)))
+        holders: dict[int, list[int]] = {}  # candidate -> agents nominating it
+        for a0, c in enumerate(row):
+            holders.setdefault(c, []).append(a0)
+        for ci, committee in enumerate(committees[ti]):
+            for c in committee:
+                for a0 in holders[c]:
+                    agent_vars[a0].append((ti, ci))
     return IpModel(
         not inst.egalitarian,
         inst.n,
         inst.y,
-        tuple(len(levels) for levels in type_levels),
-        tuple(tuple(levels) for levels in type_levels),
-        committees,
-        tuple(agent_vars),
+        tuple(map(len, levels_of.values())),
+        tuple(map(tuple, levels_of.values())),
+        tuple(committees),
+        tuple(map(tuple, agent_vars)),
     )
 
 

@@ -309,14 +309,7 @@ def committee_score(inst, t: int, committee) -> int:
 def agent_score(inst, a: int, seq: CommitteeSequence) -> int:
     """Number of levels in which agent ``a``'s nominee is elected."""
     _check_agent(inst, a)
-    if len(seq) != inst.tau:
-        raise ValueError(f"sequence has {len(seq)} committees, expected {inst.tau}")
-    score = 0
-    for row, committee in zip(inst.profile, seq):
-        c = row[a - 1]
-        if c != 0 and c in committee:
-            score += 1
-    return score
+    return _all_scores(inst, seq)[1][a - 1]
 
 
 def _all_scores(inst, seq: CommitteeSequence) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -513,19 +506,20 @@ def enumerate_valid_committees(inst, t: int) -> list[Committee]:
 
 
 def level_fingerprints(inst, t: int) -> dict[tuple[int, ...], Committee]:
-    """Distinct agent-inclusion patterns of the valid committees at level ``t``.
+    """Agent-inclusion patterns of the valid committees at level ``t``, in
+    the committees' (size, lexicographic) order.
 
     A fingerprint is the n-bit vector with bit ``a`` set iff agent ``a+1``'s
-    nominee is in the committee.  Each fingerprint maps to its
-    lexicographically smallest witnessing committee.
+    nominee is in the committee.  Each maps to its one committee: valid
+    committees hold nominated candidates only, and two candidates' supporters
+    at one level are disjoint and nonempty, so two distinct committees
+    differ on the supporters of a candidate only one of them holds.
     """
     row = inst.profile[t - 1]
     out: dict[tuple[int, ...], Committee] = {}
     for committee in enumerate_valid_committees(inst, t):
         chosen = set(committee)
-        fp = tuple(1 if (c != 0 and c in chosen) else 0 for c in row)
-        if fp not in out or committee < out[fp]:
-            out[fp] = committee
+        out[tuple(1 if c in chosen else 0 for c in row)] = committee
     return out
 
 

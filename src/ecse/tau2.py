@@ -267,19 +267,14 @@ def solve_cbivcs(g: CbivcsInstance) -> set[Vertex] | None:
     if g.k1 < 0 or g.k2 < 0:
         return None
     total = sum(comp.edge_count for comp in g.components)
-    type_order: list[tuple[int, int, int]] = []
-    type_members: dict[tuple[int, int, int], list[int]] = {}
-    for idx, comp in enumerate(g.components):
+    type_members: dict[tuple[int, int, int], list[CbivcsComponent]] = {}
+    for comp in g.components:
         key = (len(comp.left), len(comp.right), comp.edge_count)
-        if key not in type_members:
-            type_members[key] = []
-            type_order.append(key)
-        type_members[key].append(idx)
+        type_members.setdefault(key, []).append(comp)
 
     stages: list[dict[tuple[int, int, int], tuple | None]] = [{(0, 0, 0): None}]
-    for key in type_order:
-        n1, n2, m = key
-        count = len(type_members[key])
+    for (n1, n2, m), members in type_members.items():
+        count = len(members)
         nxt: dict[tuple[int, int, int], tuple | None] = {}
         for state in sorted(stages[-1]):
             k1u, k2u, x1s = state
@@ -299,11 +294,9 @@ def solve_cbivcs(g: CbivcsInstance) -> set[Vertex] | None:
 
     cover: set[Vertex] = set()
     state = accepting[0]
-    for stage_idx in range(len(type_order), 0, -1):
-        prev, j = stages[stage_idx][state]
-        members = type_members[type_order[stage_idx - 1]]
-        for pos, comp_idx in enumerate(members):
-            comp = g.components[comp_idx]
+    for stage, members in zip(reversed(stages), reversed(type_members.values())):
+        prev, j = stage[state]
+        for pos, comp in enumerate(members):
             if pos < j:
                 cover.update((1, c) for c in comp.left)
             else:

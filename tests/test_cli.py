@@ -442,6 +442,25 @@ def test_verify_pre_elected_file(tmp_path, capsys):
     assert (code, out) == (0, "INFEASIBLE agent-score a=1\n")
 
 
+def test_verify_refuses_a_candidate_above_m(tmp_path, capsys):
+    plain = tmp_path / "plain.ecse"
+    plain.write_text("ecse v1\nmode gcse\nn 2\nm 2\ntau 1\nk 2\nx 0\ny 0\nlevels\n1 2\nend\n")
+    sol = tmp_path / "sol.txt"
+    sol.write_text("ecse-sol v1\n1\n1 7\n")
+    code, out, err = run(capsys, "verify", str(plain), str(sol))
+    assert (code, out) == (2, "")
+    assert "m=2" in err
+    pe = tmp_path / "pe.ecse"
+    pe.write_text(
+        "ecse v1\nmode gcse\nn 3\nm 3\ntau 2\nk 0\nx 0\ny 0\n"
+        "kvec 1 2\nxvec 1 2\nyvec 2 1 0\nlevels\n1 2 3\n1 1 2\nend\n"
+    )
+    sol.write_text("ecse-sol v1\n2\n1\n1 4\n")
+    code, out, err = run(capsys, "verify", str(pe), str(sol))
+    assert (code, out) == (2, "")
+    assert "m=3" in err
+
+
 def test_auto_falls_through_a_dp_refusal(trip_file, capsys, monkeypatch):
     monkeypatch.setattr("ecse.score_dp.MAX_TABLE_ENTRIES", 1)
     code, out, _ = run(capsys, "solve", trip_file, "--json")

@@ -149,6 +149,13 @@ def test_sat_two_candidates():
     cnf = CnfFormula(2, ((1, -2), (-1, 2)))
     inst = gen_gcse_sat(cnf)
     assert (inst.m, inst.k, inst.tau, inst.n) == (2, 1, 2, 2)
+    assert inst.profile == ((1, 2), (2, 1))
+    # a clause without the level's variable nominates nobody there
+    assert gen_gcse_sat(CnfFormula(3, ((1, -3), (-2,), (2, 3)))).profile == (
+        (1, 0, 0),
+        (0, 2, 1),
+        (2, 0, 1),
+    )
     result = brute_solve(inst)
     assert result.verdict == "yes"
     seq = sat_assignment_to_sequence(cnf, (True, True))
@@ -203,6 +210,17 @@ def test_nmx_validation_and_example():
     inst = gen_nmx(good, EGALITARIAN)
     assert (inst.tau, inst.x, inst.y, inst.k, inst.m) == (3, 2, 1, 2, 3)
     assert inst.n - inst.x == 2
+    assert inst.profile == ((1, 1, 2, 2), (1, 2, 1, 2), (1, 2, 2, 1))
+    # two disjoint copies: a clause without the level's variable nominates the filler 3
+    shifted = tuple(tuple(lit + 3 if lit > 0 else lit - 3 for lit in c) for c in good.clauses)
+    assert gen_nmx(CnfFormula(6, good.clauses + shifted), EGALITARIAN).profile == (
+        (1, 1, 2, 2, 3, 3, 3, 3),
+        (1, 2, 1, 2, 3, 3, 3, 3),
+        (1, 2, 2, 1, 3, 3, 3, 3),
+        (3, 3, 3, 3, 1, 1, 2, 2),
+        (3, 3, 3, 3, 1, 2, 1, 2),
+        (3, 3, 3, 3, 1, 2, 2, 1),
+    )
     assert (brute_solve(inst).verdict == "yes") == sat_satisfiable(good)
 
     bad = CnfFormula(3, ((1, 2, 3), (1, -2, -3), (1, 2, -3), (-1, -2, 3)))
@@ -214,6 +232,11 @@ def test_nmx_equitable():
     cnf = CnfFormula(3, ((1, 2, 3), (1, 2, 3), (1, 2, 3)))
     inst = gen_nmx(cnf, EQUITABLE)
     assert (inst.m, inst.x, inst.n - inst.x) == (2, 0, 3)
+    assert inst.profile == ((1, 1, 1),) * 3
+    # a clause without the level's variable nominates the filler 2
+    split = CnfFormula(6, ((1, 2, 3),) * 3 + ((4, 5, 6),) * 3)
+    rows = ((1, 1, 1, 2, 2, 2),) * 3 + ((2, 2, 2, 1, 1, 1),) * 3
+    assert gen_nmx(split, EQUITABLE).profile == rows
     assert (brute_solve(inst).verdict == "yes") == x13sat_satisfiable(cnf)
     with pytest.raises(ValueError, match="negated"):
         gen_nmx(CnfFormula(3, ((1, -2, 3), (1, 2, 3), (1, 2, 3))), EQUITABLE)

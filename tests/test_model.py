@@ -391,12 +391,16 @@ def test_level_fingerprints_trip(trip_egalitarian):
 
 
 def test_level_fingerprints_dedup_bound():
-    inst = make_instance([(1, 1, 2, 2)], mode=EGALITARIAN, k=2, x=0, y=1)
-    fps = level_fingerprints(inst, 1)
-    committees = enumerate_valid_committees(inst, 1)
-    assert len(fps) <= min(2 ** inst.n, len(committees))
-    for fp, committee in fps.items():
-        assert committee in committees
+    # no two valid committees share a fingerprint: each holds nominated
+    # candidates only, and their supporters are disjoint and nonempty
+    for seed in range(300):
+        n, m, k, x = 1 + seed % 7, 1 + seed % 6, seed % 4, seed % 3
+        inst = random_instance(seed, n, m, 2, k, x, 1, EGALITARIAN, 0.2)
+        for t in (1, 2):
+            fps = level_fingerprints(inst, t)
+            assert list(fps.values()) == enumerate_valid_committees(inst, t), f"seed {seed}"
+            for fp, committee in fps.items():
+                assert fp == tuple(int(c in committee) for c in inst.profile[t - 1])
 
 
 # -- generalized easy specs --------------------------------------------------------
