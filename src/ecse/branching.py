@@ -11,15 +11,10 @@ committee budget.  One search loop serves both modes: equitable mode only
 adds a prune of overshot agents, and drops satisfied agents as each child is
 built, so the zero-target rule runs once, at the root.
 
-Before it picks an agent, every inner node is bounded by
-:func:`ecse.model.counting_bound`, which refutes by counting alone.  In
-equitable mode every agent left at an inner node is open and must be
-satisfied exactly its target more times, and each level's committee
-satisfies exactly its score, so the targets' sum must be a sum of one
-reachable score per level.  In egalitarian mode each level's best
-committee bounds both its threshold and how often it can satisfy open
-agents.  A refuted node has no yes below it, so pruning it keeps every
-verdict and, as the search order is unchanged, every witness.
+Every node whose budgets (and, in equitable mode, targets) are nonnegative
+is tested by :func:`ecse.model.counting_bound` before it branches.  The
+bound refutes by counting alone and, where no target is left open, decides
+the node outright; its docstring says why a refuted node has no yes below it.
 """
 
 from __future__ import annotations
@@ -124,15 +119,11 @@ def solve_branch(inst: Instance | PeInstance, max_nodes: int = MAX_NODES) -> Sol
     Equitable mode adds two steps: an overshot agent (negative target) fails
     the node, and satisfied agents are removed eagerly, their candidates
     becoming forbidden; the zero-target rule does so once for the root, and
-    each child is built without them.  A node where no target is left
-    positive is decided by the greedy score-maximal committee per level; in
-    equitable mode no agent is left there, so it accepts iff no positive
-    threshold remains.  Every other node must pass
-    :func:`~ecse.model.counting_bound` before it branches; a refuted node
-    counts in ``nodes_expanded`` and in ``bound_prunes``.  The bound is
-    sound in equitable mode because every agent left is open and the level
-    scores sum to the targets' sum, and in egalitarian mode because no level
-    scores more than its best committee.  The search runs through
+    each child is built without them.  Every node with nonnegative budgets
+    must pass :func:`~ecse.model.counting_bound`; one that passes without
+    an open target accepts, and its levels take their greedy score-maximal
+    committees.  A refuted node counts in ``nodes_expanded``, and in
+    ``bound_prunes`` if some target is still open.  The search runs through
     :func:`ecse.model.dfs`, which raises :class:`~ecse.model.UndecidedError`
     after ``max_nodes`` nodes.
     """
@@ -143,7 +134,7 @@ def solve_branch(inst: Instance | PeInstance, max_nodes: int = MAX_NODES) -> Sol
         "bound_prunes": 0,
     }
     path: list[tuple[PeInstance, int, tuple[int, ...]]] = []  # (node, agent, chosen levels)
-    leaf: list[set] = []  # greedy committees of the last leaf reached
+    leaf: list[PeInstance] = []  # the accepting node
 
     def expand(cur: PeInstance):
         stats["nodes_expanded"] += 1
@@ -151,19 +142,13 @@ def solve_branch(inst: Instance | PeInstance, max_nodes: int = MAX_NODES) -> Sol
             return False
         # every surviving depth step burned committee budget and one agent
         stats["max_depth"] = max(stats["max_depth"], len(path))
-        if all(y <= 0 for y in cur.yvec):
-            leaf[:] = [set() for _ in range(cur.tau)]
-            for t0 in range(cur.tau):
-                if cur.xvec[t0] > 0:
-                    support = row_support(cur.profile[t0])
-                    top = greedy_committee(support, cur.kvec[t0])
-                    if sum(support[c] for c in top) < cur.xvec[t0]:
-                        return False
-                    leaf[t0] = set(top)
-            return True
+        open_target = any(y > 0 for y in cur.yvec)
         if not counting_bound(cur):
-            stats["bound_prunes"] += 1
+            stats["bound_prunes"] += open_target
             return False
+        if not open_target:
+            leaf.append(cur)
+            return True
         a0 = _pick_agent(cur)
         return a0 is not None and children(cur, a0)
 
@@ -177,7 +162,11 @@ def solve_branch(inst: Instance | PeInstance, max_nodes: int = MAX_NODES) -> Sol
 
     if not dfs(rr_pe_qcse_zero_y(pe) if equitable else pe, expand, max_nodes):
         return SolveResult.no(stats)
+    committees = [
+        set(greedy_committee(row_support(row), k)) if x > 0 else set()
+        for row, k, x in zip(leaf[0].profile, leaf[0].kvec, leaf[0].xvec)
+    ]
     for cur, a0, chosen in path:
         for t0 in chosen:
-            leaf[t0].add(cur.profile[t0][a0])
-    return SolveResult.yes(CommitteeSequence.of(leaf), stats)
+            committees[t0].add(cur.profile[t0][a0])
+    return SolveResult.yes(CommitteeSequence.of(committees), stats)

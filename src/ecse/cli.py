@@ -2,10 +2,10 @@
 
 Subcommands: ``solve``, ``verify``, ``kernelize``, ``generate``,
 ``export-ip``, ``bench``.  Exit codes: 0 on success, 2 for input errors (bad
-arguments, unreadable or malformed files, unsuitable instances), 3 when a
-guard or a search node budget refused to decide, 4 on any other exception
-(its traceback goes to stderr; never a verdict); with ``--exit-verdict``, a
-successful ``solve`` exits 0 on yes and 1 on no.
+arguments, unreadable, unwritable or malformed files, unsuitable
+instances), 3 when a guard or a search node budget refused to decide, 4 on
+any other exception (its traceback goes to stderr; never a verdict); with
+``--exit-verdict``, a successful ``solve`` exits 0 on yes and 1 on no.
 """
 
 from __future__ import annotations
@@ -79,10 +79,20 @@ def _plain_instance(path: str, command: str) -> Instance:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from exc
+
+
+def _node_count(text: str) -> int:
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"expected a node count of 0 or more, got {count}")
+    return count
 
 
 def solve_with_algo(inst, algo: str, max_nodes: int = MAX_NODES):
@@ -157,7 +167,7 @@ def cmd_solve(args) -> int:
         if result.witness is not None:
             sys.stdout.write(formats.serialize_solution(result.witness))
     if args.out and result.witness is not None:
-        Path(args.out).write_text(formats.serialize_solution(result.witness), encoding="utf-8")
+        _emit(formats.serialize_solution(result.witness), args.out)
     if args.exit_verdict:
         return EXIT_OK if result.verdict == "yes" else EXIT_NO
     return EXIT_OK
@@ -310,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--algo", choices=ALGORITHMS, default="auto")
     solve.add_argument("--json", action="store_true")
     solve.add_argument("--exit-verdict", action="store_true")
-    solve.add_argument("--max-nodes", type=int, default=MAX_NODES)
+    solve.add_argument("--max-nodes", type=_node_count, default=MAX_NODES)
     solve.add_argument("--out")
     solve.set_defaults(func=cmd_solve)
 
@@ -349,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run solvers over a directory of instances")
     bench.add_argument("directory")
     bench.add_argument("--algo", action="append", choices=ALGORITHMS)
-    bench.add_argument("--max-nodes", type=int, default=MAX_NODES)
+    bench.add_argument("--max-nodes", type=_node_count, default=MAX_NODES)
     bench.add_argument("--out")
     bench.set_defaults(func=cmd_bench)
     return parser

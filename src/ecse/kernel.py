@@ -33,6 +33,7 @@ from .model import (
     CommitteeSequence,
     Instance,
     PeInstance,
+    _top_score,
     greedy_committee,
     rename_candidates,
     row_support,
@@ -105,12 +106,11 @@ def kernelize_ny(inst: Instance) -> KernelResult:
     log: list[tuple] = []
     every = tuple(range(1, inst.tau + 1))
 
-    supports = [row_support(row) for row in renamed.profile]
-    for t0, support in enumerate(supports):
-        top = greedy_committee(support, renamed.k)
-        if sum(support[c] for c in top) < renamed.x:
+    for t0, row in enumerate(renamed.profile):
+        if _top_score(row, renamed.k) < renamed.x:
             log.append(("no-valid-committee", t0 + 1))
             return KernelResult(True, "no", None, None, every, (), tuple(log))
+    supports = [row_support(row) for row in renamed.profile]
 
     table = compute_criticality(renamed)
     if not any(table.critical):

@@ -444,6 +444,13 @@ def counting_bound(pe: PeInstance) -> bool:
       level's ``kvec[t]`` best-supported candidates must reach ``xvec[t]``;
       and the open targets are met at most as often as the levels' best
       committees, counted over open agents, satisfy open agents.
+
+    So a search that prunes where it fails keeps every yes (the bounding
+    step of Land and Doig, 1960).  Where no target is positive, and in
+    equitable mode none is negative, it is also sufficient: the levels'
+    greedy committees are then a witness in egalitarian mode, and in
+    equitable mode, where electing a nominee overshoots its nominator, the
+    empty committees are one iff no threshold is positive.
     """
     is_open = [y > 0 for y in pe.yvec]
     need = sum(itertools.compress(pe.yvec, is_open))
@@ -580,13 +587,12 @@ def trivial_solve(inst: Instance) -> SolveResult | None:
     if inst.y == 0:
         if inst.egalitarian:
             # per level the top-k committee is score-maximal
-            committees = []
-            for row in inst.profile:
-                support = row_support(row)
-                best = greedy_committee(support, inst.k)
-                if sum(support[c] for c in best) < inst.x:
-                    return SolveResult.no({"trivial_y0_egalitarian": 1})
-                committees.append(best if inst.x > 0 else ())
+            if any(_top_score(row, inst.k) < inst.x for row in inst.profile):
+                return SolveResult.no({"trivial_y0_egalitarian": 1})
+            committees = [
+                greedy_committee(row_support(row), inst.k) if inst.x > 0 else ()
+                for row in inst.profile
+            ]
             return SolveResult.yes(CommitteeSequence.of(committees), {"trivial_y0_egalitarian": 1})
         # equitable: electing any nominated candidate overshoots its nominator
         if inst.x == 0:
@@ -596,32 +602,19 @@ def trivial_solve(inst: Instance) -> SolveResult | None:
 
     if inst.y == inst.tau:
         # every agent must score in every level: elect all nominated candidates
-        committees = []
-        for t in range(1, inst.tau + 1):
-            row = inst.profile[t - 1]
-            if any(c == 0 for c in row):
-                return SolveResult.no({"trivial_y_eq_tau": 1})
-            nominated = sorted(set(row))
-            if len(nominated) > inst.k:
-                return SolveResult.no({"trivial_y_eq_tau": 1})
-            committees.append(tuple(nominated))
-        if inst.n < inst.x:
-            return SolveResult.no({"trivial_y_eq_tau": 1})
-        return SolveResult.yes(CommitteeSequence.of(committees), {"trivial_y_eq_tau": 1})
+        stats = {"trivial_y_eq_tau": 1}
+        committees = [tuple(sorted(set(row))) for row in inst.profile]
+        if inst.n < inst.x or any(0 in c or len(c) > inst.k for c in committees):
+            return SolveResult.no(stats)
+        return SolveResult.yes(CommitteeSequence.of(committees), stats)
 
     if inst.egalitarian and inst.k >= inst.m:
         # electing everything is optimal
         stats = {"trivial_k_ge_m": 1}
-        nominate_counts = [0] * inst.n
-        for row in inst.profile:
-            for a0, c in enumerate(row):
-                if c != 0:
-                    nominate_counts[a0] += 1
-        if any(cnt < inst.y for cnt in nominate_counts):
+        if any(len(column) - column.count(0) < inst.y for column in zip(*inst.profile)):
             return SolveResult.no(stats)
-        for t in range(1, inst.tau + 1):
-            if sum(1 for c in inst.profile[t - 1] if c != 0) < inst.x:
-                return SolveResult.no(stats)
+        if any(_top_score(row, inst.k) < inst.x for row in inst.profile):
+            return SolveResult.no(stats)
         everyone = tuple(range(1, inst.m + 1))
         return SolveResult.yes(CommitteeSequence.of([everyone] * inst.tau), stats)
 

@@ -39,6 +39,8 @@ def solve_dp(inst: Instance, prune: bool = True) -> SolveResult:
     ``prune=False`` disables the equitable above-target cut (scores then run
     up to tau); it exists so tests can confirm the cut never changes the
     outcome.  Egalitarian mode always caps, which is its exact semantics.
+    Levels with equal renamed rows share one fingerprint table, but
+    ``committees_enumerated`` still adds its size once per level.
     """
     renamed, renaming = rename_candidates(inst)
     if renamed.n > MAX_AGENTS:
@@ -59,8 +61,11 @@ def solve_dp(inst: Instance, prune: bool = True) -> SolveResult:
     # frontier per level: score vector -> (previous vector, committee)
     trace: list[dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]] = []
     frontier: dict = {(0,) * renamed.n: None}
-    for t in range(1, renamed.tau + 1):
-        fps = list(level_fingerprints(renamed, t).items())
+    tables: dict[tuple[int, ...], list] = {}  # renamed row -> its fingerprints
+    for t, row in enumerate(renamed.profile, 1):
+        if row not in tables:
+            tables[row] = list(level_fingerprints(renamed, t).items())
+        fps = tables[row]
         stats["committees_enumerated"] += len(fps)
         nxt: dict = {}
         room = MAX_TABLE_ENTRIES - stats["table_entries"]

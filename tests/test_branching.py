@@ -323,6 +323,44 @@ def test_counting_bound_matches_enumeration():
     assert checked > 3000 and refuted > 500
 
 
+def _greedy_leaf_check(pe):
+    """The leaf test branching ran before the counting bound decided its
+    leaves: each level with a positive threshold reaches it with its greedy
+    committee of at most ``kvec[t]`` candidates."""
+    for row, k, x in zip(pe.profile, pe.kvec, pe.xvec):
+        if x > 0:
+            support = row_support(row)
+            if sum(support[c] for c in greedy_committee(support, k)) < x:
+                return False
+    return True
+
+
+def test_counting_bound_decides_leaves_like_the_greedy_check():
+    # leaves as the search meets them: no budget below 0 and no target above
+    # it; an equitable leaf has no negative target either (the search prunes
+    # those first) and loses its satisfied agents to the zero-target rule
+    rng = random.Random(14)
+    seen = {(mode, verdict): 0 for mode in (EGALITARIAN, EQUITABLE) for verdict in ("yes", "no")}
+    for seed in range(2000):
+        mode = (EGALITARIAN, EQUITABLE)[seed % 2]
+        n, m, tau = rng.randint(0, 6), rng.randint(1, 4), rng.randint(1, 4)
+        profile = random_instance(seed, n, m, tau, 0, 0, 0, mode, rng.choice((0.0, 0.3))).profile
+        kvec = tuple(rng.randint(0, 3) for _ in range(tau))
+        xvec = tuple(rng.randint(-1, 4) for _ in range(tau))
+        yvec = tuple(rng.randint(-2 if mode == EGALITARIAN else 0, 0) for _ in range(n))
+        pe = PeInstance(mode, n, m, tau, kvec, xvec, yvec, profile)
+        leaf = rr_pe_qcse_zero_y(pe) if mode == EQUITABLE else pe
+        expected = _greedy_leaf_check(leaf)
+        assert counting_bound(pe) == counting_bound(leaf) == expected, f"seed {seed}"
+        # the search decides such a root in one node, and no target is open to prune
+        result = solve_branch(pe)
+        assert result.verdict == ("yes" if expected else "no"), f"seed {seed}"
+        assert result.stats["nodes_expanded"] == 1 and result.stats["bound_prunes"] == 0
+        assert result.witness is None or verify(pe, result.witness).feasible
+        seen[mode, result.verdict] += 1
+    assert min(seen.values()) > 100, seen
+
+
 def test_search_matches_reference_search():
     yes = deep = deep_unbounded = pruned = 0
     for seed in range(1000):

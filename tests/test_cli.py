@@ -2,13 +2,14 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from ecse.cli import main
 from ecse.formats import parse_instance, parse_solution, serialize_instance
 from ecse.ip import solve_ip
-from ecse.model import EGALITARIAN, EQUITABLE, verify
+from ecse.model import EGALITARIAN, EQUITABLE, CommitteeSequence, verify
 from ecse.oracle import brute_solve
 from ecse.generators import (
     gen_3part,
@@ -488,3 +489,86 @@ def test_solve_refuses_a_huge_committee_enumeration_at_once(tmp_path, capsys):
     assert time.perf_counter() - started < 2.0
     assert code == 3 and out == ""
     assert "enumeration guard" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_negative_max_nodes_is_a_usage_error(command, trip_file, capsys):
+    target = trip_file if command == "solve" else str(Path(trip_file).parent)
+    code, out, err = run(capsys, command, target, "--max-nodes", "-5")
+    assert (code, out) == (2, "")
+    assert "usage:" in err and "--max-nodes" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{trip}", "--out", "{out}"],
+    ["generate", "--from", "random", "--out", "{out}"],
+    ["kernelize", "{wide}", "--out", "{out}"],
+    ["export-ip", "{trip}", "--out", "{out}"],
+    ["bench", "{dir}", "--out", "{out}"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_path_is_a_usage_error(argv, trip_file, capsys):
+    directory = Path(trip_file).parent
+    # kernelize writes only a reduced instance; bench reads only *.ecse files
+    wide = directory / "wide.txt"
+    wide.write_text(serialize_instance(
+        make_instance([(1, 1, 2)] * 8 + [(3, 3, 3)], mode=EGALITARIAN, k=1, x=2, y=1)
+    ))
+    out = directory / "missing" / "out.txt"
+    code, _, err = run(capsys, *[
+        a.format(trip=trip_file, wide=wide, dir=directory, out=out) for a in argv
+    ])
+    assert code == 2
+    assert f"cannot write {out}" in err and "Traceback" not in err
+
+
+def test_kernelize_json_keys(tmp_path, capsys):
+    keys = {"resolved", "verdict", "kept_levels", "deleted_levels", "rules"}
+    resolved = tmp_path / "tiny.ecse"
+    resolved.write_text(serialize_instance(make_instance([(1,), (1,)], mode=EGALITARIAN, k=1, x=0, y=1)))
+    code, out, _ = run(capsys, "kernelize", str(resolved), "--json")
+    payload = json.loads(out)
+    assert code == 0 and set(payload) == keys
+    assert payload["resolved"] is True and payload["verdict"] == "yes"
+    wide = tmp_path / "wide.ecse"
+    wide.write_text(serialize_instance(
+        make_instance([(1, 1, 2)] * 8 + [(3, 3, 3)], mode=EGALITARIAN, k=1, x=2, y=1)
+    ))
+    code, out, _ = run(capsys, "kernelize", str(wide), "--json")
+    payload = json.loads(out)
+    assert code == 0 and set(payload) == keys
+    assert payload == {
+        "resolved": False, "verdict": None, "kept_levels": [7, 8, 9],
+        "deleted_levels": [1, 2, 3, 4, 5, 6], "rules": [["delete-level", t] for t in range(1, 7)],
+    }
+
+
+def test_solve_tau2_json_witness_verifies(tmp_path, capsys):
+    path = tmp_path / "two.ecse"
+    code, _, _ = run(
+        capsys, "generate", "--from", "random", "--mode", "qcse", "--seed", "2", "--n", "6",
+        "--m", "4", "--tau", "2", "--k", "2", "--x", "1", "--y", "1", "--out", str(path),
+    )
+    assert code == 0
+    code, out, _ = run(capsys, "solve", str(path), "--algo", "tau2", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["algo"] == "tau2" and payload["verdict"] == "yes"
+    seq = CommitteeSequence.of(payload["committees"])
+    assert verify(parse_instance(path.read_text()), seq).feasible
+
+
+def test_bench_writes_undecided_rows(trip_file, capsys, monkeypatch):
+    # one level and one agent: the DP's table holds one vector, within the cap
+    directory = Path(trip_file).parent
+    (directory / "one.ecse").write_text(
+        serialize_instance(make_instance([(1,)], mode=EGALITARIAN, k=1, x=1, y=1))
+    )
+    monkeypatch.setattr("ecse.score_dp.MAX_TABLE_ENTRIES", 1)
+    code, out, _ = run(capsys, "bench", str(directory), "--algo", "dp")
+    assert code == 0
+    header, decided, refused = (line.split(",") for line in out.splitlines())
+    assert header == [
+        "instance", "algo", "verdict", "micros",
+        "committees_enumerated", "max_frontier", "table_entries",
+    ]
+    assert decided[:3] == ["one.ecse", "dp", "yes"] and decided[4:] == ["1", "1", "1"]
+    assert refused[:3] == ["trip.ecse", "dp", "undecided"] and refused[4:] == ["", "", ""]

@@ -2,10 +2,11 @@
 
 import pytest
 
-from ecse.model import EGALITARIAN, EQUITABLE, verify
+import ecse.score_dp
+from ecse.model import EGALITARIAN, EQUITABLE, CommitteeSequence, SolveResult, verify
 from ecse.oracle import brute_solve
 from ecse.score_dp import DpGuardError, solve_dp
-from ecse.generators import random_instance
+from ecse.generators import gen_3part, random_instance
 
 from conftest import make_instance
 
@@ -81,3 +82,24 @@ def test_table_cap_refuses_one_entry_past_it(mode, prune, monkeypatch):
     monkeypatch.setattr("ecse.score_dp.MAX_TABLE_ENTRIES", entries - 1)
     with pytest.raises(DpGuardError, match="score table"):
         solve_dp(inst, prune=prune)
+
+
+@pytest.mark.parametrize("mode, table_entries, max_frontier", [
+    (EGALITARIAN, 727, 372), (EQUITABLE, 132, 76),
+])
+def test_one_fingerprint_table_per_distinct_row(mode, table_entries, max_frontier, monkeypatch):
+    # 3-Partition repeats one row at all three levels, so one table serves them
+    inst = gen_3part([1, 1, 4, 2, 2, 2, 3, 2, 1], mode)
+    assert len(set(inst.profile)) == 1 and inst.tau == 3
+    calls = []
+    build = ecse.score_dp.level_fingerprints
+    monkeypatch.setattr(
+        "ecse.score_dp.level_fingerprints", lambda inst, t: calls.append(t) or build(inst, t)
+    )
+    witness = CommitteeSequence(((7, 8, 9), (4, 5, 6), (1, 2, 3)))
+    # each level still counts its table's 55 committees
+    stats = {
+        "table_entries": table_entries, "max_frontier": max_frontier, "committees_enumerated": 165,
+    }
+    assert solve_dp(inst) == SolveResult.yes(witness, stats)
+    assert calls == [1]
