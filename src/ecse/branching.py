@@ -9,20 +9,30 @@ parent is a yes iff some child is, so depth-first search over fingerprints
 decides the instance; depth is bounded by both the agent count and the total
 committee budget.  One search loop serves both modes: equitable mode only
 adds a prune of overshot agents, and drops satisfied agents as each child is
-built, so the zero-target rule runs once, at the root.
+applied, so the zero-target rule runs once, at the root.
+
+The search builds no sub-instance.  It keeps one mutable :class:`_Search`
+state: per level an index from each candidate to its live nominators, the
+budgets, thresholds and targets as lists, and which agents are still in.
+Each child is applied in place and undone from a trail once its subtree is
+done, as CDCL SAT solvers undo their assignments (Eén and Sörensson, "An
+extensible SAT-solver", SAT 2003).  :func:`branch_children` takes the same
+step and copies the state out as a :class:`~ecse.model.PeInstance`.
 
 Every node whose budgets (and, in equitable mode, targets) are nonnegative
-is tested by :func:`ecse.model.counting_bound` before it branches.  The
-bound refutes by counting alone and, where no target is left open, decides
-the node outright; its docstring says why a refuted node has no yes below it.
+is tested by the counting bound of :func:`ecse.model.counting_bound`, read
+off the index, before it branches.  The bound refutes by counting alone and,
+where no target is left open, decides the node outright; its docstring says
+why a refuted node has no yes below it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import comb
 
-from .kernel import rr_pe_qcse_zero_y, strike_agents
+from .kernel import rr_pe_qcse_zero_y
 from .model import (
     EQUITABLE,
     MAX_NODES,
@@ -30,52 +40,133 @@ from .model import (
     Instance,
     PeInstance,
     SolveResult,
+    _bound_from_supports,
     _check_agent,
-    counting_bound,
     dfs,
     greedy_committee,
     lift,
-    row_support,
 )
 
 
-def _level_choices(pe: PeInstance, a0: int):
-    """Elected-level sets of the eligible fingerprints of agent ``a0``, in
-    (popcount, position) order: at least y_a levels in egalitarian mode,
-    exactly y_a in equitable mode."""
-    levels = [t0 for t0, row in enumerate(pe.profile) if row[a0] != 0]
-    y = pe.yvec[a0]
-    sizes = (y,) if pe.mode == EQUITABLE else range(y, len(levels) + 1)
+def _fingerprints(levels: list[int], y: int, equitable: bool):
+    """Elected-level sets of an agent with target ``y`` and live nominations
+    at ``levels``, in (popcount, position) order: at least y levels in
+    egalitarian mode, exactly y in equitable mode."""
+    sizes = (y,) if equitable else range(y, len(levels) + 1)
     for size in sizes:
         yield from itertools.combinations(levels, size)
 
 
-def _child(pe: PeInstance, a0: int, chosen: tuple[int, ...]) -> PeInstance:
-    """The subinstance after committing agent ``a0`` to electing exactly its
-    nominees at the ``chosen`` levels.
+def _level_choices(pe: PeInstance, a0: int):
+    """Elected-level sets of the eligible fingerprints of agent ``a0``."""
+    levels = [t0 for t0, row in enumerate(pe.profile) if row[a0] != 0]
+    return _fingerprints(levels, pe.yvec[a0], pe.mode == EQUITABLE)
 
-    Each chosen level pays one unit of budget, and its nominee's supporters
-    each pay one unit of threshold and of their own target.  Agent ``a0`` is
-    struck; in equitable mode so is every agent whose target is now zero.
-    That equals applying the zero-target rule to the child with only ``a0``
-    struck: a satisfied agent's nominee at a level is either ``a0``'s, which
-    is erased anyway, or forbidden by that agent.  The rule changes no bound,
-    so the child is its own fixpoint, and an overshot agent (negative target)
-    is kept for the search to prune.
+
+class _Search:
+    """The one mutable node of the fingerprint search.
+
+    ``nominators[t0]`` maps each candidate still nominated at level ``t0``
+    to the list of its nominators.  Erasing a candidate pops its entry, and
+    no entry ever loses a single agent, so an agent's nomination at a level
+    is live iff its nominee in ``profile`` still has an entry there.
+    ``slots[a0]`` lists agent ``a0``'s nominations as ``(t0, nominators[t0],
+    candidate)``, and ``alive`` marks the agents not yet struck.  ``trail``
+    holds one frame per applied child, ``(agent, chosen levels, struck
+    agents, popped entries)``, so along the current path it is the list of
+    guesses made.
     """
-    kvec, xvec, yvec = list(pe.kvec), list(pe.xvec), list(pe.yvec)
-    for t0 in chosen:
-        row = pe.profile[t0]
-        mine = row[a0]
-        kvec[t0] -= 1
-        for b0, c in enumerate(row):
-            if c == mine:
-                xvec[t0] -= 1
+
+    def __init__(self, pe: PeInstance):
+        self.mode, self.m, self.profile = pe.mode, pe.m, pe.profile
+        self.equitable = pe.mode == EQUITABLE
+        self.kvec, self.xvec, self.yvec = list(pe.kvec), list(pe.xvec), list(pe.yvec)
+        self.alive = [True] * pe.n
+        self.nominators: list[dict[int, list[int]]] = []
+        self.slots: list[list[tuple[int, dict, int]]] = [[] for _ in range(pe.n)]
+        for t0, row in enumerate(pe.profile):
+            level: dict[int, list[int]] = {}
+            for a0, c in enumerate(row):
+                if c:
+                    level.setdefault(c, []).append(a0)
+                    self.slots[a0].append((t0, level, c))
+            self.nominators.append(level)
+        self.trail: list[tuple] = []
+
+    def levels(self, a0: int) -> list[int]:
+        """The levels at which agent ``a0`` still nominates a candidate."""
+        return [t0 for t0, level, c in self.slots[a0] if c in level]
+
+    def apply(self, a0: int, chosen: tuple[int, ...]) -> None:
+        """Commit agent ``a0`` to electing its nominees at exactly the
+        ``chosen`` levels, which must be live.
+
+        Each chosen level pays one unit of budget, and its nominee's
+        nominators each pay one unit of threshold and of their own target.
+        Agent ``a0`` is struck; in equitable mode so is every agent whose
+        target the payment brought to zero.  That equals applying the
+        zero-target rule to the child with only ``a0`` struck: a satisfied
+        agent's nominee at a level is either ``a0``'s, which is erased
+        anyway, or forbidden by that agent.  The rule changes no bound, so
+        the child is its own fixpoint, and an overshot agent (negative
+        target) is kept for the search to prune.
+        """
+        yvec, paid = self.yvec, []
+        for t0 in chosen:
+            voters = self.nominators[t0][self.profile[t0][a0]]
+            self.kvec[t0] -= 1
+            self.xvec[t0] -= len(voters)
+            for b0 in voters:
                 yvec[b0] -= 1
-    drop = {a0}
-    if pe.mode == EQUITABLE:
-        drop.update(b0 for b0, y in enumerate(yvec) if y == 0)
-    return strike_agents(pe, drop, kvec, xvec, yvec)
+            paid.append(voters)
+        struck = (a0,)
+        if self.equitable:
+            struck = {a0}.union(b0 for voters in paid for b0 in voters if yvec[b0] == 0)
+        popped = []
+        for b0 in struck:
+            self.alive[b0] = False
+            for _, level, c in self.slots[b0]:
+                voters = level.pop(c, None)
+                if voters:
+                    popped.append((level, c, voters))
+        self.trail.append((a0, chosen, struck, popped))
+
+    def undo(self) -> None:
+        """Take back the latest :meth:`apply`."""
+        a0, chosen, struck, popped = self.trail.pop()
+        for level, c, voters in popped:
+            level[c] = voters
+        for b0 in struck:
+            self.alive[b0] = True
+        for t0 in chosen:
+            voters = self.nominators[t0][self.profile[t0][a0]]
+            self.kvec[t0] += 1
+            self.xvec[t0] += len(voters)
+            for b0 in voters:
+                self.yvec[b0] += 1
+
+    def bound(self, need: int, all_open: bool) -> bool:
+        """:func:`~ecse.model.counting_bound` of the node, given the sum of
+        its positive targets and whether every live agent's target is
+        positive; the supports are the lengths of the index entries."""
+        supports = [list(map(len, level.values())) for level in self.nominators]
+        yvec = self.yvec
+        opens = supports if all_open else (
+            [s for s in (sum(yvec[b0] > 0 for b0 in voters) for voters in level.values()) if s]
+            for level in self.nominators
+        )
+        return _bound_from_supports(self.equitable, need, supports, opens, self.kvec, self.xvec)
+
+    def snapshot(self) -> PeInstance:
+        """The node as a sub-instance of its live agents."""
+        keep = [a0 for a0, alive in enumerate(self.alive) if alive]
+        rows = tuple(
+            tuple(c if c in level else 0 for c in (row[a0] for a0 in keep))
+            for row, level in zip(self.profile, self.nominators)
+        )
+        targets = tuple(self.yvec[a0] for a0 in keep)
+        kvec, xvec = tuple(self.kvec), tuple(self.xvec)
+        return PeInstance(self.mode, len(keep), self.m, len(rows), kvec, xvec, targets, rows)
 
 
 def branch_children(pe: PeInstance, a: int) -> list[PeInstance]:
@@ -91,19 +182,28 @@ def branch_children(pe: PeInstance, a: int) -> list[PeInstance]:
         raise ValueError(f"agent {a} has no positive target to branch on")
     if pe.yvec[a0] > sum(1 for row in pe.profile if row[a0] != 0):
         raise ValueError(f"agent {a} admits no eligible fingerprint")
-    return [_child(pe, a0, chosen) for chosen in _level_choices(pe, a0)]
+    node = _Search(pe)
+    children = []
+    for chosen in _level_choices(pe, a0):
+        node.apply(a0, chosen)
+        child = node.snapshot()
+        node.undo()
+        # the search's root has no satisfied agent, but pe may have some
+        children.append(rr_pe_qcse_zero_y(child) if node.equitable else child)
+    return children
 
 
-def _pick_agent(pe: PeInstance) -> int | None:
-    """Open agent with the fewest eligible fingerprints (ties: lowest index),
-    counted in one pass over the columns; None at the first open agent
-    without any."""
-    equitable = pe.mode == EQUITABLE
+def _pick_agent(node: _Search) -> int | None:
+    """Open agent with the fewest eligible fingerprints (ties: lowest index);
+    None at the first open agent without any."""
+    degree = Counter(itertools.chain.from_iterable(
+        itertools.chain.from_iterable(map(dict.values, node.nominators))
+    ))  # live nominations per agent
     best = best_count = None
-    for a0, (y, column) in enumerate(zip(pe.yvec, zip(*pe.profile))):
-        if y > 0:
-            d = len(column) - column.count(0)
-            count = comb(d, y) if equitable else sum(comb(d, s) for s in range(y, d + 1))
+    for a0, (alive, y) in enumerate(zip(node.alive, node.yvec)):
+        if alive and y > 0:
+            d = degree[a0]
+            count = comb(d, y) if node.equitable else sum(comb(d, s) for s in range(y, d + 1))
             if count == 0:
                 return None
             if best is None or count < best_count:
@@ -119,11 +219,11 @@ def solve_branch(inst: Instance | PeInstance, max_nodes: int = MAX_NODES) -> Sol
     Equitable mode adds two steps: an overshot agent (negative target) fails
     the node, and satisfied agents are removed eagerly, their candidates
     becoming forbidden; the zero-target rule does so once for the root, and
-    each child is built without them.  Every node with nonnegative budgets
-    must pass :func:`~ecse.model.counting_bound`; one that passes without
-    an open target accepts, and its levels take their greedy score-maximal
-    committees.  A refuted node counts in ``nodes_expanded``, and in
-    ``bound_prunes`` if some target is still open.  The search runs through
+    each child is applied without them.  Every node with nonnegative budgets
+    must pass the counting bound; one that passes without an open target
+    accepts, and its levels take their greedy score-maximal committees.  A
+    refuted node counts in ``nodes_expanded``, and in ``bound_prunes`` if
+    some target is still open.  The search runs through
     :func:`ecse.model.dfs`, which raises :class:`~ecse.model.UndecidedError`
     after ``max_nodes`` nodes.
     """
@@ -133,40 +233,43 @@ def solve_branch(inst: Instance | PeInstance, max_nodes: int = MAX_NODES) -> Sol
         "nodes_expanded": 0, "fingerprints_tried": 0, "max_depth": 0, "max_children": 0,
         "bound_prunes": 0,
     }
-    path: list[tuple[PeInstance, int, tuple[int, ...]]] = []  # (node, agent, chosen levels)
-    leaf: list[PeInstance] = []  # the accepting node
 
-    def expand(cur: PeInstance):
+    def expand(node: _Search):
         stats["nodes_expanded"] += 1
-        if any(k < 0 for k in cur.kvec) or (equitable and any(y < 0 for y in cur.yvec)):
+        live = list(itertools.compress(node.yvec, node.alive))
+        low = min(live, default=1)
+        if min(node.kvec) < 0 or (equitable and low < 0):
             return False
         # every surviving depth step burned committee budget and one agent
-        stats["max_depth"] = max(stats["max_depth"], len(path))
-        open_target = any(y > 0 for y in cur.yvec)
-        if not counting_bound(cur):
-            stats["bound_prunes"] += open_target
+        stats["max_depth"] = max(stats["max_depth"], len(node.trail))
+        need = sum(y for y in live if y > 0)
+        if not node.bound(need, low > 0):
+            stats["bound_prunes"] += need > 0
             return False
-        if not open_target:
-            leaf.append(cur)
+        if not need:
             return True
-        a0 = _pick_agent(cur)
-        return a0 is not None and children(cur, a0)
+        a0 = _pick_agent(node)
+        return a0 is not None and children(
+            node, a0, _fingerprints(node.levels(a0), node.yvec[a0], equitable)
+        )
 
-    def children(cur: PeInstance, a0: int):
-        for count, chosen in enumerate(_level_choices(cur, a0), 1):
+    def children(node: _Search, a0: int, choices):
+        for count, chosen in enumerate(choices, 1):
             stats["fingerprints_tried"] += 1
             stats["max_children"] = max(stats["max_children"], count)
-            path.append((cur, a0, chosen))
-            yield _child(cur, a0, chosen)
-            path.pop()
+            node.apply(a0, chosen)
+            yield node
+            node.undo()
 
-    if not dfs(rr_pe_qcse_zero_y(pe) if equitable else pe, expand, max_nodes):
+    root = _Search(rr_pe_qcse_zero_y(pe) if equitable else pe)
+    if not dfs(root, expand, max_nodes):
         return SolveResult.no(stats)
+    # the accepting leaf is still applied, and its trail is the path to it
     committees = [
-        set(greedy_committee(row_support(row), k)) if x > 0 else set()
-        for row, k, x in zip(leaf[0].profile, leaf[0].kvec, leaf[0].xvec)
+        set(greedy_committee({c: len(v) for c, v in level.items()}, k)) if x > 0 else set()
+        for level, k, x in zip(root.nominators, root.kvec, root.xvec)
     ]
-    for cur, a0, chosen in path:
+    for a0, chosen, _, _ in root.trail:
         for t0 in chosen:
-            committees[t0].add(cur.profile[t0][a0])
+            committees[t0].add(root.profile[t0][a0])
     return SolveResult.yes(CommitteeSequence.of(committees), stats)

@@ -286,7 +286,7 @@ def cmd_bench(args) -> int:
     rows = []
     counter_keys: set[str] = set()
     for path in paths:
-        inst = formats.parse_instance(path.read_text(encoding="utf-8"))
+        inst = formats.parse_instance(_read(str(path)))
         for algo in algos:
             started = time.perf_counter()
             try:

@@ -18,9 +18,9 @@ before the first deletion.  Deleting each unneeded level as the sweep reaches
 it, and promoting agents whose count falls to ``n * y``, thus deletes exactly
 what repeatedly deleting the first unneeded level would.
 
-``strike_agents`` builds every sub-instance that drops agents: the zero-target
-rule and each child of fingerprint branching, in both modes.  At each level it
-erases every nomination of a candidate that a dropped agent nominates there.
+``strike_agents`` builds the sub-instance of the zero-target rule, which drops
+the satisfied agents: at each level it erases every nomination of a candidate
+that a dropped agent nominates there.
 """
 
 from __future__ import annotations
@@ -106,11 +106,11 @@ def kernelize_ny(inst: Instance) -> KernelResult:
     log: list[tuple] = []
     every = tuple(range(1, inst.tau + 1))
 
-    for t0, row in enumerate(renamed.profile):
-        if _top_score(row, renamed.k) < renamed.x:
+    supports = [row_support(row) for row in renamed.profile]
+    for t0, support in enumerate(supports):
+        if _top_score(support.values(), renamed.k) < renamed.x:
             log.append(("no-valid-committee", t0 + 1))
             return KernelResult(True, "no", None, None, every, (), tuple(log))
-    supports = [row_support(row) for row in renamed.profile]
 
     table = compute_criticality(renamed)
     if not any(table.critical):

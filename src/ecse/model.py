@@ -394,13 +394,12 @@ def greedy_committee(support: dict[int, int], k: int, include: int | None = None
     return tuple(sorted(picked))
 
 
-def _score_set(row, k: int, x: int) -> int:
+def _score_set(supports, k: int, x: int) -> int:
     """Bitmask of the scores of at least ``x`` that some committee of at
-    most ``k`` candidates reaches in ``row`` (bit s set iff s is reached):
-    a subset sum over the candidates' supports, bounded in cardinality."""
+    most ``k`` candidates with these ``supports`` reaches (bit s set iff s
+    is reached): a subset sum over the supports, bounded in cardinality."""
     if k < 0:
         return 0
-    supports = row_support(row).values()
     if k >= len(supports):
         scores = 1
         for w in supports:
@@ -408,7 +407,7 @@ def _score_set(row, k: int, x: int) -> int:
     else:
         # bit j * stride + s: some j candidates score s; a candidate of
         # support w moves (j, s) to (j + 1, s + w), and keep drops j > k
-        stride = len(row) + 1
+        stride = sum(supports) + 1
         keep = (1 << (k + 1) * stride) - 1
         pairs = 1
         for w in supports:
@@ -421,9 +420,10 @@ def _score_set(row, k: int, x: int) -> int:
     return scores >> x << x if x > 0 else scores
 
 
-def _top_score(row, k: int) -> int:
-    """Score of the best committee of at most ``k`` candidates in ``row``."""
-    return sum(sorted(row_support(row).values(), reverse=True)[:k])
+def _top_score(supports, k: int) -> int:
+    """Score of the best committee of at most ``k`` candidates with these
+    ``supports``."""
+    return sum(sorted(supports, reverse=True)[:k])
 
 
 def counting_bound(pe: PeInstance) -> bool:
@@ -454,14 +454,23 @@ def counting_bound(pe: PeInstance) -> bool:
     """
     is_open = [y > 0 for y in pe.yvec]
     need = sum(itertools.compress(pe.yvec, is_open))
-    rows = pe.profile if all(is_open) else [
-        tuple(itertools.compress(row, is_open)) for row in pe.profile
+    supports = [row_support(row).values() for row in pe.profile]
+    opens = supports if all(is_open) else [
+        row_support(itertools.compress(row, is_open)).values() for row in pe.profile
     ]
-    if pe.mode == EQUITABLE:
+    return _bound_from_supports(pe.mode == EQUITABLE, need, supports, opens, pe.kvec, pe.xvec)
+
+
+def _bound_from_supports(equitable: bool, need: int, supports, opens, kvec, xvec) -> bool:
+    """The arithmetic of :func:`counting_bound`, given the open targets'
+    sum ``need`` and per level the supports of the nominated candidates,
+    counted over all agents (``supports``) and over the open agents only
+    (``opens``)."""
+    if equitable:
         mask = (2 << need) - 1
         reach = 1  # bit s: the levels so far can satisfy s open agents in all
-        for row, k, x in zip(rows, pe.kvec, pe.xvec):
-            scores = _score_set(row, k, x) & mask
+        for level, k, x in zip(opens, kvec, xvec):
+            scores = _score_set(level, k, x) & mask
             total = 0
             while scores:
                 low = scores & -scores  # 2**s for the lowest score s left
@@ -471,14 +480,14 @@ def counting_bound(pe: PeInstance) -> bool:
             if not reach:
                 return False
         return bool(reach >> need & 1)
-    for row, k, x in zip(pe.profile, pe.kvec, pe.xvec):
-        if k < 0 or x > 0 and _top_score(row, k) < x:
+    for level, k, x in zip(supports, kvec, xvec):
+        if k < 0 or x > 0 and _top_score(level, k) < x:
             return False
     best = 0
-    for row, k in zip(rows, pe.kvec):
+    for level, k in zip(opens, kvec):
         if best >= need:
             break
-        best += _top_score(row, k)
+        best += _top_score(level, k)
     return need <= best
 
 
@@ -587,7 +596,7 @@ def trivial_solve(inst: Instance) -> SolveResult | None:
     if inst.y == 0:
         if inst.egalitarian:
             # per level the top-k committee is score-maximal
-            if any(_top_score(row, inst.k) < inst.x for row in inst.profile):
+            if any(_top_score(row_support(row).values(), inst.k) < inst.x for row in inst.profile):
                 return SolveResult.no({"trivial_y0_egalitarian": 1})
             committees = [
                 greedy_committee(row_support(row), inst.k) if inst.x > 0 else ()
@@ -613,7 +622,7 @@ def trivial_solve(inst: Instance) -> SolveResult | None:
         stats = {"trivial_k_ge_m": 1}
         if any(len(column) - column.count(0) < inst.y for column in zip(*inst.profile)):
             return SolveResult.no(stats)
-        if any(_top_score(row, inst.k) < inst.x for row in inst.profile):
+        if any(_top_score(row_support(row).values(), inst.k) < inst.x for row in inst.profile):
             return SolveResult.no(stats)
         everyone = tuple(range(1, inst.m + 1))
         return SolveResult.yes(CommitteeSequence.of([everyone] * inst.tau), stats)

@@ -1,11 +1,13 @@
 """Fingerprint branching: children semantics, solver verdicts, search bounds."""
 
+import copy
 import itertools
 import random
 
 import pytest
 
 from ecse.branching import (
+    _Search,
     _level_choices,
     branch_children,
     lift,
@@ -226,6 +228,31 @@ def _reference_child(pe, a0, chosen):
         for row in pe.profile
     )
     return PeInstance(pe.mode, pe.n - 1, pe.m, pe.tau, kvec, xvec, yvec, rows)
+
+
+def test_branch_children_match_reference_child():
+    # each child is applied in place, copied out and undone; undoing every
+    # child leaves the search state exactly as it was built
+    branched = 0
+    for seed in range(400):
+        pe = _random_pe(seed)
+        for a0, y in enumerate(pe.yvec):
+            if not 0 < y <= sum(1 for row in pe.profile if row[a0] != 0):
+                continue
+            expected = [_reference_child(pe, a0, chosen) for chosen in _level_choices(pe, a0)]
+            if pe.mode == EQUITABLE:
+                expected = [rr_pe_qcse_zero_y(child) for child in expected]
+            assert branch_children(pe, a0 + 1) == expected, f"seed {seed}, agent {a0 + 1}"
+            node = _Search(pe)
+            built = copy.deepcopy(vars(node))
+            for chosen in _level_choices(pe, a0):
+                node.apply(a0, chosen)
+                assert vars(node) != built, f"seed {seed}, agent {a0 + 1}"
+                node.undo()
+            assert vars(node) == built, f"seed {seed}, agent {a0 + 1}"
+            assert node.snapshot() == pe
+            branched += len(expected)
+    assert branched > 1000
 
 
 def _reference_bound(pe):

@@ -240,6 +240,16 @@ def test_bench_empty_dir(tmp_path, capsys):
     assert code == 2 and "no .ecse" in err
 
 
+def test_bench_unreadable_entry_is_a_usage_error(trip_file, capsys):
+    # a directory whose name ends in .ecse is an input error, not a crash
+    directory = Path(trip_file).parent
+    (directory / "x.ecse").mkdir()
+    code, out, err = run(capsys, "bench", str(directory))
+    assert code == 2
+    assert "cannot read" in err and "x.ecse" in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_generate_solve_verify_pipeline(tmp_path, capsys):
     """File-level round trip: generated instances solve, and emitted
     witnesses verify as feasible through the verify subcommand."""
