@@ -25,7 +25,6 @@ from .model import (
     Violation,
     agent_score,
     committee_score,
-    counting_bound,
     enumerate_valid_committees,
     level_fingerprints,
     rename_candidates,
@@ -43,7 +42,7 @@ from .formats import (
 )
 from .oracle import OracleLimitError, OracleLimits, brute_solve, brute_solve_generalized
 from .kernel import CriticalityTable, KernelResult, compute_criticality, kernelize_ny, rr_pe_qcse_zero_y
-from .branching import branch_children, lift, solve_branch
+from .branching import branch_children, counting_bound, lift, solve_branch
 from .score_dp import DpGuardError, solve_dp
 from .tau2 import (
     CbivcsInstance,

@@ -14,13 +14,14 @@ applied, so the zero-target rule runs once, at the root.
 The search builds no sub-instance.  It keeps one mutable :class:`_Search`
 state: per level an index from each candidate to its live nominators, the
 budgets, thresholds and targets as lists, and which agents are still in.
-Each child is applied in place and undone from a trail once its subtree is
-done, as CDCL SAT solvers undo their assignments (Eén and Sörensson, "An
-extensible SAT-solver", SAT 2003).  :func:`branch_children` takes the same
-step and copies the state out as a :class:`~ecse.model.PeInstance`.
+:func:`_children` applies each child in place and undoes it from a trail
+once its subtree is done, as CDCL SAT solvers undo their assignments (Eén
+and Sörensson, "An extensible SAT-solver", SAT 2003).  :func:`solve_branch`
+searches over what it yields, and :func:`branch_children` copies each child
+out as a :class:`~ecse.model.PeInstance`.
 
 Every node whose budgets (and, in equitable mode, targets) are nonnegative
-is tested by the counting bound of :func:`ecse.model.counting_bound`, read
+is tested by :func:`counting_bound`, which :meth:`_Search.bound` computes
 off the index, before it branches.  The bound refutes by counting alone and,
 where no target is left open, decides the node outright; its docstring says
 why a refuted node has no yes below it.
@@ -29,7 +30,6 @@ why a refuted node has no yes below it.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from math import comb
 
 from .kernel import rr_pe_qcse_zero_y
@@ -40,27 +40,69 @@ from .model import (
     Instance,
     PeInstance,
     SolveResult,
-    _bound_from_supports,
     _check_agent,
+    _top_score,
     dfs,
     greedy_committee,
     lift,
 )
 
 
-def _fingerprints(levels: list[int], y: int, equitable: bool):
-    """Elected-level sets of an agent with target ``y`` and live nominations
-    at ``levels``, in (popcount, position) order: at least y levels in
-    egalitarian mode, exactly y in equitable mode."""
-    sizes = (y,) if equitable else range(y, len(levels) + 1)
-    for size in sizes:
-        yield from itertools.combinations(levels, size)
+def _score_set(supports, k: int, x: int) -> int:
+    """Bitmask of the scores of at least ``x`` that some committee of at
+    most ``k`` candidates with these ``supports`` reaches (bit s set iff s
+    is reached): a subset sum over the supports, bounded in cardinality."""
+    if k < 0:
+        return 0
+    if k >= len(supports):
+        scores = 1
+        for w in supports:
+            scores |= scores << w
+    else:
+        # bit j * stride + s: some j candidates score s; a candidate of
+        # support w moves (j, s) to (j + 1, s + w), and keep drops j > k
+        stride = sum(supports) + 1
+        keep = (1 << (k + 1) * stride) - 1
+        pairs = 1
+        for w in supports:
+            pairs |= (pairs << stride + w) & keep
+        low = (1 << stride) - 1
+        scores = 0
+        while pairs:
+            scores |= pairs & low
+            pairs >>= stride
+    return scores >> x << x if x > 0 else scores
 
 
-def _level_choices(pe: PeInstance, a0: int):
-    """Elected-level sets of the eligible fingerprints of agent ``a0``."""
-    levels = [t0 for t0, row in enumerate(pe.profile) if row[a0] != 0]
-    return _fingerprints(levels, pe.yvec[a0], pe.mode == EQUITABLE)
+def counting_bound(pe: PeInstance) -> bool:
+    """A necessary condition for a yes, by counting alone: False only when
+    no committee sequence meets the budgets, thresholds and targets.
+
+    Only the open agents (positive target) are counted toward the targets.
+    No committee is enumerated, so unlike
+    :func:`~ecse.model.valid_committees` the check never raises
+    :class:`~ecse.model.EnumerationLimitError`.
+
+    * Equitable mode: a feasible sequence satisfies no agent with target
+      zero or less, so each level's committee satisfies exactly as many open
+      agents as its score, and the level scores sum to the open targets'
+      sum.  That sum must therefore lie in the sumset of the per-level score
+      sets, each a subset sum of open supports under the level's budget and
+      threshold (Bellman's subset-sum recurrence, on bitmasks).
+    * Egalitarian mode: every agent counts toward the thresholds, so each
+      level's ``kvec[t]`` best-supported candidates must reach ``xvec[t]``;
+      and the open targets are met at most as often as the levels' best
+      committees, counted over open agents, satisfy open agents.
+
+    So a search that prunes where it fails keeps every yes (the bounding
+    step of Land and Doig, 1960).  Where no target is positive, and in
+    equitable mode none is negative, it is also sufficient: the levels'
+    greedy committees are then a witness in egalitarian mode, and in
+    equitable mode, where electing a nominee overshoots its nominator, the
+    empty committees are one iff no threshold is positive.
+    """
+    yvec = pe.yvec
+    return _Search(pe).bound(sum(y for y in yvec if y > 0), min(yvec, default=1) > 0)
 
 
 class _Search:
@@ -146,16 +188,41 @@ class _Search:
                 self.yvec[b0] += 1
 
     def bound(self, need: int, all_open: bool) -> bool:
-        """:func:`~ecse.model.counting_bound` of the node, given the sum of
-        its positive targets and whether every live agent's target is
-        positive; the supports are the lengths of the index entries."""
+        """:func:`counting_bound` of the node, given the sum ``need`` of its
+        positive targets and whether every live agent's target is positive.
+
+        Per level, ``supports`` are the lengths of the index entries, counted
+        over all live agents, and ``opens`` count the open agents only.
+        """
+        yvec, kvec, xvec = self.yvec, self.kvec, self.xvec
         supports = [list(map(len, level.values())) for level in self.nominators]
-        yvec = self.yvec
         opens = supports if all_open else (
             [s for s in (sum(yvec[b0] > 0 for b0 in voters) for voters in level.values()) if s]
             for level in self.nominators
         )
-        return _bound_from_supports(self.equitable, need, supports, opens, self.kvec, self.xvec)
+        if self.equitable:
+            mask = (2 << need) - 1
+            reach = 1  # bit s: the levels so far can satisfy s open agents in all
+            for level, k, x in zip(opens, kvec, xvec):
+                scores = _score_set(level, k, x) & mask
+                total = 0
+                while scores:
+                    low = scores & -scores  # 2**s for the lowest score s left
+                    total |= reach * low
+                    scores ^= low
+                reach = total & mask
+                if not reach:
+                    return False
+            return bool(reach >> need & 1)
+        for level, k, x in zip(supports, kvec, xvec):
+            if k < 0 or x > 0 and _top_score(level, k) < x:
+                return False
+        best = 0
+        for level, k in zip(opens, kvec):
+            if best >= need:
+                break
+            best += _top_score(level, k)
+        return need <= best
 
     def snapshot(self) -> PeInstance:
         """The node as a sub-instance of its live agents."""
@@ -169,6 +236,22 @@ class _Search:
         return PeInstance(self.mode, len(keep), self.m, len(rows), kvec, xvec, targets, rows)
 
 
+def _children(node: _Search, a0: int):
+    """Apply each eligible fingerprint of open agent ``a0`` to ``node``,
+    yield the node, and undo the fingerprint again.
+
+    Fingerprints are the sets of live levels that elect ``a0``'s nominee,
+    in (popcount, position) order: at least ``y`` levels in egalitarian
+    mode and exactly ``y`` in equitable mode, for ``a0``'s target ``y``.
+    """
+    levels, y = node.levels(a0), node.yvec[a0]
+    for size in (y,) if node.equitable else range(y, len(levels) + 1):
+        for chosen in itertools.combinations(levels, size):
+            node.apply(a0, chosen)
+            yield node
+            node.undo()
+
+
 def branch_children(pe: PeInstance, a: int) -> list[PeInstance]:
     """One child instance per eligible fingerprint of agent ``a``.
 
@@ -180,29 +263,21 @@ def branch_children(pe: PeInstance, a: int) -> list[PeInstance]:
     a0 = a - 1
     if pe.yvec[a0] <= 0:
         raise ValueError(f"agent {a} has no positive target to branch on")
-    if pe.yvec[a0] > sum(1 for row in pe.profile if row[a0] != 0):
-        raise ValueError(f"agent {a} admits no eligible fingerprint")
     node = _Search(pe)
-    children = []
-    for chosen in _level_choices(pe, a0):
-        node.apply(a0, chosen)
-        child = node.snapshot()
-        node.undo()
-        # the search's root has no satisfied agent, but pe may have some
-        children.append(rr_pe_qcse_zero_y(child) if node.equitable else child)
-    return children
+    children = [node.snapshot() for _ in _children(node, a0)]
+    if not children:
+        raise ValueError(f"agent {a} admits no eligible fingerprint")
+    # the search's root has no satisfied agent, but pe may have some
+    return [rr_pe_qcse_zero_y(child) for child in children] if node.equitable else children
 
 
 def _pick_agent(node: _Search) -> int | None:
     """Open agent with the fewest eligible fingerprints (ties: lowest index);
     None at the first open agent without any."""
-    degree = Counter(itertools.chain.from_iterable(
-        itertools.chain.from_iterable(map(dict.values, node.nominators))
-    ))  # live nominations per agent
     best = best_count = None
     for a0, (alive, y) in enumerate(zip(node.alive, node.yvec)):
         if alive and y > 0:
-            d = degree[a0]
+            d = len(node.levels(a0))
             count = comb(d, y) if node.equitable else sum(comb(d, s) for s in range(y, d + 1))
             if count == 0:
                 return None
@@ -249,17 +324,13 @@ def solve_branch(inst: Instance | PeInstance, max_nodes: int = MAX_NODES) -> Sol
         if not need:
             return True
         a0 = _pick_agent(node)
-        return a0 is not None and children(
-            node, a0, _fingerprints(node.levels(a0), node.yvec[a0], equitable)
-        )
+        return a0 is not None and counted(_children(node, a0))
 
-    def children(node: _Search, a0: int, choices):
-        for count, chosen in enumerate(choices, 1):
+    def counted(children):
+        for count, child in enumerate(children, 1):
             stats["fingerprints_tried"] += 1
             stats["max_children"] = max(stats["max_children"], count)
-            node.apply(a0, chosen)
-            yield node
-            node.undo()
+            yield child
 
     root = _Search(rr_pe_qcse_zero_y(pe) if equitable else pe)
     if not dfs(root, expand, max_nodes):

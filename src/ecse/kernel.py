@@ -17,10 +17,6 @@ critical agent can use) stays needed, and "nobody is critical" can only hold
 before the first deletion.  Deleting each unneeded level as the sweep reaches
 it, and promoting agents whose count falls to ``n * y``, thus deletes exactly
 what repeatedly deleting the first unneeded level would.
-
-``strike_agents`` builds the sub-instance of the zero-target rule, which drops
-the satisfied agents: at each level it erases every nomination of a candidate
-that a dropped agent nominates there.
 """
 
 from __future__ import annotations
@@ -180,20 +176,6 @@ def _non_critical_witness(renamed, table, supports) -> CommitteeSequence:
     return CommitteeSequence.of(committees)
 
 
-def strike_agents(pe: PeInstance, drop, kvec, xvec, yvec) -> PeInstance:
-    """The sub-instance without the agents in ``drop``: at each level every
-    nomination of a candidate that a dropped agent nominates there is erased
-    too.  ``kvec``/``xvec`` are the new per-level bounds and ``yvec`` holds
-    one target per agent of ``pe``; the dropped agents' entries are ignored."""
-    keep = [a0 for a0 in range(pe.n) if a0 not in drop]
-    rows = []
-    for row in pe.profile:
-        banned = {row[a0] for a0 in drop} - {0}
-        rows.append(tuple(0 if row[a0] in banned else row[a0] for a0 in keep))
-    targets = tuple(yvec[a0] for a0 in keep)
-    return PeInstance(pe.mode, len(keep), pe.m, pe.tau, tuple(kvec), tuple(xvec), targets, tuple(rows))
-
-
 def rr_pe_qcse_zero_y(pe: PeInstance) -> PeInstance:
     """Remove satisfied agents from an equitable pre-elected instance.
 
@@ -204,7 +186,13 @@ def rr_pe_qcse_zero_y(pe: PeInstance) -> PeInstance:
     """
     if pe.mode != EQUITABLE:
         raise ValueError("the zero-target rule applies to equitable instances")
-    zeros = {a0 for a0 in range(pe.n) if pe.yvec[a0] == 0}
+    zeros = [a0 for a0 in range(pe.n) if pe.yvec[a0] == 0]
     if not zeros:
         return pe
-    return strike_agents(pe, zeros, pe.kvec, pe.xvec, pe.yvec)
+    keep = [a0 for a0 in range(pe.n) if pe.yvec[a0] != 0]
+    rows = []
+    for row in pe.profile:
+        banned = {row[a0] for a0 in zeros} - {0}
+        rows.append(tuple(0 if row[a0] in banned else row[a0] for a0 in keep))
+    targets = tuple(pe.yvec[a0] for a0 in keep)
+    return PeInstance(pe.mode, len(keep), pe.m, pe.tau, pe.kvec, pe.xvec, targets, tuple(rows))

@@ -394,101 +394,10 @@ def greedy_committee(support: dict[int, int], k: int, include: int | None = None
     return tuple(sorted(picked))
 
 
-def _score_set(supports, k: int, x: int) -> int:
-    """Bitmask of the scores of at least ``x`` that some committee of at
-    most ``k`` candidates with these ``supports`` reaches (bit s set iff s
-    is reached): a subset sum over the supports, bounded in cardinality."""
-    if k < 0:
-        return 0
-    if k >= len(supports):
-        scores = 1
-        for w in supports:
-            scores |= scores << w
-    else:
-        # bit j * stride + s: some j candidates score s; a candidate of
-        # support w moves (j, s) to (j + 1, s + w), and keep drops j > k
-        stride = sum(supports) + 1
-        keep = (1 << (k + 1) * stride) - 1
-        pairs = 1
-        for w in supports:
-            pairs |= (pairs << stride + w) & keep
-        low = (1 << stride) - 1
-        scores = 0
-        while pairs:
-            scores |= pairs & low
-            pairs >>= stride
-    return scores >> x << x if x > 0 else scores
-
-
 def _top_score(supports, k: int) -> int:
     """Score of the best committee of at most ``k`` candidates with these
     ``supports``."""
     return sum(sorted(supports, reverse=True)[:k])
-
-
-def counting_bound(pe: PeInstance) -> bool:
-    """A necessary condition for a yes, by counting alone: False only when
-    no committee sequence meets the budgets, thresholds and targets.
-
-    Only the open agents (positive target) are counted toward the targets.
-    No committee is enumerated, so unlike :func:`valid_committees` the check
-    never raises :class:`EnumerationLimitError`.
-
-    * Equitable mode: a feasible sequence satisfies no agent with target
-      zero or less, so each level's committee satisfies exactly as many open
-      agents as its score, and the level scores sum to the open targets'
-      sum.  That sum must therefore lie in the sumset of the per-level score
-      sets, each a subset sum of open supports under the level's budget and
-      threshold (Bellman's subset-sum recurrence, on bitmasks).
-    * Egalitarian mode: every agent counts toward the thresholds, so each
-      level's ``kvec[t]`` best-supported candidates must reach ``xvec[t]``;
-      and the open targets are met at most as often as the levels' best
-      committees, counted over open agents, satisfy open agents.
-
-    So a search that prunes where it fails keeps every yes (the bounding
-    step of Land and Doig, 1960).  Where no target is positive, and in
-    equitable mode none is negative, it is also sufficient: the levels'
-    greedy committees are then a witness in egalitarian mode, and in
-    equitable mode, where electing a nominee overshoots its nominator, the
-    empty committees are one iff no threshold is positive.
-    """
-    is_open = [y > 0 for y in pe.yvec]
-    need = sum(itertools.compress(pe.yvec, is_open))
-    supports = [row_support(row).values() for row in pe.profile]
-    opens = supports if all(is_open) else [
-        row_support(itertools.compress(row, is_open)).values() for row in pe.profile
-    ]
-    return _bound_from_supports(pe.mode == EQUITABLE, need, supports, opens, pe.kvec, pe.xvec)
-
-
-def _bound_from_supports(equitable: bool, need: int, supports, opens, kvec, xvec) -> bool:
-    """The arithmetic of :func:`counting_bound`, given the open targets'
-    sum ``need`` and per level the supports of the nominated candidates,
-    counted over all agents (``supports``) and over the open agents only
-    (``opens``)."""
-    if equitable:
-        mask = (2 << need) - 1
-        reach = 1  # bit s: the levels so far can satisfy s open agents in all
-        for level, k, x in zip(opens, kvec, xvec):
-            scores = _score_set(level, k, x) & mask
-            total = 0
-            while scores:
-                low = scores & -scores  # 2**s for the lowest score s left
-                total |= reach * low
-                scores ^= low
-            reach = total & mask
-            if not reach:
-                return False
-        return bool(reach >> need & 1)
-    for level, k, x in zip(supports, kvec, xvec):
-        if k < 0 or x > 0 and _top_score(level, k) < x:
-            return False
-    best = 0
-    for level, k in zip(opens, kvec):
-        if best >= need:
-            break
-        best += _top_score(level, k)
-    return need <= best
 
 
 def valid_committees(support: dict[int, int], k: int, x: int) -> list[Committee]:

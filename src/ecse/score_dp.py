@@ -33,12 +33,9 @@ MAX_AGENTS = 20
 MAX_TABLE_ENTRIES = 1_000_000
 
 
-def solve_dp(inst: Instance, prune: bool = True) -> SolveResult:
+def solve_dp(inst: Instance) -> SolveResult:
     """Exact verdict via the score-vector sweep; witness from back-pointers.
 
-    ``prune=False`` disables the equitable above-target cut (scores then run
-    up to tau); it exists so tests can confirm the cut never changes the
-    outcome.  Egalitarian mode always caps, which is its exact semantics.
     Levels with equal renamed rows share one fingerprint table, but
     ``committees_enumerated`` still adds its size once per level.
     """
@@ -53,10 +50,9 @@ def solve_dp(inst: Instance, prune: bool = True) -> SolveResult:
     def step(vec: tuple[int, ...], fp: tuple[int, ...]) -> tuple[int, ...] | None:
         if cap:
             return tuple(min(y, v + b) for v, b in zip(vec, fp))
+        # a step adds at most 1 to an entry of at most y, so y + 1 overshoots
         out = tuple(v + b for v, b in zip(vec, fp))
-        if prune and any(v > y for v in out):
-            return None
-        return out
+        return None if y + 1 in out else out
 
     # frontier per level: score vector -> (previous vector, committee)
     trace: list[dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]] = []

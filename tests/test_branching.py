@@ -7,9 +7,10 @@ import random
 import pytest
 
 from ecse.branching import (
+    _children,
     _Search,
-    _level_choices,
     branch_children,
+    counting_bound,
     lift,
     solve_branch,
 )
@@ -17,10 +18,11 @@ from ecse.kernel import rr_pe_qcse_zero_y
 from ecse.model import (
     EGALITARIAN,
     EQUITABLE,
+    EnumerationLimitError,
     PeInstance,
-    counting_bound,
     greedy_committee,
     row_support,
+    valid_committees,
     verify,
 )
 from ecse.oracle import brute_solve
@@ -50,12 +52,18 @@ def test_lift_preserves_verdicts():
         assert brute_solve(lift(inst)).verdict == brute_solve(inst).verdict
 
 
+def _choices(pe, a0):
+    """Elected-level sets of the fingerprints that the search applies for
+    agent ``a0`` at the root of ``pe``, in the order it tries them."""
+    return [node.trail[-1][1] for node in _children(_Search(pe), a0)]
+
+
 def test_agent_fingerprints_trip(trip_egalitarian, trip_equitable_x3):
     # a fingerprint is given by its set of elected levels (0-based)
-    choices = list(_level_choices(lift(trip_egalitarian), 0))
+    choices = _choices(lift(trip_egalitarian), 0)
     assert choices == [(0,), (1,), (0, 1)]
     assert all(len(chosen) >= 1 for chosen in choices)
-    assert list(_level_choices(lift(trip_equitable_x3), 0)) == [(0,), (1,)]
+    assert _choices(lift(trip_equitable_x3), 0) == [(0,), (1,)]
 
 
 def test_branch_children_updates(trip_egalitarian):
@@ -173,7 +181,7 @@ def test_solve_branch_dispatch(trip_egalitarian, trip_equitable_x3):
 def test_fingerprint_type_invariants(trip_equitable_x3):
     pe = lift(trip_equitable_x3)
     for a0 in range(6):
-        for chosen in _level_choices(pe, a0):
+        for chosen in _choices(pe, a0):
             assert isinstance(chosen, tuple)
             assert list(chosen) == sorted(set(chosen))
             assert all(0 <= t0 < pe.tau for t0 in chosen)
@@ -239,16 +247,14 @@ def test_branch_children_match_reference_child():
         for a0, y in enumerate(pe.yvec):
             if not 0 < y <= sum(1 for row in pe.profile if row[a0] != 0):
                 continue
-            expected = [_reference_child(pe, a0, chosen) for chosen in _level_choices(pe, a0)]
+            expected = [_reference_child(pe, a0, chosen) for chosen in _choices(pe, a0)]
             if pe.mode == EQUITABLE:
                 expected = [rr_pe_qcse_zero_y(child) for child in expected]
             assert branch_children(pe, a0 + 1) == expected, f"seed {seed}, agent {a0 + 1}"
             node = _Search(pe)
             built = copy.deepcopy(vars(node))
-            for chosen in _level_choices(pe, a0):
-                node.apply(a0, chosen)
+            for _ in _children(node, a0):
                 assert vars(node) != built, f"seed {seed}, agent {a0 + 1}"
-                node.undo()
             assert vars(node) == built, f"seed {seed}, agent {a0 + 1}"
             assert node.snapshot() == pe
             branched += len(expected)
@@ -437,3 +443,20 @@ def test_counting_bound_refutes_i20_at_the_root():
     result = solve_branch(inst)
     assert result.verdict == "no"
     assert result.stats["nodes_expanded"] == 1 and result.stats["bound_prunes"] == 1
+
+
+@pytest.mark.parametrize("mode", [EGALITARIAN, EQUITABLE])
+def test_wide_level_is_decided_without_enumeration(mode):
+    # one level of 40 distinct nominees is past the enumeration guard, but
+    # the bound only sums supports and the search only picks nominees
+    row = tuple(range(1, 41))
+    with pytest.raises(EnumerationLimitError):
+        valid_committees(row_support(row), 10, 5)
+    ten_open = PeInstance(mode, 40, 40, 1, (10,), (5,), (1,) * 10 + (0,) * 30, (row,))
+    assert counting_bound(ten_open)
+    result = solve_branch(ten_open)
+    assert result.verdict == "yes" and result.stats["nodes_expanded"] == 11
+    assert verify(ten_open, result.witness).feasible
+    all_open = PeInstance(mode, 40, 40, 1, (10,), (5,), (1,) * 40, (row,))
+    assert not counting_bound(all_open)
+    assert solve_branch(all_open).verdict == "no"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecse.branching import solve_branch
+from ecse.branching import counting_bound, solve_branch
 from ecse.cli import solve_with_algo
 from ecse.ip import solve_ip
 from ecse.model import (
@@ -16,7 +16,6 @@ from ecse.model import (
     EQUITABLE,
     Instance,
     PeInstance,
-    counting_bound,
     lift,
     trivial_solve,
     verify,

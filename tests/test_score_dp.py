@@ -56,32 +56,17 @@ def test_agrees_with_oracle_and_respects_bound():
         assert result.stats["max_frontier"] <= (inst.y + 1) ** inst.n
 
 
-def test_pruned_equals_unpruned_small():
-    """No vector with an overshot entry can come back: the cut is lossless."""
-    for seed in range(300):
-        inst = random_instance(
-            seed, n=1 + seed % 4, m=1 + seed % 4, tau=1 + seed % 4,
-            k=seed % 4, x=seed % 3, y=seed % 3,
-            mode=EQUITABLE, empty_prob=(seed % 3) / 10,
-        )
-        pruned = solve_dp(inst, prune=True)
-        unpruned = solve_dp(inst, prune=False)
-        assert pruned.verdict == unpruned.verdict, f"seed {seed}"
-        assert pruned.stats["table_entries"] <= unpruned.stats["table_entries"]
-
-
 @pytest.mark.parametrize("mode", [EGALITARIAN, EQUITABLE])
-@pytest.mark.parametrize("prune", [True, False])
-def test_table_cap_refuses_one_entry_past_it(mode, prune, monkeypatch):
+def test_table_cap_refuses_one_entry_past_it(mode, monkeypatch):
     inst = random_instance(3, 8, 4, 4, 2, 1, 1, mode)
-    full = solve_dp(inst, prune=prune)
+    full = solve_dp(inst)
     entries = full.stats["table_entries"]
     assert entries > 2
     monkeypatch.setattr("ecse.score_dp.MAX_TABLE_ENTRIES", entries)
-    assert solve_dp(inst, prune=prune) == full
+    assert solve_dp(inst) == full
     monkeypatch.setattr("ecse.score_dp.MAX_TABLE_ENTRIES", entries - 1)
     with pytest.raises(DpGuardError, match="score table"):
-        solve_dp(inst, prune=prune)
+        solve_dp(inst)
 
 
 @pytest.mark.parametrize("mode, table_entries, max_frontier", [
