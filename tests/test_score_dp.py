@@ -3,7 +3,10 @@
 import pytest
 
 import ecse.score_dp
-from ecse.model import EGALITARIAN, EQUITABLE, CommitteeSequence, SolveResult, verify
+from ecse.model import (
+    EGALITARIAN, EQUITABLE, CommitteeSequence, SolveResult, level_fingerprints,
+    rename_candidates, verify,
+)
 from ecse.oracle import brute_solve
 from ecse.score_dp import DpGuardError, solve_dp
 from ecse.generators import gen_3part, random_instance
@@ -88,3 +91,76 @@ def test_one_fingerprint_table_per_distinct_row(mode, table_entries, max_frontie
     }
     assert solve_dp(inst) == SolveResult.yes(witness, stats)
     assert calls == [1]
+
+
+def tuple_dp(inst):
+    """The score DP on tuple score vectors: a reference for the packed one."""
+    renamed, renaming = rename_candidates(inst)
+    y, cap = renamed.y, renamed.egalitarian
+
+    def step(vec, fp):
+        if cap:
+            return tuple(min(y, v + b) for v, b in zip(vec, fp))
+        out = tuple(v + b for v, b in zip(vec, fp))
+        return None if y + 1 in out else out
+
+    stats = {"table_entries": 0, "max_frontier": 0, "committees_enumerated": 0}
+    trace = []
+    frontier = {(0,) * renamed.n: None}
+    for t in range(1, renamed.tau + 1):
+        fps = list(level_fingerprints(renamed, t).items())
+        stats["committees_enumerated"] += len(fps)
+        nxt = {}
+        for vec in sorted(frontier):
+            for fp, committee in fps:
+                out = step(vec, fp)
+                if out is not None and out not in nxt:
+                    nxt[out] = (vec, committee)
+        frontier = nxt
+        trace.append(frontier)
+        stats["table_entries"] += len(frontier)
+        stats["max_frontier"] = max(stats["max_frontier"], len(frontier))
+    vec = (y,) * renamed.n
+    if vec not in trace[-1]:
+        return SolveResult.no(stats)
+    committees = []
+    for level in reversed(trace):
+        vec, committee = level[vec]
+        committees.append(committee)
+    witness = renaming.lift(CommitteeSequence(tuple(reversed(committees))))
+    return SolveResult.yes(witness, stats)
+
+
+@pytest.mark.parametrize("mode", [EGALITARIAN, EQUITABLE])
+@pytest.mark.parametrize("y", [0, 1, 2, 3, 6, 7])  # every field-width boundary
+def test_packed_vectors_match_tuple_reference(mode, y, monkeypatch):
+    # n = 20 packs scores into 40-100 bits, past one machine word
+    yes = 0
+    for seed in range(12):
+        n = (1, 3, 6, 9, 14, 20)[seed % 6]
+        tau = 1 + seed % 2 if n > 9 else max(y, 1) + seed % 3
+        inst = random_instance(
+            seed, n=n, m=1 + seed % 4, tau=tau, k=1 + seed % 3, x=seed % 2, y=y,
+            mode=mode, empty_prob=(seed % 3) / 5,
+        )
+        expected = tuple_dp(inst)
+        assert solve_dp(inst) == expected, f"seed {seed}"
+        yes += expected.verdict == "yes"
+        entries = expected.stats["table_entries"]
+        if entries:  # a cap one entry short of the reference's table refuses
+            with monkeypatch.context() as patch:
+                patch.setattr("ecse.score_dp.MAX_TABLE_ENTRIES", entries - 1)
+                refusal = f"^score table exceeds {entries - 1} entries$"
+                with pytest.raises(DpGuardError, match=refusal):
+                    solve_dp(inst)
+    assert yes  # some witnesses are compared, not only "no"
+
+
+def test_ln_rung_n8_pinned():
+    # the L-n ladder's rung at n = 8, seed 1, as the tuple DP decided it
+    inst = random_instance(1, 8, 5, 10, 2, 2, 3, EGALITARIAN)
+    witness = CommitteeSequence(
+        ((2, 3), (4,), (5,), (1, 2), (1, 4), (5,), (1,), (1,), (3, 5), (2, 3))
+    )
+    stats = {"table_entries": 80538, "max_frontier": 17602, "committees_enumerated": 100}
+    assert solve_dp(inst) == SolveResult.yes(witness, stats)
