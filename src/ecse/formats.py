@@ -55,12 +55,13 @@ class ParseError(ValueError):
 
 
 def _content_lines(text: str):
-    """Yield (line_number, tokens) for non-blank lines, comments stripped."""
+    """Yield (line_number, body) for non-blank lines, comments stripped.
+
+    Callers split a body into tokens only when they reach it."""
     for i, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
-        tokens = body.split()
-        if tokens:
-            yield i, tokens
+        if body and not body.isspace():
+            yield i, body
 
 
 def _int(token: str, line: int) -> int:
@@ -70,16 +71,65 @@ def _int(token: str, line: int) -> int:
         raise ParseError(line, f"expected an integer, got {token!r}") from None
 
 
+class _IntTable(dict):
+    """Token text -> ``int(token)``, parsed the first time a token is seen.
+
+    A level row repeats few distinct tokens (at most m + 1 canonical ones),
+    so most of its tokens cost one dictionary lookup instead of an ``int``
+    call, and equal entries share one int object."""
+
+    __slots__ = ()
+
+    def __missing__(self, token: str) -> int:
+        value = self[token] = int(token)
+        return value
+
+
+def _ints(tokens: list[str], line: int, table: _IntTable) -> tuple[int, ...]:
+    try:
+        return tuple(map(table.__getitem__, tokens))
+    except ValueError:
+        return tuple(_int(tok, line) for tok in tokens)  # names the bad token
+
+
+# characters of a level row split into tokens at a time; on a 10^6-entry
+# row, chunks of 1,024 to 8,192 parse equally fast and larger ones slower
+_CHUNK = 8192
+
+
+def _row(body: str, line: int, table: _IntTable) -> tuple[int, ...]:
+    """A level row's integers, split into tokens a chunk at a time, so only
+    one chunk's token strings are alive at once.  A chunk ends at a space:
+    a row without spaces (tab-separated, say) is split whole."""
+    out: list[int] = []
+    start, end = 0, len(body)
+    while start < end:
+        cut = body.find(" ", start + _CHUNK)
+        if cut < 0:
+            cut = end
+        out += _ints(body[start:cut].split(), line, table)
+        start = cut
+    return tuple(out)
+
+
 def parse_instance(text: str) -> Instance | PeInstance:
     """Parse an instance document; returns a PeInstance iff any vector line
-    is present."""
+    is present.
+
+    A level row is split into tokens only when the row loop reaches it, a
+    few thousand characters at a time, so at most one chunk's token list is
+    alive at once (chunks end at a space, so a row without spaces is split
+    whole).  Every integer list (level rows, ``kvec``, ``xvec``, ``yvec``)
+    goes through one per-document table from token text to int, so a
+    repeated token costs one lookup."""
     lines = list(_content_lines(text))
     if not lines:
         raise ParseError(1, "empty document")
+    table = _IntTable()
     pos = 0
 
-    line, tokens = lines[pos]
-    if tokens != ["ecse", "v1"]:
+    line, body = lines[pos]
+    if body.split() != ["ecse", "v1"]:
         raise ParseError(line, "expected header `ecse v1`")
     pos += 1
 
@@ -89,8 +139,9 @@ def parse_instance(text: str) -> Instance | PeInstance:
     while True:
         if pos >= len(lines):
             raise ParseError(lines[-1][0], "missing `levels` section")
-        line, tokens = lines[pos]
+        line, body = lines[pos]
         pos += 1
+        tokens = body.split()
         key = tokens[0]
         if key == "levels":
             if len(tokens) != 1:
@@ -111,7 +162,7 @@ def parse_instance(text: str) -> Instance | PeInstance:
         elif key in _VECTOR_KEYS:
             if key in vectors:
                 raise ParseError(line, f"duplicate `{key}`")
-            vectors[key] = tuple(_int(tok, line) for tok in tokens[1:])
+            vectors[key] = _ints(tokens[1:], line, table)
         else:
             raise ParseError(line, f"unknown key {key!r}")
 
@@ -130,14 +181,11 @@ def parse_instance(text: str) -> Instance | PeInstance:
     while len(rows) < expected_rows:
         if pos >= len(lines):
             raise ParseError(lines[-1][0], f"expected {expected_rows} level rows, got {len(rows)}")
-        line, tokens = lines[pos]
+        line, body = lines[pos]
         pos += 1
-        if tokens == ["end"]:
+        if body.strip() == "end":
             raise ParseError(line, f"expected {expected_rows} level rows, got {len(rows)}")
-        try:
-            row = tuple(map(int, tokens))
-        except ValueError:
-            row = tuple(_int(tok, line) for tok in tokens)  # names the bad token
+        row = _row(body, line, table)
         if len(row) != n:
             raise ParseError(line, f"level row has {len(row)} entries, expected n={n}")
         rows.append(row)
@@ -146,9 +194,9 @@ def parse_instance(text: str) -> Instance | PeInstance:
 
     if pos >= len(lines):
         raise ParseError(lines[-1][0], "missing `end`")
-    line, tokens = lines[pos]
+    line, body = lines[pos]
     pos += 1
-    if tokens != ["end"]:
+    if body.strip() != "end":
         raise ParseError(line, "expected `end`")
     if pos < len(lines):
         raise ParseError(lines[pos][0], "trailing content after `end`")
@@ -197,7 +245,7 @@ def serialize_instance(inst: Instance | PeInstance) -> str:
 
 
 def parse_solution(text: str) -> CommitteeSequence:
-    lines = list(_content_lines(text))
+    lines = [(i, body.split()) for i, body in _content_lines(text)]
     if not lines:
         raise ParseError(1, "empty document")
     line, tokens = lines[0]

@@ -243,14 +243,19 @@ def _components(left, right, pairs: Counter) -> tuple[CbivcsComponent, ...]:
 
 def build_cbivcs(x2: X2Instance) -> CbivcsInstance:
     """Agents as edges between their two nominations; rules must have run
-    first so that every agent nominates at both levels."""
-    if 0 in x2.row1 or 0 in x2.row2:
+    first so that every agent nominates at both levels.
+
+    The agents are counted into distinct nomination pairs first; the zero
+    check and both sides are read off the pairs, not the rows."""
+    pairs = Counter(zip(x2.row1, x2.row2))
+    lefts = {u for u, _ in pairs}
+    rights = {v for _, v in pairs}
+    if 0 in lefts or 0 in rights:
         raise ValueError("agents must nominate at both levels; apply the rules first")
     if x2.y != 1:
         raise ValueError("the graph reduction applies to target-one instances")
-    left = tuple(sorted(set(x2.row1)))
-    right = tuple(sorted(set(x2.row2)))
-    pairs = Counter(zip(x2.row1, x2.row2))
+    left = tuple(sorted(lefts))
+    right = tuple(sorted(rights))
     return CbivcsInstance(left, right, x2.k1, x2.k2, x2.x1, x2.x2, _components(left, right, pairs))
 
 

@@ -1,5 +1,7 @@
 """Instance/solution text formats: round trips and error reporting."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from ecse.formats import (
     serialize_instance,
     serialize_solution,
 )
+from ecse.generators import random_instance
 from ecse.model import EGALITARIAN, CommitteeSequence, Instance, PeInstance
 
 from conftest import make_instance, TRIP_ROWS
@@ -162,6 +165,62 @@ def any_instance(draw):
 @given(any_instance())
 @settings(max_examples=200)
 def test_round_trip_property(inst):
+    doc = serialize_instance(inst)
+    again = parse_instance(doc)
+    assert again == inst
+    assert serialize_instance(again) == doc
+
+
+def test_non_canonical_tokens_parse_as_int_does():
+    # signs, leading zeros, negative zero, tabs and runs of spaces; "2" and
+    # "02" recur across both rows and in yvec
+    rows = ["+3\t02  -0 2\t\t1", "2 03 +2   02\t0"]
+    yvec = "02 +1 2 -0 1"
+    doc = (
+        "ecse v1\nmode qcse\nn 5\nm 3\ntau 2\nk 1\nx 0\ny 1\n"
+        f"kvec +1 01\nyvec {yvec}\nlevels\n" + "\n".join(rows) + "\nend\n"
+    )
+    inst = parse_instance(doc)
+    assert inst.profile == tuple(tuple(int(tok) for tok in row.split()) for row in rows)
+    assert inst.profile == ((3, 2, 0, 2, 1), (2, 3, 2, 2, 0))
+    assert inst.yvec == tuple(int(tok) for tok in yvec.split()) == (2, 1, 2, 0, 1)
+    assert inst.kvec == (1, 1)
+    assert inst.xvec == (0, 0)
+
+
+def _long_row_doc(rows, m):
+    n = len(rows[0].split())
+    return (f"ecse v1\nmode qcse\nn {n}\nm {m}\ntau {len(rows)}\nk 1\nx 0\ny 1\nlevels\n"
+            + "\n".join(rows) + "\nend\n")
+
+
+def test_long_rows_with_mixed_spellings_and_separators():
+    """Rows many parser chunks long, spelled and separated at random, parse
+    to what ``int`` gives token by token."""
+    rng = random.Random(5)
+    spellings = (str, lambda v: f"+{v}", lambda v: f"0{v}", lambda v: f"00{v}")
+    rows = []
+    for _ in range(3):
+        tokens = ["-0" if v == 0 and rng.random() < 0.3 else rng.choice(spellings)(v)
+                  for v in (rng.randint(0, 150) for _ in range(20_000))]
+        rows.append("".join(tok + rng.choice((" ", "\t", "  ", " \t ")) for tok in tokens))
+    rows.append("\t".join(["7"] * 20_000))  # tabs only: no space to cut at
+    inst = parse_instance(_long_row_doc(rows, 150))
+    assert inst.profile == tuple(tuple(int(tok) for tok in row.split()) for row in rows)
+
+
+def test_malformed_token_in_the_last_long_row_names_its_line_and_token():
+    row = " ".join(["1"] * 30_000)
+    bad = " ".join(["1"] * 25_000 + ["1x"] + ["1"] * 4_999)
+    doc = _long_row_doc([row, row, bad], 1)
+    with pytest.raises(ParseError) as err:
+        parse_instance(doc)
+    assert err.value.line == 12
+    assert str(err.value) == "line 12: expected an integer, got '1x'"
+
+
+def test_1e5_agent_two_level_round_trip():
+    inst = random_instance(4, 100_000, 40, 2, 40, 0, 1, "equitable", empty_prob=0.1)
     doc = serialize_instance(inst)
     again = parse_instance(doc)
     assert again == inst

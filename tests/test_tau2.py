@@ -2,6 +2,7 @@
 
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -268,6 +269,37 @@ def test_components_match_per_edge_union_find(pairs):
         (comp.left, comp.right, comp.edge_count) for comp in graph.components
     ] == naive_components(edges)
     assert edge_total(graph) == len(edges) == len(pairs)
+
+
+def graph_from_rows(inst):
+    """``build_cbivcs`` as first written: the zero check and both sides read
+    off the full rows, components from per-edge union-find."""
+    if 0 in inst.row1 or 0 in inst.row2:
+        raise ValueError("agents must nominate at both levels; apply the rules first")
+    if inst.y != 1:
+        raise ValueError("the graph reduction applies to target-one instances")
+    edges = list(zip(inst.row1, inst.row2))
+    return tuple(sorted(set(inst.row1))), tuple(sorted(set(inst.row2))), naive_components(edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x2_with_chains(), st.integers(0, 2))
+def test_graph_sides_from_pairs_match_the_rows(inst, y):
+    # the drawn instance may still hold zeros; the rules' output holds none
+    for case in (inst, apply_x2_rules(inst)):
+        if case is None:
+            continue
+        case = replace(case, y=y)
+        try:
+            expected = graph_from_rows(case)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                build_cbivcs(case)
+            assert str(err.value) == str(exc)
+            continue
+        graph = build_cbivcs(case)
+        components = [(comp.left, comp.right, comp.edge_count) for comp in graph.components]
+        assert (graph.left, graph.right, components) == expected
 
 
 def test_forcing_cascade_scales_to_1e5_agents():
