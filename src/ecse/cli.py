@@ -48,7 +48,7 @@ from .model import (
     verify,
 )
 from .oracle import brute_solve
-from .score_dp import solve_dp
+from .score_dp import AUTO_BUDGET, MAX_AGENTS, solve_dp
 from .tau2 import solve_qcse_tau2
 
 ALGORITHMS = ("auto", "brute", "branch", "dp", "tau2", "ip")
@@ -95,17 +95,18 @@ def _node_count(text: str) -> int:
     return count
 
 
-def solve_with_algo(inst, algo: str, max_nodes: int = MAX_NODES):
+def solve_with_algo(inst, algo: str, max_nodes: int = MAX_NODES, route: list | None = None):
     """Dispatch one back-end; returns (result, algorithm actually used).
 
     A pre-elected instance takes only ``brute`` and ``branch``, which
-    ``auto`` means for it."""
+    ``auto`` means for it.  ``route``, if given, collects the attempts
+    ``auto`` abandoned (see :func:`_solve_auto`)."""
     if isinstance(inst, PeInstance):
         if algo not in ("auto", "branch", "brute"):
             raise UsageError(f"algorithm {algo!r} does not apply to pre-elected instances")
         algo = "branch" if algo == "auto" else algo
     if algo == "auto":
-        return _solve_auto(inst, max_nodes)
+        return _solve_auto(inst, max_nodes, [] if route is None else route)
     if algo == "brute":
         return brute_solve(inst), "brute"
     if algo == "branch":
@@ -121,35 +122,38 @@ def solve_with_algo(inst, algo: str, max_nodes: int = MAX_NODES):
     raise UsageError(f"unknown algorithm {algo!r}")
 
 
-def _solve_auto(inst: Instance, max_nodes):
+def _solve_auto(inst: Instance, max_nodes, route: list):
     """Routing: trivial rules, then the polynomial two-level pipeline, then
-    the score DP for few agents, branching for small committee budgets, and
-    finally the integer program; branching and the integer program each get
-    a search budget of ``max_nodes``.  A search that refuses
-    (:class:`GuardExceeded`) hands the instance on to the next one that
-    applies; only the integer program's refusal is final."""
+    the score DP on every instance it accepts (at most ``MAX_AGENTS``
+    agents) under the small work budget ``AUTO_BUDGET``, branching
+    for small committee budgets, and finally the integer program; branching
+    and the integer program each get a search budget of ``max_nodes``.  A
+    search that refuses (:class:`GuardExceeded`) hands the instance on to
+    the next one that applies, and its refusal is appended to ``route`` as
+    ``{"algo", "refused"}``; only the integer program's refusal is final."""
     result = trivial_solve(inst)
     if result is not None:
         return result, "trivial"
     if inst.mode == EQUITABLE and inst.tau == 2:
         return solve_qcse_tau2(inst), "tau2"
     attempts = []
-    if inst.n <= 12:
-        attempts.append(("dp", solve_dp))
+    if inst.n <= MAX_AGENTS:
+        attempts.append(("dp", partial(solve_dp, budget=AUTO_BUDGET)))
     if inst.k * inst.tau <= 24:
         attempts.append(("branch", partial(solve_branch, max_nodes=max_nodes)))
     for algo, solver in attempts:
         try:
             return solver(inst), algo
-        except GuardExceeded:
-            pass
+        except GuardExceeded as exc:
+            route.append({"algo": algo, "refused": str(exc)})
     return solve_ip(inst, max_nodes=max_nodes), "ip"
 
 
-def _result_payload(result: SolveResult, algo: str, micros: int) -> dict:
+def _result_payload(result: SolveResult, algo: str, micros: int, route: list) -> dict:
     return {
         "verdict": result.verdict,
         "algo": algo,
+        "route": route,
         "committees": [list(c) for c in result.witness] if result.witness else None,
         "stats": {**result.stats, "elapsed_micros": micros},
     }
@@ -157,11 +161,12 @@ def _result_payload(result: SolveResult, algo: str, micros: int) -> dict:
 
 def cmd_solve(args) -> int:
     inst = formats.parse_instance(_read(args.instance))
+    route: list[dict] = []
     started = time.perf_counter()
-    result, algo = solve_with_algo(inst, args.algo, max_nodes=args.max_nodes)
+    result, algo = solve_with_algo(inst, args.algo, max_nodes=args.max_nodes, route=route)
     micros = int((time.perf_counter() - started) * 1e6)
     if args.json:
-        print(json.dumps(_result_payload(result, algo, micros), sort_keys=True))
+        print(json.dumps(_result_payload(result, algo, micros, route), sort_keys=True))
     else:
         print(result.verdict.upper())
         if result.witness is not None:

@@ -400,13 +400,19 @@ def _top_score(supports, k: int) -> int:
     return sum(sorted(supports, reverse=True)[:k])
 
 
+def subsets_to_try(d: int, k: int) -> int:
+    """Subsets of at most ``k`` of ``d`` candidates, which
+    :func:`valid_committees` tries on a level with ``d`` nominated."""
+    return sum(comb(d, s) for s in range(min(k, d) + 1))
+
+
 def valid_committees(support: dict[int, int], k: int, x: int) -> list[Committee]:
     """All committees of nominated candidates with size <= k and score >= x,
     in (size, lexicographic) order.  Refuses above 30 distinct candidates or
     :data:`MAX_COMMITTEES` subsets to try."""
     nominated = sorted(support)
     d = len(nominated)
-    if d > 30 or sum(comb(d, s) for s in range(min(k, d) + 1)) > MAX_COMMITTEES:
+    if d > 30 or subsets_to_try(d, k) > MAX_COMMITTEES:
         raise EnumerationLimitError(
             f"{d} distinct candidates with k={k} in one level exceed the enumeration guard"
         )

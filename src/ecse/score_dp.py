@@ -18,7 +18,13 @@ transition is two masks and one add whatever n is.
 The table is capped: once the vectors kept over all levels so far, the level
 being built included, pass ``MAX_TABLE_ENTRIES`` (about 180 MB peak at
 n = 12, reached in about 3.5 s on a two-core VM), the sweep refuses with
-:class:`DpGuardError` instead of exhausting memory.
+:class:`DpGuardError` instead of exhausting memory.  A caller that would
+rather hand a hopeless instance on than wait for the cap passes a smaller
+entry budget (``AUTO_BUDGET`` under ``solve --algo auto``).  A budget also
+bounds committee enumeration: before any level is enumerated, the subsets
+that :func:`ecse.model.valid_committees` would try over the distinct
+renamed rows are counted, and the sweep refuses at once if they pass the
+budget.  Both counts are work, never time, so a refusal is deterministic.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .model import (
     SolveResult,
     level_fingerprints,
     rename_candidates,
+    subsets_to_try,
 )
 
 
@@ -39,19 +46,34 @@ class DpGuardError(GuardExceeded):
 
 MAX_AGENTS = 20
 MAX_TABLE_ENTRIES = 1_000_000
+#: entry budget of the attempt ``solve --algo auto`` makes on every instance
+#: with at most ``MAX_AGENTS`` agents; a sweep past it costs milliseconds
+AUTO_BUDGET = 2_000
 
 
-def solve_dp(inst: Instance) -> SolveResult:
+def solve_dp(inst: Instance, budget: int | None = None) -> SolveResult:
     """Exact verdict via the score-vector sweep; witness from back-pointers.
 
     Levels with equal renamed rows share one fingerprint table, but
-    ``committees_enumerated`` still adds its size once per level.
+    ``committees_enumerated`` still adds its size once per level.  With a
+    ``budget`` (never above ``MAX_TABLE_ENTRIES``) the table holds at most
+    that many entries, and committee enumeration that would try more subsets
+    than that refuses before it starts.
     """
     renamed, renaming = rename_candidates(inst)
     if renamed.n > MAX_AGENTS:
         raise DpGuardError(f"{renamed.n} agents exceed the table guard ({MAX_AGENTS})")
     n, y = renamed.n, renamed.y
     cap = renamed.egalitarian
+    limit = MAX_TABLE_ENTRIES
+    if budget is not None:
+        limit = min(budget, limit)
+        # a renamed row nominates candidates 1..max(row)
+        subsets = sum(
+            subsets_to_try(max(row, default=0), renamed.k) for row in set(renamed.profile)
+        )
+        if subsets > limit:
+            raise DpGuardError(f"committee enumeration of {subsets} subsets exceeds {limit}")
 
     w = (y + 1).bit_length() + 1  # bits per agent's field, see above
     ones = sum(1 << (w * a) for a in range(n))
@@ -76,7 +98,7 @@ def solve_dp(inst: Instance) -> SolveResult:
         fps = tables[row]
         stats["committees_enumerated"] += len(fps)
         nxt: dict = {}
-        room = MAX_TABLE_ENTRIES - stats["table_entries"]
+        room = limit - stats["table_entries"]
         for vec in sorted(frontier):
             done = ((vec + reach) & top) >> (w - 1)  # a 1 in each field at y
             # egalitarian scores stop at y; an equitable vector past y is dead
@@ -88,7 +110,7 @@ def solve_dp(inst: Instance) -> SolveResult:
                 if out not in nxt:
                     nxt[out] = (vec, committee)
                     if len(nxt) > room:
-                        raise DpGuardError(f"score table exceeds {MAX_TABLE_ENTRIES} entries")
+                        raise DpGuardError(f"score table exceeds {limit} entries")
         frontier = nxt
         trace.append(frontier)
         stats["table_entries"] += len(frontier)

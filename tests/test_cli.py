@@ -88,6 +88,7 @@ def test_solve_json_reports_wall_time_on_every_route(tmp_path, capsys):
         payload = json.loads(out)
         assert payload["algo"] == route
         assert isinstance(payload["stats"]["elapsed_micros"], int)
+        assert payload["route"] == []  # the first attempt decided
 
 
 def test_solve_tau2_requires_equitable(trip_file, capsys):
@@ -292,13 +293,49 @@ def test_auto_routing_agrees_with_brute():
 
 
 def test_auto_reports_the_ip_budget_when_it_gives_up(tmp_path, capsys):
-    # n > 12 and k*tau > 24: auto routes to the integer program
-    inst = random_instance(1, 13, 6, 6, 5, 4, 2, "equitable")
+    # n > 20 (past the score DP's agent guard) and k*tau > 24: auto routes
+    # straight to the integer program
+    inst = random_instance(1, 21, 6, 6, 5, 4, 2, "equitable")
     path = tmp_path / "big.ecse"
     path.write_text(serialize_instance(inst))
     code, _, err = run(capsys, "solve", str(path), "--max-nodes", "1")
     assert code == 3
     assert "gave up after 1 search nodes" in err
+
+
+def test_auto_decides_i12_by_branching_once_the_dp_budget_refuses(tmp_path, capsys):
+    # I12: the score DP's table would pass 10^6 entries, so its auto budget
+    # refuses, and branching decides it (yes) in 25 nodes
+    inst = random_instance(7, 12, 5, 10, 2, 2, 3, EGALITARIAN)
+    path = tmp_path / "i12.ecse"
+    path.write_text(serialize_instance(inst))
+    code, out, _ = run(capsys, "solve", str(path), "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["algo"] == "branch" and payload["verdict"] == "yes"
+    assert payload["stats"]["nodes_expanded"] == 25
+    assert payload["route"] == [{"algo": "dp", "refused": "score table exceeds 2000 entries"}]
+    assert verify(inst, CommitteeSequence.of(payload["committees"])).feasible
+
+
+@pytest.mark.parametrize("mode", [EGALITARIAN, EQUITABLE])
+def test_auto_agrees_with_brute_from_13_to_20_agents(mode):
+    from ecse.cli import solve_with_algo
+    from ecse.oracle import OracleLimits
+
+    limits = OracleLimits(max_n=20, max_m=4, max_tau=3)
+    routes = set()
+    for seed in range(48):
+        n, tau = 13 + seed % 8, 1 + seed % 3
+        inst = random_instance(
+            seed, n=n, m=2 + seed % 3, tau=tau, k=1 + seed % 2, x=seed % 5,
+            y=1 + (seed // 3) % tau, mode=mode, empty_prob=(seed % 3) / 8,
+        )
+        result, algo = solve_with_algo(inst, "auto")
+        routes.add(algo)
+        assert result.verdict == brute_solve(inst, limits).verdict, f"seed {seed}"
+        if result.witness is not None:
+            assert verify(inst, result.witness).feasible, f"seed {seed}"
+    assert "dp" in routes
 
 
 def _solve_verified_yes(tmp_path, capsys, inst, *argv):
@@ -324,9 +361,10 @@ def test_branching_deep_search_decides_yes(tmp_path, capsys):
 
 
 def test_branching_budget_refuses_and_auto_falls_through_to_ip(tmp_path, capsys):
-    # n > 12 and k*tau <= 24: auto tries branching (53 nodes) before the IP
-    # (which decides within 20), and --max-nodes budgets both searches
-    inst = random_instance(531, 13, 5, 6, 1, 3, 1, "egalitarian", 0.2)
+    # n > 20 (past the score DP's agent guard) and k*tau <= 24: auto tries
+    # branching (52 nodes) before the IP (which decides within 20), and
+    # --max-nodes budgets both searches
+    inst = random_instance(16, 25, 5, 6, 1, 4, 1, "egalitarian", 0.2)
     path = tmp_path / "mid.ecse"
     path.write_text(serialize_instance(inst))
     code, _, err = run(capsys, "solve", str(path), "--algo", "branch", "--max-nodes", "10")
@@ -337,7 +375,8 @@ def test_branching_budget_refuses_and_auto_falls_through_to_ip(tmp_path, capsys)
     code, out, _ = run(capsys, "solve", str(path), "--json", "--max-nodes", "20")
     payload = json.loads(out)
     assert code == 0 and payload["algo"] == "ip"
-    assert payload["verdict"] == solve_ip(inst).verdict == "yes"
+    assert payload["route"] == [{"algo": "branch", "refused": "gave up after 20 search nodes"}]
+    assert payload["verdict"] == solve_ip(inst).verdict == "no"
 
 
 def test_unexpected_exception_exits_4_not_no(trip_file, capsys, monkeypatch):

@@ -2,13 +2,14 @@
 
 import pytest
 
+import ecse.model
 import ecse.score_dp
 from ecse.model import (
     EGALITARIAN, EQUITABLE, CommitteeSequence, SolveResult, level_fingerprints,
     rename_candidates, verify,
 )
 from ecse.oracle import brute_solve
-from ecse.score_dp import DpGuardError, solve_dp
+from ecse.score_dp import AUTO_BUDGET, DpGuardError, solve_dp
 from ecse.generators import gen_3part, random_instance
 
 from conftest import make_instance
@@ -164,3 +165,34 @@ def test_ln_rung_n8_pinned():
     )
     stats = {"table_entries": 80538, "max_frontier": 17602, "committees_enumerated": 100}
     assert solve_dp(inst) == SolveResult.yes(witness, stats)
+
+
+def test_budget_refuses_a_wide_level_before_enumerating_it(monkeypatch):
+    # three permutation rows of 20 agents with k = 10: one distinct renamed
+    # row, whose 616,666 subsets of at most 10 candidates pass the budget
+    rows = [tuple(range(1, 21)), tuple(range(20, 0, -1)), tuple(range(2, 21)) + (1,)]
+    inst = make_instance(rows, mode=EGALITARIAN, k=10, x=1, y=1)
+    calls = []
+    enumerate_ = ecse.model.valid_committees
+    monkeypatch.setattr(
+        "ecse.model.valid_committees", lambda *args: calls.append(args) or enumerate_(*args)
+    )
+    refusal = "^committee enumeration of 616666 subsets exceeds 2000$"
+    with pytest.raises(DpGuardError, match=refusal):
+        solve_dp(inst, budget=AUTO_BUDGET)
+    assert calls == []
+
+
+@pytest.mark.parametrize("mode", [EGALITARIAN, EQUITABLE])
+def test_budget_is_a_table_cap_no_larger_than_the_global_one(mode, monkeypatch):
+    # the table holds more entries than the 58 subsets enumeration tries
+    inst = random_instance(3, 8, 4, 6, 2, 1, 2, mode)
+    full = solve_dp(inst)
+    entries = full.stats["table_entries"]
+    assert entries > 58
+    assert solve_dp(inst, budget=entries) == full
+    with pytest.raises(DpGuardError, match=f"^score table exceeds {entries - 1} entries$"):
+        solve_dp(inst, budget=entries - 1)
+    monkeypatch.setattr("ecse.score_dp.MAX_TABLE_ENTRIES", entries - 1)
+    with pytest.raises(DpGuardError, match=f"^score table exceeds {entries - 1} entries$"):
+        solve_dp(inst, budget=10 * entries)
