@@ -106,7 +106,7 @@ def solve_with_algo(inst, algo: str, max_nodes: int = MAX_NODES, route: list | N
             raise UsageError(f"algorithm {algo!r} does not apply to pre-elected instances")
         algo = "branch" if algo == "auto" else algo
     if algo == "auto":
-        return _solve_auto(inst, max_nodes, [] if route is None else route)
+        return _solve_auto(inst, max_nodes, route)
     if algo == "brute":
         return brute_solve(inst), "brute"
     if algo == "branch":
@@ -122,14 +122,19 @@ def solve_with_algo(inst, algo: str, max_nodes: int = MAX_NODES, route: list | N
     raise UsageError(f"unknown algorithm {algo!r}")
 
 
-def _solve_auto(inst: Instance, max_nodes, route: list):
+def _solve_auto(inst: Instance, max_nodes, route: list | None = None):
     """Routing: trivial rules, then the polynomial two-level pipeline, then
     the score DP on every instance it accepts (at most ``MAX_AGENTS``
     agents) under the small work budget ``AUTO_BUDGET``, branching
     for small committee budgets, and finally the integer program; branching
-    and the integer program each get a search budget of ``max_nodes``.  A
-    search that refuses (:class:`GuardExceeded`) hands the instance on to
-    the next one that applies, and its refusal is appended to ``route`` as
+    and the integer program each get a search budget of ``max_nodes``.
+    Where the DP and branching both apply and a level's score vectors could
+    pass the DP's budget even at target one (``2**n > AUTO_BUDGET``),
+    branching first gets one node: its root alone refutes many no-instances
+    there, in a fraction of the time a refused DP attempt takes, and a root
+    that does not decide is not listed in ``route``.  A search that refuses
+    (:class:`GuardExceeded`) hands the instance on to the next one that
+    applies, and its refusal is appended to ``route``, if given, as
     ``{"algo", "refused"}``; only the integer program's refusal is final."""
     result = trivial_solve(inst)
     if result is not None:
@@ -140,12 +145,18 @@ def _solve_auto(inst: Instance, max_nodes, route: list):
     if inst.n <= MAX_AGENTS:
         attempts.append(("dp", partial(solve_dp, budget=AUTO_BUDGET)))
     if inst.k * inst.tau <= 24:
+        if attempts and max_nodes and 2**inst.n > AUTO_BUDGET:
+            try:
+                return solve_branch(inst, max_nodes=1), "branch"
+            except GuardExceeded:
+                pass
         attempts.append(("branch", partial(solve_branch, max_nodes=max_nodes)))
     for algo, solver in attempts:
         try:
             return solver(inst), algo
         except GuardExceeded as exc:
-            route.append({"algo": algo, "refused": str(exc)})
+            if route is not None:
+                route.append({"algo": algo, "refused": str(exc)})
     return solve_ip(inst, max_nodes=max_nodes), "ip"
 
 

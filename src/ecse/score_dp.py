@@ -25,6 +25,10 @@ bounds committee enumeration: before any level is enumerated, the subsets
 that :func:`ecse.model.valid_committees` would try over the distinct
 renamed rows are counted, and the sweep refuses at once if they pass the
 budget.  Both counts are work, never time, so a refusal is deterministic.
+Neither bounds the transitions between them, which can reach the frontier
+times the level's fingerprints, so the time a refusal takes is measured,
+not bounded: under ``AUTO_BUDGET`` at most 5 ms (best of 3) on the ladders
+in ROADMAP.md and the seed-1 and seed-2 ``search-cliffs`` corpora.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ class DpGuardError(GuardExceeded):
 MAX_AGENTS = 20
 MAX_TABLE_ENTRIES = 1_000_000
 #: entry budget of the attempt ``solve --algo auto`` makes on every instance
-#: with at most ``MAX_AGENTS`` agents; a sweep past it costs milliseconds
+#: with at most ``MAX_AGENTS`` agents
 AUTO_BUDGET = 2_000
 
 

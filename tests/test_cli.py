@@ -317,6 +317,18 @@ def test_auto_decides_i12_by_branching_once_the_dp_budget_refuses(tmp_path, caps
     assert verify(inst, CommitteeSequence.of(payload["committees"])).feasible
 
 
+def test_auto_lets_branching_refute_i20_at_its_root_before_any_dp_attempt(tmp_path, capsys):
+    # I20: branching's counting bound refutes the root, so auto never tries
+    # the score DP, whose budget would refuse it
+    inst = random_instance(3, 20, 4, 12, 2, 5, 3, EQUITABLE)
+    path = tmp_path / "i20.ecse"
+    path.write_text(serialize_instance(inst))
+    code, out, _ = run(capsys, "solve", str(path), "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["algo"] == "branch" and payload["verdict"] == "no"
+    assert payload["stats"]["nodes_expanded"] == 1 and payload["route"] == []
+
+
 @pytest.mark.parametrize("mode", [EGALITARIAN, EQUITABLE])
 def test_auto_agrees_with_brute_from_13_to_20_agents(mode):
     from ecse.cli import solve_with_algo

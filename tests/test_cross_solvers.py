@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ecse.branching import counting_bound, solve_branch
 from ecse.cli import solve_with_algo
+from ecse.generators import random_instance
 from ecse.ip import solve_ip
 from ecse.model import (
     EGALITARIAN,
@@ -112,3 +113,20 @@ def test_no_agents_with_target_above_tau(mode, tau, x):
         assert result.verdict == truth
         if result.witness is not None:
             assert verify(inst, result.witness).feasible
+
+
+def test_dp_matches_branching_and_the_ip_at_search_cliffs_sizes():
+    # the search-cliffs families branch-random and ip-random take the score
+    # DP's verdict as their reference, and auto decides them with the DP
+    # too, so branching and the integer program check the DP at those sizes
+    verdicts = []
+    for seed in range(40):
+        inst = random_instance(seed, 13, 4, 7, 2, 3, 2, EQUITABLE)
+        verdicts.append(solve_dp(inst).verdict)
+        assert solve_branch(inst).verdict == verdicts[-1], f"seed {seed}"
+    for seed in range(5):
+        rows = random_instance(seed, 13, 3, 3, 2, 1, 1, EQUITABLE).profile
+        inst = Instance(EQUITABLE, 13, 3, 26, 2, 1, 1, tuple(rows[t % 3] for t in range(26)))
+        verdicts.append(solve_dp(inst).verdict)
+        assert solve_ip(inst).verdict == verdicts[-1], f"seed {seed}"
+    assert "no" in verdicts
