@@ -74,7 +74,7 @@ def test_table_cap_refuses_one_entry_past_it(mode, monkeypatch):
 
 
 @pytest.mark.parametrize("mode, table_entries, max_frontier", [
-    (EGALITARIAN, 727, 372), (EQUITABLE, 132, 76),
+    (EGALITARIAN, 727, 372), (EQUITABLE, 186, 76),
 ])
 def test_one_fingerprint_table_per_distinct_row(mode, table_entries, max_frontier, monkeypatch):
     # 3-Partition repeats one row at all three levels, so one table serves them
@@ -95,40 +95,73 @@ def test_one_fingerprint_table_per_distinct_row(mode, table_entries, max_frontie
 
 
 def tuple_dp(inst):
-    """The score DP on tuple score vectors: a reference for the packed one."""
-    renamed, renaming = rename_candidates(inst)
-    y, cap = renamed.y, renamed.egalitarian
+    """The score DP on tuple score vectors: a reference for the packed one.
 
-    def step(vec, fp):
+    Egalitarian mode sweeps forward only.  Equitable mode sweeps from both
+    ends, always extending the side with fewer vectors (forward on a tie),
+    and joins a prefix vector v with the suffix vector y - v."""
+    renamed, renaming = rename_candidates(inst)
+    y, cap, tau = renamed.y, renamed.egalitarian, renamed.tau
+
+    def add(vec, fp):
         if cap:
             return tuple(min(y, v + b) for v, b in zip(vec, fp))
         out = tuple(v + b for v, b in zip(vec, fp))
         return None if y + 1 in out else out
 
     stats = {"table_entries": 0, "max_frontier": 0, "committees_enumerated": 0}
-    trace = []
-    frontier = {(0,) * renamed.n: None}
-    for t in range(1, renamed.tau + 1):
+
+    def sweep(frontier, t):
         fps = list(level_fingerprints(renamed, t).items())
         stats["committees_enumerated"] += len(fps)
         nxt = {}
         for vec in sorted(frontier):
             for fp, committee in fps:
-                out = step(vec, fp)
+                out = add(vec, fp)
                 if out is not None and out not in nxt:
                     nxt[out] = (vec, committee)
-        frontier = nxt
-        trace.append(frontier)
-        stats["table_entries"] += len(frontier)
-        stats["max_frontier"] = max(stats["max_frontier"], len(frontier))
-    vec = (y,) * renamed.n
-    if vec not in trace[-1]:
-        return SolveResult.no(stats)
-    committees = []
-    for level in reversed(trace):
-        vec, committee = level[vec]
-        committees.append(committee)
-    witness = renaming.lift(CommitteeSequence(tuple(reversed(committees))))
+        stats["table_entries"] += len(nxt)
+        stats["max_frontier"] = max(stats["max_frontier"], len(nxt))
+        return nxt
+
+    zero, target = (0,) * renamed.n, (y,) * renamed.n
+    if cap:
+        trace = []
+        frontier = {zero: None}
+        for t in range(1, tau + 1):
+            frontier = sweep(frontier, t)
+            trace.append(frontier)
+        vec = target
+        if vec not in trace[-1]:
+            return SolveResult.no(stats)
+        committees = []
+        for level in reversed(trace):
+            vec, committee = level[vec]
+            committees.append(committee)
+        committees.reverse()
+    else:
+        prefix, suffix = [{zero: None}], [{zero: None}]  # suffix[i]: levels tau-i+1..tau
+        while len(prefix) + len(suffix) - 2 < tau and prefix[-1] and suffix[-1]:
+            if len(prefix[-1]) <= len(suffix[-1]):
+                prefix.append(sweep(prefix[-1], len(prefix)))
+            else:
+                suffix.append(sweep(suffix[-1], tau + 1 - len(suffix)))
+        meets = sorted(
+            v for v in prefix[-1] if tuple(y - a for a in v) in suffix[-1]
+        )
+        if not meets:
+            return SolveResult.no(stats)
+        committees = []
+        vec = meets[0]
+        for level in reversed(prefix[1:]):
+            vec, committee = level[vec]
+            committees.append(committee)
+        committees.reverse()
+        vec = tuple(y - a for a in meets[0])
+        for level in reversed(suffix[1:]):
+            vec, committee = level[vec]
+            committees.append(committee)
+    witness = renaming.lift(CommitteeSequence(tuple(committees)))
     return SolveResult.yes(witness, stats)
 
 
@@ -187,7 +220,15 @@ def test_budget_refuses_a_wide_level_before_enumerating_it(monkeypatch):
 def test_budget_is_a_table_cap_no_larger_than_the_global_one(mode, monkeypatch):
     # the table holds more entries than the 58 subsets enumeration tries
     inst = random_instance(3, 8, 4, 6, 2, 1, 2, mode)
+    calls = []
+    build = ecse.score_dp.level_fingerprints
+    monkeypatch.setattr(
+        "ecse.score_dp.level_fingerprints", lambda inst, t: calls.append(t) or build(inst, t)
+    )
     full = solve_dp(inst)
+    # an equitable table counts both sides: here the sweep ran from both ends
+    assert len(set(inst.profile)) == inst.tau
+    assert mode == EGALITARIAN or {1, inst.tau} <= set(calls)
     entries = full.stats["table_entries"]
     assert entries > 58
     assert solve_dp(inst, budget=entries) == full
@@ -196,3 +237,44 @@ def test_budget_is_a_table_cap_no_larger_than_the_global_one(mode, monkeypatch):
     monkeypatch.setattr("ecse.score_dp.MAX_TABLE_ENTRIES", entries - 1)
     with pytest.raises(DpGuardError, match=f"^score table exceeds {entries - 1} entries$"):
         solve_dp(inst, budget=10 * entries)
+
+
+def _equitable_families():
+    """Equitable instances at the edges of the two-sided sweep."""
+    for seed in range(40):
+        n, m, k, x = 1 + seed % 5, 1 + seed % 4, 1 + seed % 3, seed % 3
+        y = seed % 3
+        base = random_instance(seed, n, m, 1 + seed % 2, k, x, y, EQUITABLE, (seed % 3) / 5)
+        # tau = 1 leaves the backward side no level, tau = 2 gives each side one
+        yield "tau<=2", base
+        # duplicated level rows share one fingerprint table on both sides
+        rows = base.profile + base.profile[::-1]
+        yield "duplicated rows", make_instance(rows, mode=EQUITABLE, k=k, x=x, y=y, m=m)
+        # an agent who nominates nowhere scores 0 on either side
+        rows = tuple(row + (0,) for row in base.profile)
+        yield "nominates nowhere", make_instance(rows, mode=EQUITABLE, k=k, x=x, y=y, m=m)
+        # y = tau: every agent is satisfied at every level
+        tau = 1 + seed % 4
+        yield "y = tau", random_instance(seed, n, m, tau, k, x % 2, tau, EQUITABLE)
+
+
+def test_equitable_two_sided_sweep_agrees_with_the_oracle():
+    verdicts = {}
+    for family, inst in _equitable_families():
+        result = solve_dp(inst)
+        assert result.verdict == brute_solve(inst).verdict, (family, inst)
+        if result.witness is not None:
+            assert verify(inst, result.witness).feasible, (family, inst)
+        verdicts.setdefault(family, set()).add(result.verdict)
+    # every family decides both ways, so witnesses are joined and checked too
+    assert all(seen == {"yes", "no"} for seen in verdicts.values()), verdicts
+
+
+def test_ln_eq_rung_n12_decides_within_the_table_cap():
+    # a forward-only sweep refuses this at MAX_TABLE_ENTRIES; the two halves
+    # keep 379,380 vectors between them
+    inst = random_instance(0, 12, 5, 10, 2, 2, 3, EQUITABLE)
+    result = solve_dp(inst)
+    assert result.verdict == "yes"
+    assert verify(inst, result.witness).feasible
+    assert result.stats["table_entries"] == 379380
