@@ -278,7 +278,8 @@ def _pick_agent(node: _Search) -> int | None:
     for a0, (alive, y) in enumerate(zip(node.alive, node.yvec)):
         if alive and y > 0:
             d = len(node.levels(a0))
-            count = comb(d, y) if node.equitable else sum(comb(d, s) for s in range(y, d + 1))
+            # egalitarian: subsets of at least y of the d levels
+            count = comb(d, y) if node.equitable else (1 << d) - sum(comb(d, s) for s in range(y))
             if count == 0:
                 return None
             if best is None or count < best_count:

@@ -122,6 +122,17 @@ def solve_with_algo(inst, algo: str, max_nodes: int = MAX_NODES, route: list | N
     raise UsageError(f"unknown algorithm {algo!r}")
 
 
+def _branch_root(inst: Instance, max_nodes) -> SolveResult | None:
+    """Branching's root node alone: its verdict, or None where the root does
+    not decide or ``max_nodes`` is 0."""
+    if max_nodes:
+        try:
+            return solve_branch(inst, max_nodes=1)
+        except GuardExceeded:
+            pass
+    return None
+
+
 def _solve_auto(inst: Instance, max_nodes, route: list | None = None):
     """Routing: trivial rules, then the polynomial two-level pipeline, then
     the score DP on every instance it accepts (at most ``MAX_AGENTS``
@@ -131,11 +142,14 @@ def _solve_auto(inst: Instance, max_nodes, route: list | None = None):
     Where the DP and branching both apply and a level's score vectors could
     pass the DP's budget even at target one (``2**n > AUTO_BUDGET``),
     branching first gets one node: its root alone refutes many no-instances
-    there, in a fraction of the time a refused DP attempt takes, and a root
-    that does not decide is not listed in ``route``.  A search that refuses
-    (:class:`GuardExceeded`) hands the instance on to the next one that
-    applies, and its refusal is appended to ``route``, if given, as
-    ``{"algo", "refused"}``; only the integer program's refusal is final."""
+    there, in a fraction of the time a refused DP attempt takes.  Where
+    branching is not offered, its root gets that one node before the integer
+    program, whose search can run for seconds on a no-instance the root's
+    counting bound refutes.  A root that does not decide is not listed in
+    ``route``.  A search that refuses (:class:`GuardExceeded`) hands the
+    instance on to the next one that applies, and its refusal is appended to
+    ``route``, if given, as ``{"algo", "refused"}``; only the integer
+    program's refusal is final."""
     result = trivial_solve(inst)
     if result is not None:
         return result, "trivial"
@@ -144,12 +158,12 @@ def _solve_auto(inst: Instance, max_nodes, route: list | None = None):
     attempts = []
     if inst.n <= MAX_AGENTS:
         attempts.append(("dp", partial(solve_dp, budget=AUTO_BUDGET)))
-    if inst.k * inst.tau <= 24:
-        if attempts and max_nodes and 2**inst.n > AUTO_BUDGET:
-            try:
-                return solve_branch(inst, max_nodes=1), "branch"
-            except GuardExceeded:
-                pass
+    offered = inst.k * inst.tau <= 24
+    if offered:
+        if attempts and 2**inst.n > AUTO_BUDGET:
+            result = _branch_root(inst, max_nodes)
+            if result is not None:
+                return result, "branch"
         attempts.append(("branch", partial(solve_branch, max_nodes=max_nodes)))
     for algo, solver in attempts:
         try:
@@ -157,6 +171,10 @@ def _solve_auto(inst: Instance, max_nodes, route: list | None = None):
         except GuardExceeded as exc:
             if route is not None:
                 route.append({"algo": algo, "refused": str(exc)})
+    if not offered:
+        result = _branch_root(inst, max_nodes)
+        if result is not None:
+            return result, "branch"
     return solve_ip(inst, max_nodes=max_nodes), "ip"
 
 

@@ -96,7 +96,10 @@ def _as_committee(candidates) -> Committee:
 
 def _check_shape(inst) -> None:
     """Validation shared by both instance types: mode, sizes, and a profile
-    of ``tau`` rows of ``n`` nominations in ``0..m``."""
+    of ``tau`` rows of ``n`` nominations in ``0..m``.
+
+    A row is checked in one C-level pass over its distinct values; only a
+    row that fails is walked again, to name its first bad nomination."""
     if inst.mode not in MODES:
         raise ValueError(f"unknown mode {inst.mode!r}")
     if inst.n < 0 or inst.m < 0 or inst.tau < 1:
@@ -106,9 +109,11 @@ def _check_shape(inst) -> None:
     for row in inst.profile:
         if len(row) != inst.n:
             raise ValueError(f"profile row has {len(row)} entries, expected {inst.n}")
-        for c in row:
-            if c < 0 or c > inst.m:
-                raise ValueError(f"nomination {c} out of range 0..{inst.m}")
+        values = set(row)
+        if values and (min(values) < 0 or max(values) > inst.m):
+            for c in row:
+                if c < 0 or c > inst.m:
+                    raise ValueError(f"nomination {c} out of range 0..{inst.m}")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,10 @@ carries into the next (nor borrows, in y·1 - v), so int order is the
 vectors' lexicographic order and the sweeps visit, record and report exactly
 what sweeps over tuples would.  The spare top bit of each field flags the
 agents already at y, so a transition is two masks and one add whatever n is.
+A level's fingerprints are packed straight from per-candidate supporter
+fields (:func:`packed_fingerprints`), never built as n-tuples.  The module
+still imports :func:`ecse.model.level_fingerprints`: ``perfbench/tracing.py``
+wraps that name here and fails when it is missing.
 
 ``table_entries`` counts the vectors kept on both sides and
 ``max_frontier`` is the largest frontier on either side.  The table is
@@ -47,11 +51,13 @@ on the seed-2 ``search-cliffs`` corpus.
 from __future__ import annotations
 
 from .model import (
+    Committee,
     CommitteeSequence,
     GuardExceeded,
     Instance,
     SolveResult,
-    level_fingerprints,
+    enumerate_valid_committees,
+    level_fingerprints,  # noqa: F401 -- perfbench/tracing.py wraps this name
     rename_candidates,
     subsets_to_try,
 )
@@ -66,6 +72,25 @@ MAX_TABLE_ENTRIES = 1_000_000
 #: entry budget of the attempt ``solve --algo auto`` makes on every instance
 #: with at most ``MAX_AGENTS`` agents
 AUTO_BUDGET = 2_000
+
+
+def packed_fingerprints(inst: Instance, t: int, w: int) -> list[tuple[int, Committee]]:
+    """``(fingerprint, committee)`` for each valid committee at level ``t``,
+    in :func:`enumerate_valid_committees` order.  The fingerprint is the
+    agent-inclusion vector of :func:`ecse.model.level_fingerprints` packed
+    ``w`` bits per agent, agent 1's field highest.
+
+    ``field[c]`` holds a 1 in the field of each agent nominating ``c``.  The
+    supporter sets of one level are disjoint, so a committee's fingerprint
+    is the sum of its candidates' fields, and no per-agent tuple is built."""
+    n = inst.n
+    field = [0] * (inst.m + 1)
+    for a0, c in enumerate(inst.profile[t - 1]):
+        field[c] |= 1 << w * (n - 1 - a0)
+    return [
+        (sum(map(field.__getitem__, committee)), committee)
+        for committee in enumerate_valid_committees(inst, t)
+    ]
 
 
 def solve_dp(inst: Instance, budget: int | None = None) -> SolveResult:
@@ -97,12 +122,6 @@ def solve_dp(inst: Instance, budget: int | None = None) -> SolveResult:
     # adding `reach` carries into a field's top bit iff its score is y
     reach, top = ((1 << (w - 1)) - y) * ones, ones << (w - 1)
 
-    def pack(fp: tuple[int, ...]) -> int:
-        out = 0
-        for b in fp:
-            out = out << w | b
-        return out
-
     stats = {"table_entries": 0, "max_frontier": 0, "committees_enumerated": 0}
     tables: dict[tuple[int, ...], list] = {}  # renamed row -> its fingerprints
 
@@ -110,23 +129,32 @@ def solve_dp(inst: Instance, budget: int | None = None) -> SolveResult:
         """Level t applied to ``frontier``: vector -> (vector before, committee)."""
         row = renamed.profile[t - 1]
         if row not in tables:
-            tables[row] = [(pack(fp), c) for fp, c in level_fingerprints(renamed, t).items()]
+            tables[row] = packed_fingerprints(renamed, t, w)
         fps = tables[row]
         stats["committees_enumerated"] += len(fps)
         nxt: dict = {}
         room = limit - stats["table_entries"]
         for vec in sorted(frontier):
             done = ((vec + reach) & top) >> (w - 1)  # a 1 in each field at y
-            # egalitarian scores stop at y; an equitable vector past y is dead
-            keep, dead = (~done, 0) if cap else (-1, done)
-            for fp, committee in fps:
-                if fp & dead:
-                    continue
-                out = vec + (fp & keep)
-                if out not in nxt:
-                    nxt[out] = (vec, committee)
-                    if len(nxt) > room:
-                        raise DpGuardError(f"score table exceeds {limit} entries")
+            if cap:
+                # egalitarian scores stop at y
+                keep = ~done
+                for fp, committee in fps:
+                    out = vec + (fp & keep)
+                    if out not in nxt:
+                        nxt[out] = (vec, committee)
+                        if len(nxt) > room:
+                            raise DpGuardError(f"score table exceeds {limit} entries")
+            else:
+                # an equitable vector past y is dead
+                for fp, committee in fps:
+                    if fp & done:
+                        continue
+                    out = vec + fp
+                    if out not in nxt:
+                        nxt[out] = (vec, committee)
+                        if len(nxt) > room:
+                            raise DpGuardError(f"score table exceeds {limit} entries")
         stats["table_entries"] += len(nxt)
         stats["max_frontier"] = max(stats["max_frontier"], len(nxt))
         return nxt

@@ -14,8 +14,11 @@ clauses: an index from (level, candidate) to agents is built once, each
 forcing deletes its supporters and erases each partner nomination through
 that index, and agents left with one nomination join a heap.  Every agent is
 deleted, erased and pushed at most once, so the rules cost O(n log n).  The
-graph is built over distinct (level-1, level-2) nomination pairs, so
-union-find runs once per pair, not once per agent.
+graph is built over distinct (level-1, level-2) nomination pairs, so the
+components are merged once per pair, not once per agent.  Its vertices are
+plain ints, level-1 candidate u as u and level-2 candidate v as -v, so no
+(side, candidate) tuple is built or hashed per lookup; the cover that
+:func:`solve_cbivcs` returns still names (side, candidate) pairs.
 """
 
 from __future__ import annotations
@@ -196,8 +199,8 @@ class CbivcsComponent:
 class CbivcsInstance:
     """Bipartite budget/score cover instance with its component index.
 
-    Vertices are (side, candidate) pairs; each component's edge count
-    includes parallel edges since degree must count agents.
+    Each component lists its candidates per side; its edge count includes
+    parallel edges since degree must count agents.
     """
 
     left: tuple[int, ...]
@@ -209,33 +212,43 @@ class CbivcsInstance:
     components: tuple[CbivcsComponent, ...]
 
 
-def _components(left, right, pairs: Counter) -> tuple[CbivcsComponent, ...]:
+def _components(pairs: Counter) -> tuple[CbivcsComponent, ...]:
     """Connected components of the graph whose edges are the distinct
-    (left, right) nomination pairs, each counted with its multiplicity."""
-    parent: dict[Vertex, Vertex] = {(1, c): (1, c) for c in left}
-    parent.update({(2, c): (2, c) for c in right})
+    (left, right) nomination pairs, each counted with its multiplicity.
 
-    def find(v: Vertex) -> Vertex:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    Vertices are ints: left candidate u is vertex u and right candidate v is
+    vertex -v (ids are positive once the zero check has passed).  Each vertex
+    maps to its component's member list, and a union moves the shorter list
+    into the longer (union by size), so no vertex moves more than log2 V
+    times and no lookup walks a parent chain."""
+    owner: dict[int, list[int]] = {}
     for u, v in pairs:
-        ru, rv = find((1, u)), find((2, v))
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[Vertex, list] = {}
-    for v in parent:
-        groups.setdefault(find(v), []).append(v)
+        v = -v
+        a, b = owner.get(u), owner.get(v)
+        if a is None:
+            if b is None:
+                owner[u] = owner[v] = [u, v]
+            else:
+                b.append(u)
+                owner[u] = b
+        elif b is None:
+            a.append(v)
+            owner[v] = a
+        elif a is not b:
+            if len(a) < len(b):
+                a, b = b, a
+            a += b
+            for x in b:
+                owner[x] = a
     edge_counts: Counter = Counter()
     for (u, _), count in pairs.items():
-        edge_counts[find((1, u))] += count
+        edge_counts[id(owner[u])] += count
     components = []
-    for root, members in groups.items():
-        lefts = tuple(sorted(c for side, c in members if side == 1))
-        rights = tuple(sorted(c for side, c in members if side == 2))
-        components.append(CbivcsComponent(lefts, rights, edge_counts[root]))
+    for members in {id(group): group for group in owner.values()}.values():
+        members.sort()
+        lefts = tuple(c for c in members if c > 0)
+        rights = tuple(-c for c in reversed(members) if c < 0)
+        components.append(CbivcsComponent(lefts, rights, edge_counts[id(members)]))
     # every component carries at least one edge, so both sides are nonempty
     components.sort(key=lambda comp: (comp.left[0], comp.right[0]))
     return tuple(components)
@@ -256,7 +269,7 @@ def build_cbivcs(x2: X2Instance) -> CbivcsInstance:
         raise ValueError("the graph reduction applies to target-one instances")
     left = tuple(sorted(lefts))
     right = tuple(sorted(rights))
-    return CbivcsInstance(left, right, x2.k1, x2.k2, x2.x1, x2.x2, _components(left, right, pairs))
+    return CbivcsInstance(left, right, x2.k1, x2.k2, x2.x1, x2.x2, _components(pairs))
 
 
 def solve_cbivcs(g: CbivcsInstance) -> set[Vertex] | None:

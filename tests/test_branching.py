@@ -3,11 +3,13 @@
 import copy
 import itertools
 import random
+from math import comb
 
 import pytest
 
 from ecse.branching import (
     _children,
+    _pick_agent,
     _Search,
     branch_children,
     counting_bound,
@@ -218,6 +220,39 @@ def test_equitable_children_have_no_satisfied_agents():
                     branched += 1
                     assert 0 not in child.yvec, f"seed {seed}, agent {a0 + 1}"
     assert branched > 200
+
+
+def test_egalitarian_count_closed_form_equals_the_explicit_sum():
+    # _pick_agent counts the level sets of at least y of d levels from the
+    # complement; y = d + 1 leaves none
+    for d in range(13):
+        for y in range(1, d + 2):
+            explicit = sum(comb(d, s) for s in range(y, d + 1))
+            assert (1 << d) - sum(comb(d, s) for s in range(y)) == explicit, (d, y)
+
+
+def _pick_by_explicit_sum(node):
+    """``_pick_agent`` with the egalitarian count summed over s >= y."""
+    best = best_count = None
+    for a0, (alive, y) in enumerate(zip(node.alive, node.yvec)):
+        if alive and y > 0:
+            d = len(node.levels(a0))
+            count = comb(d, y) if node.equitable else sum(comb(d, s) for s in range(y, d + 1))
+            if count == 0:
+                return None
+            if best is None or count < best_count:
+                best, best_count = a0, count
+    return best
+
+
+def test_pick_agent_matches_the_explicit_count():
+    picked = 0
+    for seed in range(400):
+        node = _Search(_random_pe(seed))
+        pick = _pick_agent(node)
+        assert pick == _pick_by_explicit_sum(node), f"seed {seed}"
+        picked += pick is not None and not node.equitable
+    assert picked > 100
 
 
 def _reference_child(pe, a0, chosen):

@@ -329,6 +329,22 @@ def test_auto_lets_branching_refute_i20_at_its_root_before_any_dp_attempt(tmp_pa
     assert payload["stats"]["nodes_expanded"] == 1 and payload["route"] == []
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_auto_lets_branching_refute_e20_at_its_root_before_the_ip(tmp_path, capsys, seed):
+    # E20: k*tau = 40 keeps branching out of auto and the DP's budget refuses,
+    # so without branching's root the IP would search 2,000,000 nodes and give up
+    inst = random_instance(seed, 10, 5, 20, 2, 2, 3, EQUITABLE)
+    path = tmp_path / "e20.ecse"
+    path.write_text(serialize_instance(inst))
+    code, _, _ = run(capsys, "solve", str(path), "--exit-verdict")
+    assert code == 1
+    code, out, _ = run(capsys, "solve", str(path), "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["algo"] == "branch" and payload["verdict"] == "no"
+    assert [r["algo"] for r in payload["route"]] == ["dp"]
+    assert payload["stats"]["nodes_expanded"] == 1
+
+
 @pytest.mark.parametrize("mode", [EGALITARIAN, EQUITABLE])
 def test_auto_agrees_with_brute_from_13_to_20_agents(mode):
     from ecse.cli import solve_with_algo

@@ -18,6 +18,7 @@ from ecse.model import (
     MAX_COMMITTEES,
     EnumerationLimitError,
     Instance,
+    PeInstance,
     agent_score,
     committee_score,
     enumerate_valid_committees,
@@ -57,6 +58,17 @@ def test_out_of_range_nomination_message_names_the_first_bad_value():
     with pytest.raises(ValueError) as err:
         Instance(EGALITARIAN, 4, 3, 2, 1, 0, 0, ((1, 2, 3, 0), (0, 5, -1, 4)))
     assert str(err.value) == "nomination 5 out of range 0..3"
+
+
+def test_row_check_names_the_first_bad_nomination_in_row_order():
+    # the row's least (-1) and greatest (9) values are both out of range too
+    row = (2, 5, -1, 9)
+    with pytest.raises(ValueError, match="^nomination 5 out of range 0..3$"):
+        Instance(EQUITABLE, 4, 3, 1, 1, 0, 0, (row,))
+    with pytest.raises(ValueError, match="^nomination 5 out of range 0..3$"):
+        PeInstance(EQUITABLE, 4, 3, 1, (1,), (0,), (0,) * 4, (row,))
+    with pytest.raises(ValueError, match="^nomination -1 out of range 0..3$"):
+        Instance(EQUITABLE, 4, 3, 2, 1, 0, 0, ((1, 2, 3, 0), (3, 0, -1, 2)))
 
 
 def test_committee_sequence_must_be_canonical():

@@ -1,6 +1,8 @@
 """Score-vector DP: verdicts, table bounds, pruning soundness."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ecse.model
 import ecse.score_dp
@@ -9,7 +11,7 @@ from ecse.model import (
     rename_candidates, verify,
 )
 from ecse.oracle import brute_solve
-from ecse.score_dp import AUTO_BUDGET, DpGuardError, solve_dp
+from ecse.score_dp import AUTO_BUDGET, DpGuardError, packed_fingerprints, solve_dp
 from ecse.generators import gen_3part, random_instance
 
 from conftest import make_instance
@@ -81,9 +83,10 @@ def test_one_fingerprint_table_per_distinct_row(mode, table_entries, max_frontie
     inst = gen_3part([1, 1, 4, 2, 2, 2, 3, 2, 1], mode)
     assert len(set(inst.profile)) == 1 and inst.tau == 3
     calls = []
-    build = ecse.score_dp.level_fingerprints
+    build = ecse.score_dp.enumerate_valid_committees
     monkeypatch.setattr(
-        "ecse.score_dp.level_fingerprints", lambda inst, t: calls.append(t) or build(inst, t)
+        "ecse.score_dp.enumerate_valid_committees",
+        lambda inst, t: calls.append(t) or build(inst, t),
     )
     witness = CommitteeSequence(((7, 8, 9), (4, 5, 6), (1, 2, 3)))
     # each level still counts its table's 55 committees
@@ -221,9 +224,10 @@ def test_budget_is_a_table_cap_no_larger_than_the_global_one(mode, monkeypatch):
     # the table holds more entries than the 58 subsets enumeration tries
     inst = random_instance(3, 8, 4, 6, 2, 1, 2, mode)
     calls = []
-    build = ecse.score_dp.level_fingerprints
+    build = ecse.score_dp.enumerate_valid_committees
     monkeypatch.setattr(
-        "ecse.score_dp.level_fingerprints", lambda inst, t: calls.append(t) or build(inst, t)
+        "ecse.score_dp.enumerate_valid_committees",
+        lambda inst, t: calls.append(t) or build(inst, t),
     )
     full = solve_dp(inst)
     # an equitable table counts both sides: here the sweep ran from both ends
@@ -278,3 +282,25 @@ def test_ln_eq_rung_n12_decides_within_the_table_cap():
     assert result.verdict == "yes"
     assert verify(inst, result.witness).feasible
     assert result.stats["table_entries"] == 379380
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 10**6), st.integers(1, 8), st.integers(1, 6), st.integers(1, 3),
+    st.integers(0, 4), st.integers(0, 3), st.integers(0, 3),
+    st.sampled_from([EGALITARIAN, EQUITABLE]), st.sampled_from([0.0, 0.25, 0.5]),
+)
+def test_packed_table_packs_the_level_fingerprints(seed, n, m, tau, k, x, y, mode, empty):
+    # summing supporter fields gives what packing each n-tuple bit by bit gave
+    renamed, _ = rename_candidates(random_instance(seed, n, m, tau, k, x, y, mode, empty))
+    w = (y + 1).bit_length() + 1
+
+    def pack(fp):
+        out = 0
+        for b in fp:
+            out = out << w | b
+        return out
+
+    for t in range(1, tau + 1):
+        expected = [(pack(fp), c) for fp, c in level_fingerprints(renamed, t).items()]
+        assert packed_fingerprints(renamed, t, w) == expected
