@@ -7,26 +7,33 @@ edges; a solution is an independent vertex cover respecting per-side budgets
 whose degree sums reach the remaining per-level thresholds.  In every
 connected component such a cover takes exactly one full side, so a sweep over
 components with reachable (budget, budget, score) triples decides the graph
-problem in polynomial time.
+problem in polynomial time.  For each state and batch of equal components the
+sweep enumerates only the numbers of left sides that fit both budgets.
 
 The forcing rules run as a worklist, as unit propagation does for Horn
 clauses: an index from (level, candidate) to agents is built once, each
 forcing deletes its supporters and erases each partner nomination through
 that index, and agents left with one nomination join a heap.  Every agent is
 deleted, erased and pushed at most once, so the rules cost O(n log n).  The
-graph is built over distinct (level-1, level-2) nomination pairs, so the
-components are merged once per pair, not once per agent.  Its vertices are
-plain ints, level-1 candidate u as u and level-2 candidate v as -v, so no
-(side, candidate) tuple is built or hashed per lookup; the cover that
+graph reads the agents' nomination pairs in blocks that double in length and
+merges each block's new distinct pairs, so the components are merged once per
+distinct pair, not once per agent.  It stops reading as soon as one component
+holds every candidate: a connected graph, as uniform nominations give after
+a few hundred agents, costs one short block however many agents there are;
+a graph that never connects reads every pair.  Its vertices are plain ints,
+level-1 candidate u as u and level-2 candidate v as -v, so no (side,
+candidate) tuple is built or hashed per lookup; the cover that
 :func:`solve_cbivcs` returns still names (side, candidate) pairs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
-from itertools import compress
+from itertools import compress, islice
+from operator import neg
 
 from .model import (
     EQUITABLE,
@@ -37,6 +44,12 @@ from .model import (
 )
 
 Vertex = tuple[int, int]  # (level side 1|2, candidate id)
+
+_NO_NOMINATION = "agents must nominate at both levels; apply the rules first"
+
+# agents in the graph's first block of nomination pairs; each later block
+# is twice as long
+_FIRST_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -212,64 +225,94 @@ class CbivcsInstance:
     components: tuple[CbivcsComponent, ...]
 
 
-def _components(pairs: Counter) -> tuple[CbivcsComponent, ...]:
-    """Connected components of the graph whose edges are the distinct
-    (left, right) nomination pairs, each counted with its multiplicity.
+def _components(
+    row1: tuple[int, ...], row2: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[CbivcsComponent, ...]]:
+    """Both sorted sides and the connected components of the graph whose
+    edges are the agents' (left, right) nomination pairs, each counted with
+    its multiplicity; raises ValueError if an agent lacks a nomination.
 
     Vertices are ints: left candidate u is vertex u and right candidate v is
-    vertex -v (ids are positive once the zero check has passed).  Each vertex
-    maps to its component's member list, and a union moves the shorter list
-    into the longer (union by size), so no vertex moves more than log2 V
-    times and no lookup walks a parent chain."""
+    vertex -v, so a zero on either side is vertex 0.  Each vertex maps to
+    its component's member list, and a union moves the shorter list into
+    the longer (union by size), so no vertex moves more than log2 V times
+    and no lookup walks a parent chain.
+
+    The pairs are read in blocks that double in length, each deduplicated by
+    a set and merged only for the pairs no earlier block held.  While the
+    graph read so far is one component, the sides are taken (once) from the
+    rows' distinct values; when the component holds all of them, no later
+    pair can change the answer, the rest of the rows is never read, and the
+    edge count is the number of agents.  A graph that never connects reads
+    every pair and counts each component's edges as the degrees of its left
+    vertices."""
     owner: dict[int, list[int]] = {}
-    for u, v in pairs:
-        v = -v
-        a, b = owner.get(u), owner.get(v)
-        if a is None:
-            if b is None:
-                owner[u] = owner[v] = [u, v]
-            else:
-                b.append(u)
-                owner[u] = b
-        elif b is None:
-            a.append(v)
-            owner[v] = a
-        elif a is not b:
-            if len(a) < len(b):
-                a, b = b, a
-            a += b
-            for x in b:
-                owner[x] = a
-    edge_counts: Counter = Counter()
-    for (u, _), count in pairs.items():
-        edge_counts[id(owner[u])] += count
+    seen: set[tuple[int, int]] = set()
+    sides = None
+    pairs = zip(row1, row2)
+    size = _FIRST_BLOCK
+    while block := set(islice(pairs, size)):
+        block -= seen
+        seen |= block
+        for u, v in block:
+            v = -v
+            a, b = owner.get(u), owner.get(v)
+            if a is None:
+                if b is None:
+                    owner[u] = owner[v] = [u, v]
+                else:
+                    b.append(u)
+                    owner[u] = b
+            elif b is None:
+                a.append(v)
+                owner[v] = a
+            elif a is not b:
+                if len(a) < len(b):
+                    a, b = b, a
+                a += b
+                for x in b:
+                    owner[x] = a
+        group = owner[row1[0]]
+        if len(group) == len(owner):
+            sides = sides or (set(row1), set(row2))
+            lefts, rights = sides
+            if len(group) == len(lefts) + len(rights):
+                if 0 in lefts or 0 in rights:
+                    raise ValueError(_NO_NOMINATION)
+                left, right = tuple(sorted(lefts)), tuple(sorted(rights))
+                return left, right, (CbivcsComponent(left, right, len(row1)),)
+        size *= 2
+    if 0 in owner:
+        raise ValueError(_NO_NOMINATION)
+    degree = Counter(row1)
     components = []
     for members in {id(group): group for group in owner.values()}.values():
         members.sort()
-        lefts = tuple(c for c in members if c > 0)
-        rights = tuple(-c for c in reversed(members) if c < 0)
-        components.append(CbivcsComponent(lefts, rights, edge_counts[id(members)]))
+        # right vertices are negative, so they sort first
+        split = bisect(members, 0)
+        lefts = tuple(members[split:])
+        rights = tuple(map(neg, reversed(members[:split])))
+        components.append(CbivcsComponent(lefts, rights, sum(map(degree.__getitem__, lefts))))
     # every component carries at least one edge, so both sides are nonempty
     components.sort(key=lambda comp: (comp.left[0], comp.right[0]))
-    return tuple(components)
+    left = tuple(sorted(degree))
+    right = tuple(sorted(-c for c in owner if c < 0))
+    return left, right, tuple(components)
 
 
 def build_cbivcs(x2: X2Instance) -> CbivcsInstance:
     """Agents as edges between their two nominations; rules must have run
     first so that every agent nominates at both levels.
 
-    The agents are counted into distinct nomination pairs first; the zero
-    check and both sides are read off the pairs, not the rows."""
-    pairs = Counter(zip(x2.row1, x2.row2))
-    lefts = {u for u, _ in pairs}
-    rights = {v for _, v in pairs}
-    if 0 in lefts or 0 in rights:
-        raise ValueError("agents must nominate at both levels; apply the rules first")
+    The zero check and both sides come with the components (see
+    :func:`_components`), which read the rows only until the graph is
+    connected."""
     if x2.y != 1:
+        if 0 in x2.row1 or 0 in x2.row2:
+            raise ValueError(_NO_NOMINATION)
         raise ValueError("the graph reduction applies to target-one instances")
-    left = tuple(sorted(lefts))
-    right = tuple(sorted(rights))
-    return CbivcsInstance(left, right, x2.k1, x2.k2, x2.x1, x2.x2, _components(pairs))
+    left, right, components = _components(x2.row1, x2.row2)
+    return CbivcsInstance(left, right, x2.k1, x2.k2, x2.x1, x2.x2, components)
 
 
 def solve_cbivcs(g: CbivcsInstance) -> set[Vertex] | None:
@@ -278,9 +321,12 @@ def solve_cbivcs(g: CbivcsInstance) -> set[Vertex] | None:
     Per component the cover is one full side, so the sweep tracks reachable
     (left-use, right-use, left-degree-sum) triples component by component;
     identical (|left|, |right|, edges) component types are batched, with j of
-    a type's components taking the left side.  States over budget are cut
-    (budgets only grow); the lexicographically smallest accepting state is
-    walked back into the cover.
+    a type's components taking the left side.  From each state only the j
+    whose left sides fit the remaining left budget and whose count - j right
+    sides fit the remaining right budget are enumerated, in increasing
+    order, so no state over budget is ever built.  The lexicographically
+    smallest accepting state is walked back into the cover.  Every component
+    needs both sides nonempty, as every component of an agent graph has.
     """
     if g.k1 < 0 or g.k2 < 0:
         return None
@@ -296,10 +342,12 @@ def solve_cbivcs(g: CbivcsInstance) -> set[Vertex] | None:
         nxt: dict[tuple[int, int, int], tuple | None] = {}
         for state in sorted(stages[-1]):
             k1u, k2u, x1s = state
-            for j in range(count + 1):
+            # j left sides cost j * n1 <= k1 - k1u, and count - j right
+            # sides (count - j) * n2 <= k2 - k2u
+            low = max(0, count - (g.k2 - k2u) // n2)
+            high = min(count, (g.k1 - k1u) // n1)
+            for j in range(low, high + 1):
                 cand = (k1u + j * n1, k2u + (count - j) * n2, x1s + j * m)
-                if cand[0] > g.k1 or cand[1] > g.k2:
-                    continue
                 if cand not in nxt:
                     nxt[cand] = (state, j)
         if not nxt:

@@ -1,5 +1,6 @@
 """Two-level equitable pipeline: rules, graph reduction, component sweep."""
 
+import random
 import time
 from collections import Counter
 from dataclasses import replace
@@ -300,6 +301,145 @@ def test_graph_sides_from_pairs_match_the_rows(inst, y):
         graph = build_cbivcs(case)
         components = [(comp.left, comp.right, comp.edge_count) for comp in graph.components]
         assert (graph.left, graph.right, components) == expected
+
+
+CONNECTED, LATE_BRIDGE, LATE_EDGE, SEVERAL = "connected", "late bridge", "late edge", "several"
+
+
+@st.composite
+def multi_block_rows(draw, shape):
+    """Two-level rows of 1,000-5,000 agents, longer than the graph's first
+    block of pairs.  ``connected``: a path through every candidate opens the
+    rows, so the graph is connected within the first block.  ``late bridge``:
+    two such halves on disjoint candidates, joined only by the last agent.
+    ``late edge``: connected from the first block, but the last agent
+    nominates two candidates nobody else does, a second component.
+    ``several``: candidates split into groups, each agent nominating inside
+    one group."""
+    n = draw(st.integers(1000, 5000))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def half(agents, m1, m2, first1, first2):
+        # a path v1 - u1 - v2 - u2 - ... covers both sides, then random pairs
+        path = [(min(i, m1 - 1), min(i + d, m2 - 1)) for i in range(max(m1, m2)) for d in (0, 1)]
+        pairs = path + [(rng.randrange(m1), rng.randrange(m2)) for _ in range(agents - len(path))]
+        return [(first1 + a, first2 + b) for a, b in pairs]
+
+    m1, m2 = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    if shape == CONNECTED:
+        pairs = half(n, m1, m2, 1, 1)
+    elif shape == LATE_BRIDGE:
+        pairs = half(n // 2, m1, m2, 1, 1) + half(n - n // 2 - 1, m1, m2, m1 + 1, m2 + 1)
+        pairs.append((rng.randint(1, m1), rng.randint(m2 + 1, 2 * m2)))
+    elif shape == LATE_EDGE:
+        pairs = half(n - 1, m1, m2, 1, 1) + [(m1 + 1, m2 + 1)]
+    else:
+        groups = draw(st.integers(2, 12))
+        pairs = []
+        for _ in range(n):
+            g = rng.randrange(groups)
+            pairs.append((1 + g + groups * rng.randrange(m1), 1 + g + groups * rng.randrange(m2)))
+    return x2([a for a, _ in pairs], [b for _, b in pairs])
+
+
+@pytest.mark.parametrize("shape", [CONNECTED, LATE_BRIDGE, LATE_EDGE, SEVERAL])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_multi_block_graph_matches_per_edge_union_find(shape, data):
+    inst = data.draw(multi_block_rows(shape))
+    graph = build_cbivcs(inst)
+    components = [(comp.left, comp.right, comp.edge_count) for comp in graph.components]
+    assert (graph.left, graph.right, components) == graph_from_rows(inst)
+    assert edge_total(graph) == inst.n
+    if shape in (CONNECTED, LATE_BRIDGE):
+        assert len(components) == 1
+    elif shape == LATE_EDGE:
+        assert len(components) == 2
+        assert components[-1] == ((max(inst.row1),), (max(inst.row2),), 1)
+    else:
+        assert len(components) > 1
+
+
+def all_j_sweep(g):
+    """``solve_cbivcs`` as first written: every j from 0 to the type count is
+    tried from every state, and states over budget are dropped."""
+    if g.k1 < 0 or g.k2 < 0:
+        return None
+    total = sum(comp.edge_count for comp in g.components)
+    type_members = {}
+    for comp in g.components:
+        type_members.setdefault((len(comp.left), len(comp.right), comp.edge_count), []).append(comp)
+    stages = [{(0, 0, 0): None}]
+    for (n1, n2, m), members in type_members.items():
+        count = len(members)
+        nxt = {}
+        for state in sorted(stages[-1]):
+            k1u, k2u, x1s = state
+            for j in range(count + 1):
+                cand = (k1u + j * n1, k2u + (count - j) * n2, x1s + j * m)
+                if cand[0] > g.k1 or cand[1] > g.k2:
+                    continue
+                if cand not in nxt:
+                    nxt[cand] = (state, j)
+        if not nxt:
+            return None
+        stages.append(nxt)
+    accepting = sorted(s for s in stages[-1] if s[2] >= g.x1 and total - s[2] >= g.x2)
+    if not accepting:
+        return None
+    cover, state = set(), accepting[0]
+    for stage, members in zip(reversed(stages), reversed(type_members.values())):
+        prev, j = stage[state]
+        for pos, comp in enumerate(members):
+            if pos < j:
+                cover.update((1, c) for c in comp.left)
+            else:
+                cover.update((2, c) for c in comp.right)
+        state = prev
+    return cover
+
+
+@st.composite
+def cbivcs_graphs(draw):
+    """Up to four component types (sides of 1-3 candidates, 1-6 edges),
+    interleaved, up to 12 components; budgets from -1 to 10, so a type's
+    count often exceeds what a budget admits, and thresholds up to just
+    past the edge total."""
+    shape = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 6))
+    types = draw(st.lists(shape, min_size=1, max_size=4, unique=True))
+    order = draw(st.lists(st.sampled_from(types), max_size=12))
+    components, next1, next2 = [], 1, 1
+    for n1, n2, edges in order:
+        components.append(CbivcsComponent(
+            tuple(range(next1, next1 + n1)), tuple(range(next2, next2 + n2)), edges
+        ))
+        next1, next2 = next1 + n1, next2 + n2
+    total = sum(comp.edge_count for comp in components)
+    budget, threshold = st.integers(-1, 10), st.integers(0, total + 2)
+    return CbivcsInstance(
+        tuple(range(1, next1)), tuple(range(1, next2)),
+        draw(budget), draw(budget), draw(threshold), draw(threshold), tuple(components),
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(cbivcs_graphs())
+def test_feasible_range_sweep_matches_the_all_j_loop(g):
+    assert solve_cbivcs(g) == all_j_sweep(g)
+
+
+@pytest.mark.parametrize("k1, k2", [(0, 6), (6, 0), (0, 0)])
+def test_feasible_range_sweep_with_an_empty_budget(k1, k2):
+    # five equal single-edge components: a zero budget forces every one to
+    # the other side, and two zeros leave no cover at all
+    comps = tuple(CbivcsComponent((c,), (c,), 1) for c in range(1, 6))
+    g = CbivcsInstance(tuple(range(1, 6)), tuple(range(1, 6)), k1, k2, 0, 0, comps)
+    cover = solve_cbivcs(g)
+    assert cover == all_j_sweep(g)
+    if k1 == k2 == 0:
+        assert cover is None
+    else:
+        assert cover == {(1 if k1 else 2, c) for c in range(1, 6)}
 
 
 def test_forcing_cascade_scales_to_1e5_agents():
