@@ -70,7 +70,7 @@ class DpGuardError(GuardExceeded):
 MAX_AGENTS = 20
 MAX_TABLE_ENTRIES = 1_000_000
 #: entry budget of the attempt ``solve --algo auto`` makes on every instance
-#: with at most ``MAX_AGENTS`` agents
+#: with at most ``MAX_AGENTS`` agents that branching's root does not decide
 AUTO_BUDGET = 2_000
 
 

@@ -150,10 +150,13 @@ def apply_x2_rules(x2: X2Instance) -> X2Instance | None:
     loses a nomination is pushed.  No agent is deleted, erased or pushed
     twice, so the cost is O(n log n).
     """
-    if rr_x2_no_nomination(x2) is None:
-        return None
-    if 0 not in x2.row1 and 0 not in x2.row2:
+    if x2.y != 1:
+        raise ValueError("rule applies to target-one instances")
+    zero1, zero2 = 0 in x2.row1, 0 in x2.row2  # one scan per row
+    if not (zero1 or zero2):
         return x2
+    if zero1 and zero2 and (0, 0) in zip(x2.row1, x2.row2):
+        return None
     # a sorted list is already a heap
     single = [a0 for a0, pair in enumerate(zip(x2.row1, x2.row2)) if 0 in pair]
     # per level (index 1 and 2): nominations, and candidate -> its agents

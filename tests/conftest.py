@@ -8,6 +8,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from ecse.model import (
     EGALITARIAN,
@@ -29,6 +30,23 @@ def make_instance(rows, mode=EGALITARIAN, k=1, x=0, y=1, m=None):
     if m is None:
         m = max((c for row in rows for c in row), default=0)
     return Instance(mode, n, m, len(rows), k, x, y, rows)
+
+
+@st.composite
+def instances(draw, max_n=5, max_m=4, max_tau=3):
+    """Hypothesis strategy: a plain instance of either mode; nominee 0 is an
+    empty nomination."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_m))
+    tau = draw(st.integers(1, max_tau))
+    mode = draw(st.sampled_from([EGALITARIAN, EQUITABLE]))
+    k = draw(st.integers(0, m))
+    x = draw(st.integers(0, n))
+    y = draw(st.integers(0, tau))
+    rows = tuple(
+        tuple(draw(st.integers(0, m)) for _ in range(n)) for _ in range(tau)
+    )
+    return Instance(mode, n, m, tau, k, x, y, rows)
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
 
 from ecse.branching import (
     _children,
@@ -22,6 +23,7 @@ from ecse.model import (
     EQUITABLE,
     EnumerationLimitError,
     PeInstance,
+    UndecidedError,
     greedy_committee,
     row_support,
     valid_committees,
@@ -30,7 +32,7 @@ from ecse.model import (
 from ecse.oracle import brute_solve
 from ecse.generators import random_instance
 
-from conftest import TRIP_ROWS, make_instance
+from conftest import TRIP_ROWS, instances, make_instance
 
 
 def test_lift_trip(trip_egalitarian):
@@ -478,6 +480,21 @@ def test_counting_bound_refutes_i20_at_the_root():
     result = solve_branch(inst)
     assert result.verdict == "no"
     assert result.stats["nodes_expanded"] == 1 and result.stats["bound_prunes"] == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(max_n=8, max_tau=4))
+def test_root_alone_never_contradicts_the_oracle(inst):
+    # auto runs branching's root on every instance before any search, so a
+    # root verdict must be the oracle's: in particular never no on a yes
+    try:
+        result = solve_branch(inst, max_nodes=1)
+    except UndecidedError:
+        return
+    assert result.verdict == brute_solve(inst).verdict
+    assert result.stats["nodes_expanded"] == 1
+    if result.witness is not None:
+        assert verify(inst, result.witness).feasible
 
 
 @pytest.mark.parametrize("mode", [EGALITARIAN, EQUITABLE])

@@ -331,8 +331,9 @@ def test_auto_lets_branching_refute_i20_at_its_root_before_any_dp_attempt(tmp_pa
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_auto_lets_branching_refute_e20_at_its_root_before_the_ip(tmp_path, capsys, seed):
-    # E20: k*tau = 40 keeps branching out of auto and the DP's budget refuses,
-    # so without branching's root the IP would search 2,000,000 nodes and give up
+    # E20: k*tau = 40 keeps branching's search out of auto and the DP's budget
+    # would refuse, so without branching's root the IP would search 2,000,000
+    # nodes and give up; the root refutes it before the DP is tried
     inst = random_instance(seed, 10, 5, 20, 2, 2, 3, EQUITABLE)
     path = tmp_path / "e20.ecse"
     path.write_text(serialize_instance(inst))
@@ -341,8 +342,32 @@ def test_auto_lets_branching_refute_e20_at_its_root_before_the_ip(tmp_path, caps
     code, out, _ = run(capsys, "solve", str(path), "--json")
     payload = json.loads(out)
     assert code == 0 and payload["algo"] == "branch" and payload["verdict"] == "no"
-    assert [r["algo"] for r in payload["route"]] == ["dp"]
+    assert payload["route"] == []
     assert payload["stats"]["nodes_expanded"] == 1
+
+
+# small no-instances (k*tau <= 24) that the score DP decides within its auto
+# budget, but that branching's root refutes first
+ROOT_REFUTED = [
+    (3, 7, 4, 5, 1, 3, 1, EQUITABLE),
+    (99, 5, 3, 5, 1, 3, 1, EGALITARIAN),
+]
+
+
+@pytest.mark.parametrize("args", ROOT_REFUTED, ids=lambda args: args[-1])
+def test_auto_runs_branchings_root_before_the_dp_unless_max_nodes_is_0(tmp_path, capsys, args):
+    inst = random_instance(*args)
+    assert brute_solve(inst).verdict == "no"
+    path = tmp_path / "small.ecse"
+    path.write_text(serialize_instance(inst))
+    code, out, _ = run(capsys, "solve", str(path), "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["algo"] == "branch" and payload["verdict"] == "no"
+    assert payload["stats"]["nodes_expanded"] == 1 and payload["route"] == []
+    code, out, _ = run(capsys, "solve", str(path), "--json", "--max-nodes", "0")
+    payload = json.loads(out)
+    assert code == 0 and payload["algo"] == "dp" and payload["verdict"] == "no"
+    assert payload["route"] == []
 
 
 @pytest.mark.parametrize("mode", [EGALITARIAN, EQUITABLE])

@@ -33,7 +33,7 @@ from ecse.model import (
 from ecse.oracle import brute_solve
 from ecse.generators import random_instance
 
-from conftest import TRIP_ROWS, make_instance
+from conftest import TRIP_ROWS, instances, make_instance
 
 
 def seq(*committees):
@@ -154,21 +154,6 @@ def test_pe_feasible_matches_scalar_semantics(trip_equitable_x3):
 
 
 # -- hypothesis properties ------------------------------------------------------
-
-
-@st.composite
-def instances(draw, max_n=5, max_m=4, max_tau=3):
-    n = draw(st.integers(1, max_n))
-    m = draw(st.integers(1, max_m))
-    tau = draw(st.integers(1, max_tau))
-    mode = draw(st.sampled_from([EGALITARIAN, EQUITABLE]))
-    k = draw(st.integers(0, m))
-    x = draw(st.integers(0, n))
-    y = draw(st.integers(0, tau))
-    rows = tuple(
-        tuple(draw(st.integers(0, m)) for _ in range(n)) for _ in range(tau)
-    )
-    return Instance(mode, n, m, tau, k, x, y, rows)
 
 
 @st.composite
