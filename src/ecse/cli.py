@@ -11,6 +11,7 @@ any other exception (its traceback goes to stderr; never a verdict); with
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -196,17 +197,7 @@ def cmd_verify(args) -> int:
         raise UsageError(f"solution elects a candidate above the instance's m={inst.m}")
     report = verify(inst, seq)
     if args.json:
-        payload = {
-            "feasible": report.feasible,
-            "level_scores": list(report.level_scores),
-            "agent_scores": list(report.agent_scores),
-            "first_violation": (
-                None
-                if report.first_violation is None
-                else {"kind": report.first_violation.kind, "index": report.first_violation.index}
-            ),
-        }
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(dataclasses.asdict(report), sort_keys=True))
     elif report.feasible:
         print("FEASIBLE")
     else:

@@ -14,7 +14,8 @@ candidate per level, so such clauses have no faithful image.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 
 from .model import EGALITARIAN, EQUITABLE, CommitteeSequence, Instance
 
@@ -176,8 +177,7 @@ def gen_gcse_3sat(cnf: CnfFormula) -> Instance:
 
 def gen_qcse_x13sat(cnf: CnfFormula) -> Instance:
     """Exactly-1-in-3 SAT as the same three-level gadget, equitable mode."""
-    base = gen_gcse_3sat(cnf)
-    return Instance(EQUITABLE, base.n, base.m, base.tau, base.k, base.x, base.y, base.profile)
+    return replace(gen_gcse_3sat(cnf), mode=EQUITABLE)
 
 
 def threesat_assignment_to_sequence(cnf: CnfFormula, assignment: tuple[bool, ...]) -> CommitteeSequence:
@@ -260,27 +260,20 @@ def gen_nmx(cnf: CnfFormula, mode: str) -> Instance:
     _check_simple_clauses(cnf)
     if any(len(clause) != 3 for clause in cnf.clauses):
         raise ValueError("clauses must have exactly three literals")
-    pos = [0] * (cnf.num_vars + 1)
-    neg = [0] * (cnf.num_vars + 1)
-    for clause in cnf.clauses:
-        for lit in clause:
-            if lit > 0:
-                pos[lit] += 1
-            else:
-                neg[-lit] += 1
+    occurrences = Counter(lit for clause in cnf.clauses for lit in clause)
     n_clauses = len(cnf.clauses)
     tau = cnf.num_vars
     if mode == EGALITARIAN:
         for v in range(1, cnf.num_vars + 1):
-            if pos[v] != 2 or neg[v] != 2:
+            if occurrences[v] != 2 or occurrences[-v] != 2:
                 raise ValueError(f"variable {v} must occur twice negated and twice unnegated")
         rows = _literal_rows(cnf, 3)
         return Instance(EGALITARIAN, n_clauses, 3, tau, 2, n_clauses - 2, tau - 2, rows)
     if mode == EQUITABLE:
         for v in range(1, cnf.num_vars + 1):
-            if neg[v] != 0:
+            if occurrences[-v] != 0:
                 raise ValueError(f"variable {v} appears negated in equitable input")
-            if pos[v] != 3:
+            if occurrences[v] != 3:
                 raise ValueError(f"variable {v} must occur exactly three times")
         rows = _literal_rows(cnf, 2)
         return Instance(EQUITABLE, n_clauses, 2, tau, 2, n_clauses - 3, tau - 2, rows)

@@ -10,6 +10,7 @@ text format for external solvers.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .model import (
@@ -111,12 +112,7 @@ def solve_ip_naive(model: IpModel, max_nodes: int = MAX_NODES) -> dict[VarKey, i
     assignment: dict[VarKey, int] = {}
     remaining = list(model.type_counts)  # capacity left per type
     agent_sum = [0] * model.n
-    open_by_type: list[dict[int, int]] = []
-    for pairs in model.agent_vars:
-        per: dict[int, int] = {}
-        for ti, _ in pairs:
-            per[ti] = per.get(ti, 0) + 1
-        open_by_type.append(per)
+    open_by_type = [Counter(ti for ti, _ in pairs) for pairs in model.agent_vars]
 
     def optimistic(a0: int) -> int:
         bound = agent_sum[a0]

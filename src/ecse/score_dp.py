@@ -102,9 +102,9 @@ def solve_dp(inst: Instance, budget: int | None = None) -> SolveResult:
     most that many entries together, and committee enumeration that would
     try more subsets than that refuses before it starts.
     """
+    if inst.n > MAX_AGENTS:
+        raise DpGuardError(f"{inst.n} agents exceed the table guard ({MAX_AGENTS})")
     renamed, renaming = rename_candidates(inst)
-    if renamed.n > MAX_AGENTS:
-        raise DpGuardError(f"{renamed.n} agents exceed the table guard ({MAX_AGENTS})")
     n, y = renamed.n, renamed.y
     cap = renamed.egalitarian
     limit = MAX_TABLE_ENTRIES

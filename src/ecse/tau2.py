@@ -15,15 +15,16 @@ clauses: an index from (level, candidate) to agents is built once, each
 forcing deletes its supporters and erases each partner nomination through
 that index, and agents left with one nomination join a heap.  Every agent is
 deleted, erased and pushed at most once, so the rules cost O(n log n).  The
-graph reads the agents' nomination pairs in blocks that double in length and
-merges each block's new distinct pairs, so the components are merged once per
-distinct pair, not once per agent.  It stops reading as soon as one component
-holds every candidate: a connected graph, as uniform nominations give after
-a few hundred agents, costs one short block however many agents there are;
-a graph that never connects reads every pair.  Its vertices are plain ints,
-level-1 candidate u as u and level-2 candidate v as -v, so no (side,
-candidate) tuple is built or hashed per lookup; the cover that
-:func:`solve_cbivcs` returns still names (side, candidate) pairs.
+graph is held as its components alone, which partition both sides.  It reads
+the agents' nomination pairs in blocks that double in length and merges each
+block's new distinct pairs, so the components are merged once per distinct
+pair, not once per agent.  It stops reading as soon as one component holds
+every candidate: a connected graph, as uniform nominations give after a few
+hundred agents, costs one short block however many agents there are; a graph
+that never connects reads every pair.  Its vertices are plain ints, level-1
+candidate u as u and level-2 candidate v as -v, so no (side, candidate)
+tuple is built or hashed per lookup; the cover that :func:`solve_cbivcs`
+returns still names (side, candidate) pairs.
 """
 
 from __future__ import annotations
@@ -213,14 +214,13 @@ class CbivcsComponent:
 
 @dataclass(frozen=True)
 class CbivcsInstance:
-    """Bipartite budget/score cover instance with its component index.
+    """Bipartite budget/score cover instance given by its components.
 
-    Each component lists its candidates per side; its edge count includes
-    parallel edges since degree must count agents.
+    Each component lists its candidates per side, and the components
+    partition both sides; its edge count includes parallel edges since
+    degree must count agents.
     """
 
-    left: tuple[int, ...]
-    right: tuple[int, ...]
     k1: int
     k2: int
     x1: int
@@ -228,12 +228,10 @@ class CbivcsInstance:
     components: tuple[CbivcsComponent, ...]
 
 
-def _components(
-    row1: tuple[int, ...], row2: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[CbivcsComponent, ...]]:
-    """Both sorted sides and the connected components of the graph whose
-    edges are the agents' (left, right) nomination pairs, each counted with
-    its multiplicity; raises ValueError if an agent lacks a nomination.
+def _components(row1: tuple[int, ...], row2: tuple[int, ...]) -> tuple[CbivcsComponent, ...]:
+    """The connected components of the graph whose edges are the agents'
+    (left, right) nomination pairs, each counted with its multiplicity;
+    raises ValueError if an agent lacks a nomination.
 
     Vertices are ints: left candidate u is vertex u and right candidate v is
     vertex -v, so a zero on either side is vertex 0.  Each vertex maps to
@@ -242,7 +240,8 @@ def _components(
     and no lookup walks a parent chain.
 
     The pairs are read in blocks that double in length, each deduplicated by
-    a set and merged only for the pairs no earlier block held.  While the
+    a set and merged only for the pairs no earlier block held; a zero
+    nomination is caught right after the block that holds it.  While the
     graph read so far is one component, the sides are taken (once) from the
     rows' distinct values; when the component holds all of them, no later
     pair can change the answer, the rest of the rows is never read, and the
@@ -275,18 +274,15 @@ def _components(
                 a += b
                 for x in b:
                     owner[x] = a
+        if 0 in owner:
+            raise ValueError(_NO_NOMINATION)
         group = owner[row1[0]]
         if len(group) == len(owner):
             sides = sides or (set(row1), set(row2))
             lefts, rights = sides
             if len(group) == len(lefts) + len(rights):
-                if 0 in lefts or 0 in rights:
-                    raise ValueError(_NO_NOMINATION)
-                left, right = tuple(sorted(lefts)), tuple(sorted(rights))
-                return left, right, (CbivcsComponent(left, right, len(row1)),)
+                return (CbivcsComponent(tuple(sorted(lefts)), tuple(sorted(rights)), len(row1)),)
         size *= 2
-    if 0 in owner:
-        raise ValueError(_NO_NOMINATION)
     degree = Counter(row1)
     components = []
     for members in {id(group): group for group in owner.values()}.values():
@@ -298,24 +294,20 @@ def _components(
         components.append(CbivcsComponent(lefts, rights, sum(map(degree.__getitem__, lefts))))
     # every component carries at least one edge, so both sides are nonempty
     components.sort(key=lambda comp: (comp.left[0], comp.right[0]))
-    left = tuple(sorted(degree))
-    right = tuple(sorted(-c for c in owner if c < 0))
-    return left, right, tuple(components)
+    return tuple(components)
 
 
 def build_cbivcs(x2: X2Instance) -> CbivcsInstance:
     """Agents as edges between their two nominations; rules must have run
     first so that every agent nominates at both levels.
 
-    The zero check and both sides come with the components (see
-    :func:`_components`), which read the rows only until the graph is
-    connected."""
+    The zero check comes with the components (see :func:`_components`),
+    which read the rows only until the graph is connected."""
     if x2.y != 1:
         if 0 in x2.row1 or 0 in x2.row2:
             raise ValueError(_NO_NOMINATION)
         raise ValueError("the graph reduction applies to target-one instances")
-    left, right, components = _components(x2.row1, x2.row2)
-    return CbivcsInstance(left, right, x2.k1, x2.k2, x2.x1, x2.x2, components)
+    return CbivcsInstance(x2.k1, x2.k2, x2.x1, x2.x2, _components(x2.row1, x2.row2))
 
 
 def solve_cbivcs(g: CbivcsInstance) -> set[Vertex] | None:

@@ -134,6 +134,13 @@ def test_verify_outputs(trip_file, tmp_path, capsys):
     code, out, _ = run(capsys, "verify", trip_file, str(sol), "--json")
     assert json.loads(out)["feasible"] is True
 
+    code, out, _ = run(capsys, "verify", str(equit), str(sol), "--json")
+    assert code == 0
+    assert out == (
+        '{"agent_scores": [1, 2, 2, 1, 1, 1], "feasible": false, '
+        '"first_violation": {"index": 2, "kind": "agent-score"}, "level_scores": [4, 4]}\n'
+    )
+
 
 def test_kernelize_resolves(tmp_path, capsys):
     doc = serialize_instance(make_instance([(1,), (1,)], mode="egalitarian", k=1, x=0, y=1))
@@ -591,6 +598,21 @@ def test_solve_refuses_a_huge_committee_enumeration_at_once(tmp_path, capsys):
     assert time.perf_counter() - started < 2.0
     assert code == 3 and out == ""
     assert "enumeration guard" in err
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["solve", "--algo", "ip"], ["export-ip"]])
+def test_more_than_30_distinct_candidates_refuse_at_any_k(argv, tmp_path, capsys):
+    # the distinct-candidate rule refuses at k = 1, where 35 candidates give
+    # only 36 subsets; kernelize never enumerates and still answers
+    path = tmp_path / "wide30.ecse"
+    path.write_text(serialize_instance(random_instance(0, 60, 60, 30, 1, 1, 1, EGALITARIAN)))
+    started = time.perf_counter()
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert time.perf_counter() - started < 2.0
+    assert (code, out) == (3, "")
+    assert "35 distinct candidates with k=1 in one level exceed the enumeration guard" in err
+    code, out, _ = run(capsys, "kernelize", str(path))
+    assert code == 0 and out.startswith("REDUCED")
 
 
 @pytest.mark.parametrize("command", ["solve", "bench"])

@@ -6,12 +6,13 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ecse.model import EQUITABLE, verify
 from ecse.oracle import brute_solve
 from ecse.tau2 import (
+    _FIRST_BLOCK,
     CbivcsComponent,
     CbivcsInstance,
     X2Instance,
@@ -75,9 +76,18 @@ def edge_total(graph):
     return sum(comp.edge_count for comp in graph.components)
 
 
+def graph_sides(graph):
+    """Both sides of the graph as the sorted union of its components' sides;
+    a candidate in two components would show up twice."""
+    return (
+        tuple(sorted(c for comp in graph.components for c in comp.left)),
+        tuple(sorted(c for comp in graph.components for c in comp.right)),
+    )
+
+
 def test_build_cbivcs_shapes():
     graph = build_cbivcs(x2((1, 1), (2, 3)))
-    assert graph.left == (1,) and graph.right == (2, 3)
+    assert graph_sides(graph) == ((1,), (2, 3))
     assert edge_total(graph) == 2
     assert len(graph.components) == 1
     comp = graph.components[0]
@@ -96,17 +106,13 @@ def test_build_cbivcs_shapes():
 
 
 def test_solve_cbivcs_single_edge():
-    g = CbivcsInstance(
-        (1,), (2,), 1, 1, 1, 0,
-        (CbivcsComponent((1,), (2,), 1),),
-    )
+    g = CbivcsInstance(1, 1, 1, 0, (CbivcsComponent((1,), (2,), 1),))
     assert solve_cbivcs(g) == {(1, 1)}
 
 
 def test_solve_cbivcs_two_components():
     # component A: single edge u1-v1; component B: path v2 - u2 - v3
     g = CbivcsInstance(
-        (1, 2), (1, 2, 3),
         2, 1, 2, 1,
         (
             CbivcsComponent((1,), (1,), 1),
@@ -118,10 +124,7 @@ def test_solve_cbivcs_two_components():
 
 
 def test_solve_cbivcs_unreachable_targets():
-    g = CbivcsInstance(
-        (1,), (2,), 1, 1, 2, 0,
-        (CbivcsComponent((1,), (2,), 1),),
-    )
+    g = CbivcsInstance(1, 1, 2, 0, (CbivcsComponent((1,), (2,), 1),))
     assert solve_cbivcs(g) is None
 
 
@@ -300,7 +303,7 @@ def test_graph_sides_from_pairs_match_the_rows(inst, y):
             continue
         graph = build_cbivcs(case)
         components = [(comp.left, comp.right, comp.edge_count) for comp in graph.components]
-        assert (graph.left, graph.right, components) == expected
+        assert (*graph_sides(graph), components) == expected
 
 
 CONNECTED, LATE_BRIDGE, LATE_EDGE, SEVERAL = "connected", "late bridge", "late edge", "several"
@@ -349,7 +352,7 @@ def test_multi_block_graph_matches_per_edge_union_find(shape, data):
     inst = data.draw(multi_block_rows(shape))
     graph = build_cbivcs(inst)
     components = [(comp.left, comp.right, comp.edge_count) for comp in graph.components]
-    assert (graph.left, graph.right, components) == graph_from_rows(inst)
+    assert (*graph_sides(graph), components) == graph_from_rows(inst)
     assert edge_total(graph) == inst.n
     if shape in (CONNECTED, LATE_BRIDGE):
         assert len(components) == 1
@@ -358,6 +361,22 @@ def test_multi_block_graph_matches_per_edge_union_find(shape, data):
         assert components[-1] == ((max(inst.row1),), (max(inst.row2),), 1)
     else:
         assert len(components) > 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_zero_nomination_after_the_first_block_is_refused(data):
+    # connected within the first block, so only a later block's zero check
+    # can catch the agent that lacks a nomination
+    inst = data.draw(multi_block_rows(CONNECTED))
+    assume(inst.n > _FIRST_BLOCK)
+    assert len(build_cbivcs(inst).components) == 1
+    a0 = data.draw(st.integers(_FIRST_BLOCK, inst.n - 1))
+    rows = [list(inst.row1), list(inst.row2)]
+    rows[data.draw(st.integers(0, 1))][a0] = 0
+    with pytest.raises(ValueError) as err:
+        build_cbivcs(x2(*rows))
+    assert str(err.value) == "agents must nominate at both levels; apply the rules first"
 
 
 def all_j_sweep(g):
@@ -417,8 +436,7 @@ def cbivcs_graphs(draw):
     total = sum(comp.edge_count for comp in components)
     budget, threshold = st.integers(-1, 10), st.integers(0, total + 2)
     return CbivcsInstance(
-        tuple(range(1, next1)), tuple(range(1, next2)),
-        draw(budget), draw(budget), draw(threshold), draw(threshold), tuple(components),
+        draw(budget), draw(budget), draw(threshold), draw(threshold), tuple(components)
     )
 
 
@@ -433,7 +451,7 @@ def test_feasible_range_sweep_with_an_empty_budget(k1, k2):
     # five equal single-edge components: a zero budget forces every one to
     # the other side, and two zeros leave no cover at all
     comps = tuple(CbivcsComponent((c,), (c,), 1) for c in range(1, 6))
-    g = CbivcsInstance(tuple(range(1, 6)), tuple(range(1, 6)), k1, k2, 0, 0, comps)
+    g = CbivcsInstance(k1, k2, 0, 0, comps)
     cover = solve_cbivcs(g)
     assert cover == all_j_sweep(g)
     if k1 == k2 == 0:
