@@ -10,21 +10,28 @@ components with reachable (budget, budget, score) triples decides the graph
 problem in polynomial time.  For each state and batch of equal components the
 sweep enumerates only the numbers of left sides that fit both budgets.
 
-The forcing rules run as a worklist, as unit propagation does for Horn
-clauses: an index from (level, candidate) to agents is built once, each
-forcing deletes its supporters and erases each partner nomination through
-that index, and agents left with one nomination join a heap.  Every agent is
-deleted, erased and pushed at most once, so the rules cost O(n log n).  The
-graph is held as its components alone, which partition both sides.  It reads
-the agents' nomination pairs in blocks that double in length and merges each
-block's new distinct pairs, so the components are merged once per distinct
-pair, not once per agent.  It stops reading as soon as one component holds
-every candidate: a connected graph, as uniform nominations give after a few
-hundred agents, costs one short block however many agents there are; a graph
-that never connects reads every pair.  Its vertices are plain ints, level-1
-candidate u as u and level-2 candidate v as -v, so no (side, candidate)
-tuple is built or hashed per lookup; the cover that :func:`solve_cbivcs`
-returns still names (side, candidate) pairs.
+One pass over the agents' nomination pairs builds the graph, with a missing
+nomination as the ordinary vertex 0.  The forcing rules reach only vertex
+0's component (a forced candidate, its supporters and their partner
+nominations are all joined to the agent that forced it), so they run on its
+agents alone, picked out by one C-level filter, as a worklist, as unit
+propagation does for Horn clauses: an index from (level, candidate) to
+those agents is built once, each forcing deletes its supporters and erases
+each partner nomination through that index, and agents left with one
+nomination join a heap.  Every agent is deleted, erased and pushed at most
+once, so the rules cost O(z log z) in the z agents they get.  The sweep
+takes the other components as the pass read them, plus the survivors'.
+
+The graph is held as its components alone, which partition both sides.  It
+reads the pairs in blocks that double in length and merges each block's new
+distinct pairs, so the components are merged once per distinct pair, not
+once per agent.  It stops reading as soon as one component holds every
+vertex, 0 included: a connected graph, as uniform nominations give after a
+few hundred agents, costs one short block however many agents there are; a
+graph that never connects reads every pair.  Its vertices are plain ints,
+level-1 candidate u as u and level-2 candidate v as -v, so no (side,
+candidate) tuple is built or hashed per lookup; the cover that
+:func:`solve_cbivcs` returns still names (side, candidate) pairs.
 """
 
 from __future__ import annotations
@@ -146,10 +153,12 @@ def apply_x2_rules(x2: X2Instance) -> X2Instance | None:
     nominates in only one level.  Single-nomination agents wait in a min-heap
     by agent index, so the next one popped is the first single agent the
     one-step rule would pick.  Forcing a candidate deletes its supporters,
-    taken from a (level, candidate) index built once, and erases each of
-    their other-level nominations once through the same index; an agent that
-    loses a nomination is pushed.  No agent is deleted, erased or pushed
-    twice, so the cost is O(n log n).
+    taken from a (level, candidate) index built once over every agent given,
+    and erases each of their other-level nominations once through the same
+    index; an agent that loses a nomination is pushed.  No agent is deleted,
+    erased or pushed twice, so the cost is O(n log n) in the agents given.
+    :func:`solve_qcse_tau2` gives it only the agents of the graph component
+    that holds the missing nomination, the only agents the rules can reach.
     """
     if x2.y != 1:
         raise ValueError("rule applies to target-one instances")
@@ -228,26 +237,31 @@ class CbivcsInstance:
     components: tuple[CbivcsComponent, ...]
 
 
-def _components(row1: tuple[int, ...], row2: tuple[int, ...]) -> tuple[CbivcsComponent, ...]:
+def _components(
+    row1: tuple[int, ...], row2: tuple[int, ...]
+) -> tuple[tuple[CbivcsComponent, ...], list[int] | None]:
     """The connected components of the graph whose edges are the agents'
-    (left, right) nomination pairs, each counted with its multiplicity;
-    raises ValueError if an agent lacks a nomination.
+    (left, right) nomination pairs, each counted with its multiplicity, apart
+    from vertex 0's component, and that component's vertex list (None when
+    every agent nominates at both levels).
 
     Vertices are ints: left candidate u is vertex u and right candidate v is
-    vertex -v, so a zero on either side is vertex 0.  Each vertex maps to
-    its component's member list, and a union moves the shorter list into
-    the longer (union by size), so no vertex moves more than log2 V times
-    and no lookup walks a parent chain.
+    vertex -v, so a missing nomination on either side is the one vertex 0,
+    an ordinary vertex of the graph.  Each vertex maps to its component's
+    member list, and a union moves the shorter list into the longer (union by
+    size), so no vertex moves more than log2 V times and no lookup walks a
+    parent chain.
 
     The pairs are read in blocks that double in length, each deduplicated by
-    a set and merged only for the pairs no earlier block held; a zero
-    nomination is caught right after the block that holds it.  While the
-    graph read so far is one component, the sides are taken (once) from the
-    rows' distinct values; when the component holds all of them, no later
-    pair can change the answer, the rest of the rows is never read, and the
-    edge count is the number of agents.  A graph that never connects reads
-    every pair and counts each component's edges as the degrees of its left
-    vertices."""
+    a set and merged only for the pairs no earlier block held.  While the
+    graph read so far is one component, the rows' distinct values are taken
+    (once) as the vertices, 0 counted once whichever rows hold it; when the
+    component holds all of them, no later pair can change the answer and the
+    rest of the rows is never read.  The one component then holds every
+    agent: vertex 0's if some agent lacks a nomination, else a component
+    whose edge count is the number of agents.  A graph that never connects
+    reads every pair and counts each component's edges as the degrees of its
+    left vertices."""
     owner: dict[int, list[int]] = {}
     seen: set[tuple[int, int]] = set()
     sides = None
@@ -261,7 +275,8 @@ def _components(row1: tuple[int, ...], row2: tuple[int, ...]) -> tuple[CbivcsCom
             a, b = owner.get(u), owner.get(v)
             if a is None:
                 if b is None:
-                    owner[u] = owner[v] = [u, v]
+                    # an agent without any nomination is the loop (0, 0)
+                    owner[u] = owner[v] = [u, v] if u != v else [u]
                 else:
                     b.append(u)
                     owner[u] = b
@@ -274,40 +289,52 @@ def _components(row1: tuple[int, ...], row2: tuple[int, ...]) -> tuple[CbivcsCom
                 a += b
                 for x in b:
                     owner[x] = a
-        if 0 in owner:
-            raise ValueError(_NO_NOMINATION)
         group = owner[row1[0]]
         if len(group) == len(owner):
             sides = sides or (set(row1), set(row2))
             lefts, rights = sides
-            if len(group) == len(lefts) + len(rights):
-                return (CbivcsComponent(tuple(sorted(lefts)), tuple(sorted(rights)), len(row1)),)
+            if len(group) == len(lefts) + len(rights) - (0 in lefts and 0 in rights):
+                if 0 in owner:
+                    return (), group
+                return (CbivcsComponent(tuple(sorted(lefts)), tuple(sorted(rights)), len(row1)),), None
         size *= 2
+    zero = owner.get(0)
     degree = Counter(row1)
     components = []
     for members in {id(group): group for group in owner.values()}.values():
+        if members is zero:
+            continue
         members.sort()
         # right vertices are negative, so they sort first
         split = bisect(members, 0)
         lefts = tuple(members[split:])
         rights = tuple(map(neg, reversed(members[:split])))
         components.append(CbivcsComponent(lefts, rights, sum(map(degree.__getitem__, lefts))))
-    # every component carries at least one edge, so both sides are nonempty
-    components.sort(key=lambda comp: (comp.left[0], comp.right[0]))
-    return tuple(components)
+    # every component but vertex 0's carries an edge between two candidates,
+    # so both its sides are nonempty and no two share a first left candidate
+    components.sort(key=_first_left)
+    return tuple(components), zero
+
+
+def _first_left(comp: CbivcsComponent) -> int:
+    return comp.left[0]
 
 
 def build_cbivcs(x2: X2Instance) -> CbivcsInstance:
     """Agents as edges between their two nominations; rules must have run
     first so that every agent nominates at both levels.
 
-    The zero check comes with the components (see :func:`_components`),
-    which read the rows only until the graph is connected."""
+    An agent without a nomination shows up as vertex 0 of the graph (see
+    :func:`_components`), which reads the rows only until the graph is
+    connected."""
     if x2.y != 1:
         if 0 in x2.row1 or 0 in x2.row2:
             raise ValueError(_NO_NOMINATION)
         raise ValueError("the graph reduction applies to target-one instances")
-    return CbivcsInstance(x2.k1, x2.k2, x2.x1, x2.x2, _components(x2.row1, x2.row2))
+    components, zero = _components(x2.row1, x2.row2)
+    if zero is not None:
+        raise ValueError(_NO_NOMINATION)
+    return CbivcsInstance(x2.k1, x2.k2, x2.x1, x2.x2, components)
 
 
 def solve_cbivcs(g: CbivcsInstance) -> set[Vertex] | None:
@@ -376,14 +403,26 @@ def solve_qcse_tau2(inst: Instance) -> SolveResult:
         return result
 
     stats = {"forced": 0, "components": 0, "surviving_agents": 0}
-    x2 = apply_x2_rules(x2)
-    if x2 is None:
-        return SolveResult.no(stats)
+    components, zero = _components(x2.row1, x2.row2)
+    survivors = x2.n
+    if zero is not None:
+        # a forced candidate, its supporters and their partner nominations
+        # all lie in the component of the agent that forced it, so the rules
+        # reach only vertex 0's component; the others stay as read
+        sub = x2  # with no other component, every agent is in vertex 0's
+        if components:
+            mask = list(map(set(zero).__contains__, x2.row1))
+            row1, row2 = tuple(compress(x2.row1, mask)), tuple(compress(x2.row2, mask))
+            sub = replace(x2, n=len(row1), row1=row1, row2=row2)
+        x2 = apply_x2_rules(sub)
+        if x2 is None:
+            return SolveResult.no(stats)
+        survivors += x2.n - sub.n
+        components = sorted((*components, *build_cbivcs(x2).components), key=_first_left)
     stats["forced"] = len(x2.forced1) + len(x2.forced2)
-    stats["surviving_agents"] = x2.n
-    graph = build_cbivcs(x2)
-    stats["components"] = len(graph.components)
-    cover = solve_cbivcs(graph)
+    stats["surviving_agents"] = survivors
+    stats["components"] = len(components)
+    cover = solve_cbivcs(CbivcsInstance(x2.k1, x2.k2, x2.x1, x2.x2, tuple(components)))
     if cover is None:
         return SolveResult.no(stats)
     first = set(x2.forced1) | {c for side, c in cover if side == 1}

@@ -6,13 +6,14 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ecse.model import EQUITABLE, verify
+from ecse.model import EQUITABLE, CommitteeSequence, Instance, SolveResult, verify
 from ecse.oracle import brute_solve
 from ecse.tau2 import (
     _FIRST_BLOCK,
+    _components,
     CbivcsComponent,
     CbivcsInstance,
     X2Instance,
@@ -306,6 +307,65 @@ def test_graph_sides_from_pairs_match_the_rows(inst, y):
         assert (*graph_sides(graph), components) == expected
 
 
+@pytest.mark.parametrize("row1, row2, others, zero", [
+    # connected: the early exit returns vertex 0's component alone
+    ((1, 0, 0), (0, 0, 2), (), [-2, 0, 1]),
+    ((0, 1, 0), (2, 0, 0), (), [-2, 0, 1]),
+    ((0,), (0,), (), [0]),
+    # zero-free components next to vertex 0's
+    ((1, 0, 3, 0), (0, 2, 3, 0), (CbivcsComponent((3,), (3,), 1),), [-2, 0, 1]),
+    ((0, 1), (0, 2), (CbivcsComponent((1,), (2,), 1),), [0]),
+])
+def test_missing_nominations_are_the_one_vertex_zero(row1, row2, others, zero):
+    components, members = _components(row1, row2)
+    assert components == others
+    assert sorted(members) == zero
+
+
+def lift(inst):
+    """The equitable two-level ``Instance`` of an ``X2Instance`` whose
+    budgets and thresholds agree across levels: its first level's."""
+    return Instance(EQUITABLE, inst.n, inst.m, 2, inst.k1, inst.x1, 1, (inst.row1, inst.row2))
+
+
+def pipeline_reference(inst):
+    """``solve_qcse_tau2`` composed from the reference parts: the one-step
+    rules to their fixed point over every agent, then per-edge union-find
+    over the survivors' rows, then the sweep."""
+    stats = {"forced": 0, "components": 0, "surviving_agents": 0}
+    rest = fixed_point_reference(x2_from_instance(inst))
+    if rest is None:
+        return SolveResult.no(stats)
+    stats["forced"] = len(rest.forced1) + len(rest.forced2)
+    stats["surviving_agents"] = rest.n
+    components = graph_from_rows(rest)[2]
+    stats["components"] = len(components)
+    graph = CbivcsInstance(
+        rest.k1, rest.k2, rest.x1, rest.x2, tuple(CbivcsComponent(*comp) for comp in components)
+    )
+    cover = solve_cbivcs(graph)
+    if cover is None:
+        return SolveResult.no(stats)
+    committees = [set(rest.forced1), set(rest.forced2)]
+    for side, c in cover:
+        committees[side - 1].add(c)
+    return SolveResult.yes(CommitteeSequence.of(committees), stats)
+
+
+@settings(max_examples=500, deadline=None)
+@given(x2_with_chains().map(lift))
+# zeros in two candidate groups, one at each level, next to a zero-free one
+@example(lift(x2((1, 1, 2, 0, 4, 5), (0, 3, 3, 6, 6, 7), k1=3, k2=3, x1=1, x2_=1, m=7)))
+# zeros on both levels in one group; an agent with no nomination at all
+@example(lift(x2((1, 0, 1, 2), (0, 2, 3, 3), k1=3, k2=3, m=3)))
+@example(lift(x2((1, 0, 2), (2, 0, 1), k1=2, k2=2, m=2)))
+# a cascade that forces three level-one candidates on a budget of two
+@example(lift(x2((1, 1, 2, 2, 3), (0, 4, 4, 5, 5), k1=2, k2=2, m=5)))
+@example(lift(x2((), (), m=1)))
+def test_pipeline_matches_the_reference_composition(inst):
+    assert solve_qcse_tau2(inst) == pipeline_reference(inst)
+
+
 CONNECTED, LATE_BRIDGE, LATE_EDGE, SEVERAL = "connected", "late bridge", "late edge", "several"
 
 
@@ -377,6 +437,23 @@ def test_zero_nomination_after_the_first_block_is_refused(data):
     with pytest.raises(ValueError) as err:
         build_cbivcs(x2(*rows))
     assert str(err.value) == "agents must nominate at both levels; apply the rules first"
+
+
+@pytest.mark.parametrize("shape", [CONNECTED, SEVERAL])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_pipeline_with_a_zero_after_the_first_block(shape, data):
+    # a connected graph gains vertex 0 only after its first block, so the
+    # early exit must wait for it; in ``several`` the zero's group is the
+    # only one the rules may touch
+    inst = data.draw(multi_block_rows(shape))
+    assume(inst.n > _FIRST_BLOCK)
+    a0 = data.draw(st.integers(_FIRST_BLOCK, inst.n - 1))
+    rows = [list(inst.row1), list(inst.row2)]
+    rows[data.draw(st.integers(0, 1))][a0] = 0
+    budget = data.draw(st.sampled_from((2, inst.m)))
+    case = lift(x2(*rows, k1=budget, x1=data.draw(st.integers(0, inst.n // 4)), m=inst.m))
+    assert solve_qcse_tau2(case) == pipeline_reference(case)
 
 
 def all_j_sweep(g):
