@@ -11,16 +11,14 @@ problem in polynomial time.  For each state and batch of equal components the
 sweep enumerates only the numbers of left sides that fit both budgets.
 
 One pass over the agents' nomination pairs builds the graph, with a missing
-nomination as the ordinary vertex 0.  The forcing rules reach only vertex
-0's component (a forced candidate, its supporters and their partner
-nominations are all joined to the agent that forced it), so they run on its
-agents alone, picked out by one C-level filter, as a worklist, as unit
-propagation does for Horn clauses: an index from (level, candidate) to
-those agents is built once, each forcing deletes its supporters and erases
-each partner nomination through that index, and agents left with one
-nomination join a heap.  Every agent is deleted, erased and pushed at most
-once, so the rules cost O(z log z) in the z agents they get.  The sweep
-takes the other components as the pass read them, plus the survivors'.
+nomination as the ordinary vertex 0.  Forcing a candidate deletes its
+supporters and erases their partner nominations, all in the forcing agent's
+component, so the forcing rules run only on the agents of vertex 0's
+component.  They run as a worklist, as unit propagation does for Horn
+clauses: each forcing deletes its supporters and erases each partner
+nomination through a (level, candidate) index, and agents left with one
+nomination join a heap.  The sweep takes the other components as the pass
+read them, plus the survivors'.
 
 The graph is held as its components alone, which partition both sides.  It
 reads the pairs in blocks that double in length and merges each block's new
@@ -157,8 +155,6 @@ def apply_x2_rules(x2: X2Instance) -> X2Instance | None:
     and erases each of their other-level nominations once through the same
     index; an agent that loses a nomination is pushed.  No agent is deleted,
     erased or pushed twice, so the cost is O(n log n) in the agents given.
-    :func:`solve_qcse_tau2` gives it only the agents of the graph component
-    that holds the missing nomination, the only agents the rules can reach.
     """
     if x2.y != 1:
         raise ValueError("rule applies to target-one instances")
@@ -240,28 +236,24 @@ class CbivcsInstance:
 def _components(
     row1: tuple[int, ...], row2: tuple[int, ...]
 ) -> tuple[tuple[CbivcsComponent, ...], list[int] | None]:
-    """The connected components of the graph whose edges are the agents'
-    (left, right) nomination pairs, each counted with its multiplicity, apart
-    from vertex 0's component, and that component's vertex list (None when
-    every agent nominates at both levels).
+    """The components of the graph whose edges are the agents' (left, right)
+    nomination pairs, each counted with its multiplicity, except vertex 0's,
+    and that component's vertex list (None if every agent nominates twice).
 
     Vertices are ints: left candidate u is vertex u and right candidate v is
-    vertex -v, so a missing nomination on either side is the one vertex 0,
-    an ordinary vertex of the graph.  Each vertex maps to its component's
-    member list, and a union moves the shorter list into the longer (union by
-    size), so no vertex moves more than log2 V times and no lookup walks a
-    parent chain.
+    vertex -v, so a missing nomination on either side is vertex 0.  Each
+    vertex maps to its component's member list, and a union moves the
+    shorter list into the longer (union by size), so no vertex moves more
+    than log2 V times and no lookup walks a parent chain.
 
     The pairs are read in blocks that double in length, each deduplicated by
     a set and merged only for the pairs no earlier block held.  While the
-    graph read so far is one component, the rows' distinct values are taken
-    (once) as the vertices, 0 counted once whichever rows hold it; when the
-    component holds all of them, no later pair can change the answer and the
-    rest of the rows is never read.  The one component then holds every
-    agent: vertex 0's if some agent lacks a nomination, else a component
-    whose edge count is the number of agents.  A graph that never connects
-    reads every pair and counts each component's edges as the degrees of its
-    left vertices."""
+    graph read so far is one component, the vertices are taken (once) from
+    the rows' distinct values; when the component holds all of them, no
+    later pair can change the answer, the rest of the rows is never read,
+    and the component holds every agent.  A graph that never connects reads
+    every pair and counts each component's edges as the degrees of its left
+    vertices."""
     owner: dict[int, list[int]] = {}
     seen: set[tuple[int, int]] = set()
     sides = None
@@ -406,14 +398,10 @@ def solve_qcse_tau2(inst: Instance) -> SolveResult:
     components, zero = _components(x2.row1, x2.row2)
     survivors = x2.n
     if zero is not None:
-        # a forced candidate, its supporters and their partner nominations
-        # all lie in the component of the agent that forced it, so the rules
-        # reach only vertex 0's component; the others stay as read
-        sub = x2  # with no other component, every agent is in vertex 0's
-        if components:
-            mask = list(map(set(zero).__contains__, x2.row1))
-            row1, row2 = tuple(compress(x2.row1, mask)), tuple(compress(x2.row2, mask))
-            sub = replace(x2, n=len(row1), row1=row1, row2=row2)
+        # the rules reach only vertex 0's component (see the module docstring)
+        mask = list(map(set(zero).__contains__, x2.row1))
+        row1, row2 = tuple(compress(x2.row1, mask)), tuple(compress(x2.row2, mask))
+        sub = replace(x2, n=len(row1), row1=row1, row2=row2)
         x2 = apply_x2_rules(sub)
         if x2 is None:
             return SolveResult.no(stats)
