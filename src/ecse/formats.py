@@ -216,22 +216,34 @@ def parse_instance(text: str) -> Instance | PeInstance:
         raise ParseError(bad[0] if bad else line, str(exc)) from None
 
 
+class _TokenTable(dict):
+    """Int -> ``str(value)``, the mirror of ``_IntTable``: equal entries
+    share one token, so writing a row allocates only the row's text."""
+
+    __slots__ = ()
+
+    def __missing__(self, value: int) -> str:
+        token = self[value] = str(value)
+        return token
+
+
 def serialize_instance(inst: Instance | PeInstance) -> str:
     """Canonical byte-deterministic document; a fixed point of parse/serialize.
 
     PeInstance values serialize with ``k 0 / x 0 / y 0`` placeholders followed
     by all three vectors, so the scalar defaults are never consulted on the
-    way back in.
+    way back in.  Every integer list is joined through one per-document
+    ``_TokenTable``.
     """
+    token = _TokenTable()
     out = ["ecse v1", f"mode {_TOKEN_OF_MODE[inst.mode]}"]
     out.append(f"n {inst.n}")
     out.append(f"m {inst.m}")
     out.append(f"tau {inst.tau}")
     if isinstance(inst, PeInstance):
         out.extend(["k 0", "x 0", "y 0"])
-        out.append("kvec " + " ".join(str(v) for v in inst.kvec))
-        out.append("xvec " + " ".join(str(v) for v in inst.xvec))
-        out.append("yvec " + " ".join(str(v) for v in inst.yvec))
+        for key in _VECTOR_KEYS:
+            out.append(f"{key} " + " ".join(map(token.__getitem__, getattr(inst, key))))
     else:
         out.append(f"k {inst.k}")
         out.append(f"x {inst.x}")
@@ -239,9 +251,9 @@ def serialize_instance(inst: Instance | PeInstance) -> str:
     out.append("levels")
     if inst.n > 0:
         for row in inst.profile:
-            out.append(" ".join(str(c) for c in row))
-    out.append("end")
-    return "\n".join(out) + "\n"
+            out.append(" ".join(map(token.__getitem__, row)))
+    out += ["end", ""]  # the final newline without a second copy of the document
+    return "\n".join(out)
 
 
 def parse_solution(text: str) -> CommitteeSequence:

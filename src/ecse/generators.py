@@ -347,7 +347,7 @@ def random_instance(
     for _ in range(tau):
         row = []
         for _ in range(n):
-            if m == 0 or rng.random() < empty_prob:
+            if m <= 0 or rng.random() < empty_prob:  # m < 0: the model rejects it
                 row.append(0)
             else:
                 row.append(rng.randint(1, m))

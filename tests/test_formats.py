@@ -1,6 +1,7 @@
 """Instance/solution text formats: round trips and error reporting."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -148,16 +149,21 @@ def test_solution_rejects_unsorted():
 
 @st.composite
 def any_instance(draw):
+    """Either instance type; candidate ids and vector entries reach past 256,
+    pre-elected vectors hold negative entries, and nominations are often
+    empty."""
     n = draw(st.integers(0, 5))
-    m = draw(st.integers(0, 6))
+    m = draw(st.integers(0, 6) | st.integers(250, 5000))
     tau = draw(st.integers(1, 4))
     mode = draw(st.sampled_from(["egalitarian", "equitable"]))
-    rows = tuple(tuple(draw(st.integers(0, m)) for _ in range(n)) for _ in range(tau))
-    k, x, y = (draw(st.integers(0, 4)) for _ in range(3))
+    entry = st.just(0) | st.integers(0, m)
+    rows = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(tau))
+    k, x, y = (draw(st.integers(0, 4) | st.integers(250, 400)) for _ in range(3))
     if draw(st.booleans()):
-        kvec = tuple(draw(st.integers(-2, 4)) for _ in range(tau))
-        xvec = tuple(draw(st.integers(-2, 4)) for _ in range(tau))
-        yvec = tuple(draw(st.integers(-2, 4)) for _ in range(n))
+        bound = st.integers(-2, 4) | st.integers(-300, 300)
+        kvec = tuple(draw(bound) for _ in range(tau))
+        xvec = tuple(draw(bound) for _ in range(tau))
+        yvec = tuple(draw(bound) for _ in range(n))
         return PeInstance(mode, n, m, tau, kvec, xvec, yvec, rows)
     return Instance(mode, n, m, tau, k, x, y, rows)
 
@@ -169,6 +175,44 @@ def test_round_trip_property(inst):
     again = parse_instance(doc)
     assert again == inst
     assert serialize_instance(again) == doc
+
+
+def serialize_reference(inst):
+    """The instance document written one ``str`` per entry."""
+    mode = "gcse" if inst.mode == EGALITARIAN else "qcse"
+    out = ["ecse v1", f"mode {mode}", f"n {inst.n}", f"m {inst.m}", f"tau {inst.tau}"]
+    if isinstance(inst, PeInstance):
+        out += ["k 0", "x 0", "y 0"]
+        out.append("kvec " + " ".join(str(v) for v in inst.kvec))
+        out.append("xvec " + " ".join(str(v) for v in inst.xvec))
+        out.append("yvec " + " ".join(str(v) for v in inst.yvec))
+    else:
+        out += [f"k {inst.k}", f"x {inst.x}", f"y {inst.y}"]
+    out.append("levels")
+    if inst.n > 0:
+        out += [" ".join(str(c) for c in row) for row in inst.profile]
+    out.append("end")
+    return "\n".join(out) + "\n"
+
+
+@given(any_instance())
+@settings(max_examples=300)
+def test_serialize_matches_the_per_entry_reference(inst):
+    assert serialize_instance(inst) == serialize_reference(inst)
+
+
+def test_serializing_a_1e5_agent_instance_allocates_little_beyond_the_document():
+    """No string per nomination: the traced peak stays below five document
+    lengths (one ``str`` per entry reads 8-12 of them)."""
+    inst = random_instance(11, 100_000, 40, 2, 40, 0, 1, "equitable", empty_prob=0.1)
+    tracemalloc.start()
+    try:
+        doc = serialize_instance(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc == serialize_reference(inst)
+    assert peak < 5 * len(doc)
 
 
 def test_non_canonical_tokens_parse_as_int_does():

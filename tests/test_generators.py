@@ -5,6 +5,7 @@ suite; here each reduction gets a quicker seeded sweep plus its documented
 edge cases.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -350,3 +351,35 @@ def test_random_instance_determinism():
     assert all(c != 0 for row in full.profile for c in row)
     empty = random_instance(1, n=3, m=3, tau=2, k=1, x=0, y=0, mode=EGALITARIAN, empty_prob=1.0)
     assert all(c == 0 for row in empty.profile for c in row)
+
+
+# (random_instance arguments, sha256 of the serialized draw); every benchmark
+# corpus and ladder is defined by this stream and these bytes
+RANDOM_DRAW_DIGESTS = [
+    ((1, 6, 4, 3, 2, 1, 1, EGALITARIAN, 0.0),
+     "19f772e5039ed5dc6de971c42bc4bc799f90725936b9c170607f5b54352aa35d"),
+    ((2, 6, 4, 3, 2, 1, 1, EQUITABLE, 0.0),
+     "4c3927aa703b7322bd6196c3372bc8865db4a7498bd07f6ad3b3c310c8e5afc3"),
+    ((3, 7, 5, 4, 2, 2, 2, EGALITARIAN, 0.3),
+     "f53aeb2208a290777773b779b2fd5c8e66b90528ea93c488f6fa858b06c5c2aa"),
+    ((4, 7, 5, 4, 2, 2, 2, EQUITABLE, 0.3),
+     "b419b6f06235917ebbd33ff0b6482ee11281d2ce113479045f35f1c84559baae"),
+    ((5, 5, 0, 2, 0, 0, 0, EGALITARIAN, 0.0),
+     "0ad010b610319359f26b4681301cd9b7520e444f38fe4155cc32eb2d9a8d2f2a"),
+    ((6, 5, 0, 2, 0, 0, 0, EQUITABLE, 0.3),
+     "969f09436d7aeb998be99fc24cd34315d273151e79b717d516e09c595f3c4ecc"),
+    ((8, 40, 1500, 3, 5, 3, 1, EGALITARIAN, 0.3),
+     "4935d48a882d2cab48225341f5e230e09d2408e372443038a2d9558181957a34"),
+    ((9, 1, 3, 1, 1, 0, 1, EQUITABLE, 0.0),
+     "e1ae5b1379b3a69971e68110040b9ea5b43fce299a016534d4ac14d0f7a2dc61"),
+    ((10, 0, 3, 2, 1, 0, 1, EGALITARIAN, 0.0),
+     "a2bc1d28c40411dc0935235b0bc6d946eb5516d8859e2ad358e8ac87ca68e3ef"),
+    ((7, 50_000, 40, 2, 40, 0, 1, EQUITABLE, 0.1),
+     "39e3d689987b6f2d8e64e9b16e10bbd228da36328b2ed19beee09e640010c75e"),
+]
+
+
+@pytest.mark.parametrize("args, digest", RANDOM_DRAW_DIGESTS)
+def test_random_instance_documents_are_pinned(args, digest):
+    doc = serialize_instance(random_instance(*args))
+    assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == digest
