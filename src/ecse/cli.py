@@ -265,6 +265,8 @@ def cmd_generate(args) -> int:
     mode = EGALITARIAN if args.mode == "gcse" else EQUITABLE
     try:
         if kind == "random":
+            if args.inputs:
+                raise UsageError("generator 'random' takes no input files")
             inst = random_instance(
                 args.seed, args.n, args.m, args.tau, args.k, args.x, args.y, mode, args.empty_prob
             )

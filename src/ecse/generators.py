@@ -339,17 +339,31 @@ def random_instance(
     empty_prob: float = 0.0,
 ) -> Instance:
     """Seed-reproducible instance; every nomination is independently empty
-    with probability ``empty_prob``, else uniform over the candidates."""
+    with probability ``empty_prob``, else uniform over the candidates.
+
+    The stream is ``random.Random(seed)``, level by level and agent by agent.
+    Where m > 0, each nomination first draws ``random()`` against
+    ``empty_prob``; a nonempty one is ``1 + getrandbits(m.bit_length())``,
+    redrawn until it is at most m.  That is exactly the rejection sampling
+    ``randint(1, m)`` performs, so the draws are the ones ``randint`` makes;
+    the tests pin the resulting documents and compare with a ``randint``
+    loop."""
     if not 0.0 <= empty_prob <= 1.0:
         raise ValueError("empty_prob must be in [0, 1]")
     rng = random.Random(seed)
+    uniform, bits = rng.random, rng.getrandbits
+    width = m.bit_length()
     rows = []
     for _ in range(tau):
         row = []
+        append = row.append
         for _ in range(n):
-            if m <= 0 or rng.random() < empty_prob:  # m < 0: the model rejects it
-                row.append(0)
+            if m <= 0 or uniform() < empty_prob:  # m < 0: the model rejects it
+                append(0)
             else:
-                row.append(rng.randint(1, m))
+                r = bits(width)
+                while r >= m:
+                    r = bits(width)
+                append(r + 1)
         rows.append(tuple(row))
     return Instance(mode, n, m, tau, k, x, y, tuple(rows))

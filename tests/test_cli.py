@@ -478,6 +478,13 @@ def test_input_errors_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "--from", "random", "--n", "3", "--m", "-2")
     assert code == 2 and "need n >= 0, m >= 0, tau >= 1" in err
 
+    nums = tmp_path / "nums.txt"
+    nums.write_text("1 2 3\n")
+    code, out, err = run(
+        capsys, "generate", "--from", "random", str(nums), "--n", "2", "--m", "2", "--tau", "1"
+    )
+    assert (code, out) == (2, "") and "generator 'random' takes no input files" in err
+
 
 CNF = "p cnf 3 3\n1 2 -3 0\n-1 2 0\n3 0\n"
 MONOTONE_CNF = "p cnf 3 3\n1 2 3 0\n1 2 3 0\n1 2 3 0\n"

@@ -9,6 +9,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecse.generators import (
     BipartiteGraph,
@@ -29,7 +31,7 @@ from ecse.generators import (
     threesat_assignment_to_sequence,
     threesat_sequence_to_assignment,
 )
-from ecse.model import EGALITARIAN, EQUITABLE, verify
+from ecse.model import EGALITARIAN, EQUITABLE, Instance, verify
 from ecse.oracle import OracleLimits, brute_solve
 from ecse.formats import serialize_instance
 from ecse.sources import (
@@ -351,6 +353,54 @@ def test_random_instance_determinism():
     assert all(c != 0 for row in full.profile for c in row)
     empty = random_instance(1, n=3, m=3, tau=2, k=1, x=0, y=0, mode=EGALITARIAN, empty_prob=1.0)
     assert all(c == 0 for row in empty.profile for c in row)
+
+
+def random_instance_reference(seed, n, m, tau, k, x, y, mode, empty_prob=0.0):
+    """``random_instance`` as a plain ``randint`` loop: the stream contract
+    the optimized draw must reproduce."""
+    if not 0.0 <= empty_prob <= 1.0:
+        raise ValueError("empty_prob must be in [0, 1]")
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(tau):
+        row = []
+        for _ in range(n):
+            if m <= 0 or rng.random() < empty_prob:
+                row.append(0)
+            else:
+                row.append(rng.randint(1, m))
+        rows.append(tuple(row))
+    return Instance(mode, n, m, tau, k, x, y, tuple(rows))
+
+
+# candidate counts around powers of two, where the rejection loop redraws most
+# often, and past 32 bits, where one draw takes two Mersenne Twister words
+EDGE_M = [0, 1, 2, 3, 7, 8, 9, 31, 32, 33, 255, 256, 1500, 2**32, 2**40 + 3]
+
+
+@given(
+    seed=st.integers(0, 2**64),
+    n=st.integers(0, 30),
+    tau=st.integers(1, 3),
+    m=st.one_of(st.sampled_from(EDGE_M), st.integers(0, 2**45)),
+    empty_prob=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    mode=st.sampled_from([EGALITARIAN, EQUITABLE]),
+)
+@settings(max_examples=300)
+def test_random_instance_matches_the_randint_loop(seed, n, tau, m, empty_prob, mode):
+    args = (seed, n, m, tau, 1, 0, 1, mode, empty_prob)
+    assert random_instance(*args) == random_instance_reference(*args)
+
+
+@given(seed=st.integers(0, 2**32), n=st.integers(0, 5), m=st.integers(-(2**40), -1))
+@settings(max_examples=50)
+def test_random_instance_negative_m_raises_like_the_randint_loop(seed, n, m):
+    args = (seed, n, m, 2, 1, 0, 1, EGALITARIAN, 0.5)
+    with pytest.raises(ValueError) as fast:
+        random_instance(*args)
+    with pytest.raises(ValueError) as reference:
+        random_instance_reference(*args)
+    assert str(fast.value) == str(reference.value)
 
 
 # (random_instance arguments, sha256 of the serialized draw); every benchmark
