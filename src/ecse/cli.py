@@ -129,22 +129,22 @@ def _solve_auto(inst: Instance, max_nodes, route: list | None = None):
     ``MAX_AGENTS`` agents) under the small work budget ``AUTO_BUDGET``,
     branching for small committee budgets (``k*tau <= 24``), and finally the
     integer program.  The root's counting bound refutes many no-instances
-    before any search; it runs unless ``max_nodes`` is 0, and a root that
-    does not decide is not listed in ``route``.  Branching and the integer
-    program each get a search budget of ``max_nodes``.  A search that
-    refuses (:class:`GuardExceeded`) hands the instance on to the next one
-    that applies, and its refusal is appended to ``route``, if given, as
-    ``{"algo", "refused"}``; only the integer program's refusal is final."""
+    before any search; a zero ``max_nodes`` refuses the root like any
+    search, and a root that does not decide is not listed in ``route``.
+    Branching and the integer program each get a search budget of
+    ``max_nodes``.  A search that refuses (:class:`GuardExceeded`) hands the
+    instance on to the next one that applies, and its refusal is appended to
+    ``route``, if given, as ``{"algo", "refused"}``; only the integer
+    program's refusal is final."""
     result = trivial_solve(inst)
     if result is not None:
         return result, "trivial"
     if inst.mode == EQUITABLE and inst.tau == 2:
         return solve_qcse_tau2(inst), "tau2"
-    if max_nodes:
-        try:
-            return solve_branch(inst, max_nodes=1), "branch"
-        except GuardExceeded:
-            pass
+    try:
+        return solve_branch(inst, max_nodes=min(max_nodes, 1)), "branch"
+    except GuardExceeded:
+        pass
     attempts = []
     if inst.n <= MAX_AGENTS:
         attempts.append(("dp", partial(solve_dp, budget=AUTO_BUDGET)))

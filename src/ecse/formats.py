@@ -122,25 +122,18 @@ def parse_instance(text: str) -> Instance | PeInstance:
     whole).  Every integer list (level rows, ``kvec``, ``xvec``, ``yvec``)
     goes through one per-document table from token text to int, so a
     repeated token costs one lookup."""
-    lines = list(_content_lines(text))
-    if not lines:
+    lines = _content_lines(text)
+    line, body = next(lines, (1, None))
+    if body is None:
         raise ParseError(1, "empty document")
-    table = _IntTable()
-    pos = 0
-
-    line, body = lines[pos]
     if body.split() != ["ecse", "v1"]:
         raise ParseError(line, "expected header `ecse v1`")
-    pos += 1
+    table = _IntTable()
 
     mode: str | None = None
     scalars: dict[str, int] = {}
     vectors: dict[str, tuple[int, ...]] = {}
-    while True:
-        if pos >= len(lines):
-            raise ParseError(lines[-1][0], "missing `levels` section")
-        line, body = lines[pos]
-        pos += 1
+    for line, body in lines:
         tokens = body.split()
         key = tokens[0]
         if key == "levels":
@@ -165,6 +158,8 @@ def parse_instance(text: str) -> Instance | PeInstance:
             vectors[key] = _ints(tokens[1:], line, table)
         else:
             raise ParseError(line, f"unknown key {key!r}")
+    else:
+        raise ParseError(line, "missing `levels` section")
 
     if mode is None:
         raise ParseError(line, "missing `mode`")
@@ -175,33 +170,26 @@ def parse_instance(text: str) -> Instance | PeInstance:
     if tau < 1:
         raise ParseError(line, "tau must be at least 1")
 
-    rows: list[tuple[int, ...]] = []
-    first_row = pos
+    rows: dict[int, tuple[int, ...]] = {}  # line number -> level row
     expected_rows = tau if n > 0 else 0
     while len(rows) < expected_rows:
-        if pos >= len(lines):
-            raise ParseError(lines[-1][0], f"expected {expected_rows} level rows, got {len(rows)}")
-        line, body = lines[pos]
-        pos += 1
+        # the end of the document counts as an early `end` on the last line
+        line, body = next(lines, (line, "end"))
         if body.strip() == "end":
             raise ParseError(line, f"expected {expected_rows} level rows, got {len(rows)}")
-        row = _row(body, line, table)
+        row = rows[line] = _row(body, line, table)
         if len(row) != n:
             raise ParseError(line, f"level row has {len(row)} entries, expected n={n}")
-        rows.append(row)
-    if n == 0:
-        rows = [()] * tau
 
-    if pos >= len(lines):
-        raise ParseError(lines[-1][0], "missing `end`")
-    line, body = lines[pos]
-    pos += 1
+    line, body = next(lines, (line, None))
+    if body is None:
+        raise ParseError(line, "missing `end`")
     if body.strip() != "end":
         raise ParseError(line, "expected `end`")
-    if pos < len(lines):
-        raise ParseError(lines[pos][0], "trailing content after `end`")
+    for trailing, _ in lines:
+        raise ParseError(trailing, "trailing content after `end`")
 
-    profile = tuple(rows)
+    profile = tuple(rows.values()) if n > 0 else ((),) * tau
     try:
         if vectors:
             kvec = vectors.get("kvec", (scalars["k"],) * tau)
@@ -212,7 +200,7 @@ def parse_instance(text: str) -> Instance | PeInstance:
     except ValueError as exc:
         # the constructors range-check nominations but know no lines: name
         # the first level row out of range, else the `end` line
-        bad = [ln for (ln, _), row in zip(lines[first_row:], rows) if not all(0 <= c <= m for c in row)]
+        bad = [ln for ln, row in rows.items() if not all(0 <= c <= m for c in row)]
         raise ParseError(bad[0] if bad else line, str(exc)) from None
 
 
@@ -237,17 +225,11 @@ def serialize_instance(inst: Instance | PeInstance) -> str:
     """
     token = _TokenTable()
     out = ["ecse v1", f"mode {_TOKEN_OF_MODE[inst.mode]}"]
-    out.append(f"n {inst.n}")
-    out.append(f"m {inst.m}")
-    out.append(f"tau {inst.tau}")
+    # a PeInstance has no k, x or y attribute: those lines read 0
+    out += [f"{key} {getattr(inst, key, 0)}" for key in _SCALAR_KEYS]
     if isinstance(inst, PeInstance):
-        out.extend(["k 0", "x 0", "y 0"])
         for key in _VECTOR_KEYS:
             out.append(f"{key} " + " ".join(map(token.__getitem__, getattr(inst, key))))
-    else:
-        out.append(f"k {inst.k}")
-        out.append(f"x {inst.x}")
-        out.append(f"y {inst.y}")
     out.append("levels")
     if inst.n > 0:
         for row in inst.profile:

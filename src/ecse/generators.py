@@ -50,24 +50,39 @@ class BipartiteGraph:
                 raise ValueError(f"edge ({u}, {v}) out of range")
 
 
-def parse_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF (``c`` comments, ``p cnf N M`` header, 0-terminated
-    clauses possibly spanning lines)."""
-    num_vars = None
-    num_clauses = None
-    clauses: list[tuple[int, ...]] = []
-    current: list[int] = []
+def _p_lines(text: str, kind: str, arity: int, item: str):
+    """Read a ``p <kind>`` document lazily: yield the header's ``arity``
+    integers, then ``(raw, tokens)`` for each body line.
+
+    Blank lines and ``c`` comments are skipped; a second header, a body
+    line (an ``item``) before the header, or no header at all is an error,
+    raised when the reader reaches it, so errors come in line order."""
+    header = False
     for raw in text.splitlines():
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
             continue
         if tokens[0] == "p":
-            if num_vars is not None or len(tokens) != 4 or tokens[1] != "cnf":
+            if header or len(tokens) != arity + 2 or tokens[1] != kind:
                 raise ValueError(f"malformed header: {raw!r}")
-            num_vars, num_clauses = int(tokens[2]), int(tokens[3])
-            continue
-        if num_vars is None:
-            raise ValueError("clause before `p cnf` header")
+            header = True
+            yield tuple(map(int, tokens[2:]))
+        elif not header:
+            raise ValueError(f"{item} before `p {kind}` header")
+        else:
+            yield raw, tokens
+    if not header:
+        raise ValueError(f"missing `p {kind}` header")
+
+
+def parse_dimacs(text: str) -> CnfFormula:
+    """Parse DIMACS CNF (``c`` comments, ``p cnf N M`` header, 0-terminated
+    clauses possibly spanning lines)."""
+    lines = _p_lines(text, "cnf", 2, "clause")
+    num_vars, num_clauses = next(lines)
+    clauses: list[tuple[int, ...]] = []
+    current: list[int] = []
+    for _, tokens in lines:
         for tok in tokens:
             lit = int(tok)
             if lit == 0:
@@ -79,8 +94,6 @@ def parse_dimacs(text: str) -> CnfFormula:
                 if abs(lit) > num_vars:
                     raise ValueError(f"literal {lit} exceeds variable count {num_vars}")
                 current.append(lit)
-    if num_vars is None:
-        raise ValueError("missing `p cnf` header")
     if current:
         raise ValueError("unterminated clause")
     if len(clauses) != num_clauses:
@@ -91,25 +104,13 @@ def parse_dimacs(text: str) -> CnfFormula:
 def parse_cbvc(text: str) -> tuple[BipartiteGraph, int]:
     """Parse the bipartite-cover format: ``p cbvc |V1| |V2| k`` then one
     ``u v`` line per edge; ``c`` comments allowed."""
-    header = None
+    lines = _p_lines(text, "cbvc", 3, "edge")
+    n1, n2, k = next(lines)
     edges: list[tuple[int, int]] = []
-    for raw in text.splitlines():
-        tokens = raw.split()
-        if not tokens or tokens[0] == "c":
-            continue
-        if tokens[0] == "p":
-            if header is not None or len(tokens) != 5 or tokens[1] != "cbvc":
-                raise ValueError(f"malformed header: {raw!r}")
-            header = (int(tokens[2]), int(tokens[3]), int(tokens[4]))
-            continue
-        if header is None:
-            raise ValueError("edge before `p cbvc` header")
+    for raw, tokens in lines:
         if len(tokens) != 2:
             raise ValueError(f"malformed edge line: {raw!r}")
         edges.append((int(tokens[0]), int(tokens[1])))
-    if header is None:
-        raise ValueError("missing `p cbvc` header")
-    n1, n2, k = header
     return BipartiteGraph(n1, n2, tuple(edges)), k
 
 

@@ -87,13 +87,6 @@ def dfs(root, expand, max_nodes: int) -> bool:
 MAX_COMMITTEES = 2**20
 
 
-def _as_committee(candidates) -> Committee:
-    committee = tuple(sorted(set(candidates)))
-    if committee and committee[0] < 1:
-        raise ValueError(f"candidate ids must be positive, got {committee[0]}")
-    return committee
-
-
 def _check_shape(inst) -> None:
     """Validation shared by both instance types: mode, sizes, and a profile
     of ``tau`` rows of ``n`` nominations in ``0..m``.
@@ -197,12 +190,12 @@ class CommitteeSequence:
     def __post_init__(self):
         for committee in self.committees:
             if list(committee) != sorted(set(committee)) or (committee and committee[0] < 1):
-                raise ValueError(f"committee {committee} is not strictly increasing")
+                raise ValueError(f"committee {committee} must list positive ids in strictly increasing order")
 
     @classmethod
     def of(cls, committees) -> "CommitteeSequence":
         """Normalize arbitrary per-level candidate collections."""
-        return cls(tuple(_as_committee(c) for c in committees))
+        return cls(tuple(tuple(sorted(set(c))) for c in committees))
 
     def __len__(self) -> int:
         return len(self.committees)

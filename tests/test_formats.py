@@ -133,6 +133,68 @@ def test_parse_errors_carry_line_numbers(mutate, message):
     assert err.value.line >= 1
 
 
+def _error(doc, line, message, name):
+    return pytest.param(doc, line, message, id=name)
+
+
+# TRIP_DOC's lines: 1 header, 2 mode, 3-8 n m tau k x y, 9 levels, 10-11 rows, 12 end
+@pytest.mark.parametrize(
+    "doc, line, message",
+    [
+        _error("", 1, "empty document", "empty"),
+        _error("# a comment\n\n", 1, "empty document", "comments-only"),
+        _error(TRIP_DOC.replace("ecse v1", "ecse v2"), 1, "expected header `ecse v1`", "header"),
+        _error("ecse v1\nmode gcse\nn 1\n", 3, "missing `levels` section", "no-levels"),
+        _error(TRIP_DOC.replace("levels", "levels 2"), 9, "`levels` takes no arguments", "levels-args"),
+        _error(TRIP_DOC.replace("mode gcse", "mode egal"), 2, "mode must be `gcse` or `qcse`",
+               "bad-mode"),
+        _error(TRIP_DOC.replace("mode gcse", "mode gcse\nmode qcse"), 3, "duplicate `mode`", "dup-mode"),
+        # a duplicate of the wrong arity reports its arity
+        _error(TRIP_DOC.replace("mode gcse", "mode gcse\nmode"), 3, "mode must be `gcse` or `qcse`",
+               "dup-mode-arity"),
+        _error(TRIP_DOC.replace("n 6", "n 6 7"), 3, "`n` takes one integer", "scalar-arity"),
+        _error(TRIP_DOC.replace("x 4", "x 4\nx 4"), 8, "duplicate `x`", "dup-scalar"),
+        _error(TRIP_DOC.replace("n 6", "n 6\nn"), 4, "`n` takes one integer", "dup-scalar-arity"),
+        _error(TRIP_DOC.replace("n 6", "n six"), 3, "expected an integer, got 'six'", "scalar-token"),
+        _error(TRIP_DOC.replace("levels", "kvec 2 2\nkvec 2 2\nlevels"), 10, "duplicate `kvec`",
+               "dup-vector"),
+        _error(TRIP_DOC.replace("levels", "yvec 1 one\nlevels"), 9, "expected an integer, got 'one'",
+               "vector-token"),
+        _error(TRIP_DOC.replace("k 2", "seats 2"), 6, "unknown key 'seats'", "unknown-key"),
+        _error(TRIP_DOC.replace("mode gcse\n", ""), 8, "missing `mode`", "no-mode"),
+        _error(TRIP_DOC.replace("k 2\n", ""), 8, "missing `k`", "no-scalar"),
+        _error(TRIP_DOC.replace("tau 2", "tau 0"), 9, "tau must be at least 1", "tau-0"),
+        _error(TRIP_DOC.replace("4 3 2 6 2 3        # day two\n", ""), 11,
+               "expected 2 level rows, got 1", "early-end"),
+        _error(TRIP_DOC.split("4 3 2 6 2 3")[0], 10, "expected 2 level rows, got 1", "eof-in-rows"),
+        _error(TRIP_DOC.replace("1 5 1 5 3 4", "1 5 1 5 3"), 10, "level row has 5 entries, expected n=6",
+               "row-length"),
+        _error(TRIP_DOC.replace("4 3 2 6 2 3", "4 3 two 6 2 3"), 11, "expected an integer, got 'two'",
+               "row-token"),
+        _error(TRIP_DOC.replace("end\n", ""), 11, "missing `end`", "no-end"),
+        _error(TRIP_DOC.replace("end\n", "1 1 1 1 1 1\nend\n"), 12, "expected `end`", "extra-row"),
+        # a line other than `end` is not `end`, even with an `end` after it
+        _error(TRIP_DOC.replace("end\n", "end x\nend\n"), 12, "expected `end`", "end-args"),
+        _error(TRIP_DOC + "extra\n", 13, "trailing content after `end`", "trailing"),
+        # the constructors' errors: a range error names its row, any other the `end` line
+        _error(TRIP_DOC.replace("4 3 2 6 2 3", "4 3 2 7 2 3"), 11, "nomination 7 out of range 0..6",
+               "out-of-range"),
+        _error(TRIP_DOC.replace("y 1", "y -1"), 12, "bounds k, x, y must be nonnegative", "negative-y"),
+        _error(TRIP_DOC.replace("levels", "kvec\nlevels"), 13, "kvec/xvec must have one entry per level",
+               "short-kvec"),
+        _error(TRIP_DOC.replace("levels", "yvec 1\nlevels"), 13, "yvec must have one entry per agent",
+               "short-yvec"),
+        _error("ecse v1\nmode gcse\nn -1\nm 1\ntau 1\nk 0\nx 0\ny 0\nlevels\nend\n", 10,
+               "need n >= 0, m >= 0, tau >= 1", "negative-n"),
+    ],
+)
+def test_every_parse_error_names_its_line_and_message(doc, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance(doc)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def test_solution_round_trip():
     seq = CommitteeSequence.of([(1, 5), (), (2,)])
     text = serialize_solution(seq)

@@ -68,6 +68,26 @@ def test_parse_cbvc():
         parse_cbvc("1 1\n")
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        # a bad literal ahead of a second header: the reader stops at the literal
+        (parse_dimacs, "p cnf 2 1\n1 x 0\np cnf 2 1\n", "invalid literal for int() with base 10: 'x'"),
+        (parse_cbvc, "p cbvc 1 1 0\n1 x\np cbvc 1 1 0\n", "invalid literal for int() with base 10: 'x'"),
+        (parse_dimacs, "p cnf 2 1\np cnf 2 1\n1 x 0\n", "malformed header: 'p cnf 2 1'"),
+        (parse_dimacs, "c first\n1 0\np cnf 1 1\n", "clause before `p cnf` header"),
+        (parse_cbvc, "1 1\np cbvc 1 1 0\n", "edge before `p cbvc` header"),
+        (parse_cbvc, "p cbvc 1 1 0\n 1  1  1 \n", "malformed edge line: ' 1  1  1 '"),
+        (parse_dimacs, "", "missing `p cnf` header"),
+        (parse_cbvc, "c only a comment\n\n", "missing `p cbvc` header"),
+    ],
+)
+def test_source_format_errors_come_in_line_order(parse, text, message):
+    with pytest.raises(ValueError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
 def test_cbvc_star_and_edgeless():
     star = BipartiteGraph(1, 2, ((1, 1), (1, 2)))
     inst = gen_from_cbvc(star, 1)

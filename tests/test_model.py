@@ -77,6 +77,22 @@ def test_committee_sequence_must_be_canonical():
     assert CommitteeSequence.of([(2, 1, 2)]).committees == ((1, 2),)
 
 
+@pytest.mark.parametrize(
+    "build, committee",
+    [
+        (lambda: CommitteeSequence(((2, 1),)), (2, 1)),
+        (lambda: CommitteeSequence(((0, 1),)), (0, 1)),
+        # `of` normalizes only; the constructor refuses the id 0
+        (lambda: CommitteeSequence.of([(0, 1)]), (0, 1)),
+    ],
+    ids=["decreasing", "zero", "zero-through-of"],
+)
+def test_committee_validation_names_both_conditions(build, committee):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == f"committee {committee} must list positive ids in strictly increasing order"
+
+
 # -- scores ---------------------------------------------------------------------
 
 
