@@ -43,6 +43,8 @@ _MODE_TOKENS = {"gcse": EGALITARIAN, "qcse": EQUITABLE}
 _TOKEN_OF_MODE = {v: k for k, v in _MODE_TOKENS.items()}
 
 _SCALAR_KEYS = ("n", "m", "tau", "k", "x", "y")
+# k, x and y have no floor: a pre-elected file may give negative defaults
+_SCALAR_FLOORS = {"n": 0, "m": 0, "tau": 1}
 _VECTOR_KEYS = ("kvec", "xvec", "yvec")
 
 
@@ -151,7 +153,9 @@ def parse_instance(text: str) -> Instance | PeInstance:
                 raise ParseError(line, f"`{key}` takes one integer")
             if key in scalars:
                 raise ParseError(line, f"duplicate `{key}`")
-            scalars[key] = _int(tokens[1], line)
+            value = scalars[key] = _int(tokens[1], line)
+            if key in _SCALAR_FLOORS and value < _SCALAR_FLOORS[key]:
+                raise ParseError(line, f"{key} must be at least {_SCALAR_FLOORS[key]}")
         elif key in _VECTOR_KEYS:
             if key in vectors:
                 raise ParseError(line, f"duplicate `{key}`")
@@ -167,8 +171,6 @@ def parse_instance(text: str) -> Instance | PeInstance:
         if key not in scalars:
             raise ParseError(line, f"missing `{key}`")
     n, m, tau = scalars["n"], scalars["m"], scalars["tau"]
-    if tau < 1:
-        raise ParseError(line, "tau must be at least 1")
 
     rows: dict[int, tuple[int, ...]] = {}  # line number -> level row
     expected_rows = tau if n > 0 else 0

@@ -200,8 +200,7 @@ def export_lp(model: IpModel) -> str:
         for ti in range(model.num_types)
         for ci in range(len(model.committees[ti]))
     }
-    ordered = [names[key] for key in sorted(names)]
-    empty_sum = f"0 {ordered[0] if ordered else 'x_none'}"
+    empty_sum = f"0 {next(iter(names.values()), 'x_none')}"
     op = "=" if model.equitable else ">="
     lines = ["Minimize", " obj: 0", "Subject To"]
     for a0, pairs in enumerate(model.agent_vars):
@@ -211,13 +210,11 @@ def export_lp(model: IpModel) -> str:
         expr = " + ".join(names[(ti, ci)] for ci in range(len(committees))) or empty_sum
         lines.append(f" t{ti + 1}: {expr} = {model.type_counts[ti]}")
     lines.append("Bounds")
-    if not ordered and (model.agent_vars or model.committees):
+    if not names and (model.agent_vars or model.committees):
         lines.append(" 0 <= x_none <= 0")
-    for ti in range(model.num_types):
-        for ci in range(len(model.committees[ti])):
-            lines.append(f" 0 <= {names[(ti, ci)]} <= {model.type_counts[ti]}")
+    for (ti, _), name in names.items():
+        lines.append(f" 0 <= {name} <= {model.type_counts[ti]}")
     lines.append("General")
-    for name in ordered:
-        lines.append(f" {name}")
+    lines += [f" {name}" for name in names.values()]
     lines.append("End")
     return "\n".join(lines) + "\n"

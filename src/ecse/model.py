@@ -20,6 +20,7 @@ All values are immutable, and every function here is pure except
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from math import comb
 
@@ -27,11 +28,11 @@ EGALITARIAN = "egalitarian"
 EQUITABLE = "equitable"
 MODES = (EGALITARIAN, EQUITABLE)
 
-#: comparator tokens accepted by :class:`ComparatorSpec`
+#: comparator tokens accepted by :class:`ComparatorSpec`, each to its relation
 CMP_LE = "<="
 CMP_EQ = "="
 CMP_GE = ">="
-COMPARATORS = (CMP_LE, CMP_EQ, CMP_GE)
+COMPARATORS = {CMP_LE: operator.le, CMP_EQ: operator.eq, CMP_GE: operator.ge}
 
 Committee = tuple[int, ...]
 
@@ -251,16 +252,6 @@ EGALITARIAN_SPEC = ComparatorSpec(CMP_LE, CMP_GE, CMP_GE)
 EQUITABLE_SPEC = ComparatorSpec(CMP_LE, CMP_GE, CMP_EQ)
 
 
-def compares(op: str, lhs: int, rhs: int) -> bool:
-    if op == CMP_LE:
-        return lhs <= rhs
-    if op == CMP_EQ:
-        return lhs == rhs
-    if op == CMP_GE:
-        return lhs >= rhs
-    raise ValueError(f"unknown comparator {op!r}")
-
-
 @dataclass(frozen=True)
 class SolveResult:
     """Solver verdict plus optional witness and counters."""
@@ -343,15 +334,15 @@ def verify_generalized(
         kvec, xvec, yvec = map(itertools.repeat, (inst.k, inst.x, inst.y))
     violation = None
     for t0, (committee, k, x) in enumerate(zip(seq, kvec, xvec)):
-        if not compares(spec.cmp_k, len(committee), k):
+        if not COMPARATORS[spec.cmp_k](len(committee), k):
             violation = Violation("level-size", t0 + 1)
             break
-        if not compares(spec.cmp_x, level_scores[t0], x):
+        if not COMPARATORS[spec.cmp_x](level_scores[t0], x):
             violation = Violation("level-score", t0 + 1)
             break
     if violation is None:
         for a0, (score, y) in enumerate(zip(agent_scores, yvec)):
-            if not compares(spec.cmp_y, score, y):
+            if not COMPARATORS[spec.cmp_y](score, y):
                 violation = Violation("agent-score", a0 + 1)
                 break
     return VerificationReport(violation is None, level_scores, agent_scores, violation)
@@ -558,8 +549,6 @@ def solve_easy_generalized(inst: Instance, spec: ComparatorSpec) -> SolveResult 
         return SolveResult.yes(empty, stats) if report.feasible else SolveResult.no(stats)
     if spec == ComparatorSpec(CMP_GE, CMP_GE, CMP_GE):
         stats = {"easy_all_candidates": 1}
-        if inst.k > inst.m:
-            return SolveResult.no(stats)
         everyone = tuple(range(1, inst.m + 1))
         full = CommitteeSequence.of([everyone] * inst.tau)
         report = verify_generalized(inst, spec, full)

@@ -20,13 +20,13 @@ from .model import (
     CMP_EQ,
     CMP_GE,
     CMP_LE,
+    COMPARATORS,
     CommitteeSequence,
     ComparatorSpec,
     GuardExceeded,
     Instance,
     PeInstance,
     SolveResult,
-    compares,
     enumerate_valid_committees,  # noqa: F401 -- perfbench/tracing.py wraps this name
     lift,
     rename_candidates,
@@ -165,12 +165,7 @@ def brute_solve_generalized(
         raise OracleLimitError(f"n={inst.n}, m={inst.m}, tau={inst.tau} exceed limits {limits}")
 
     everyone = list(range(1, inst.m + 1))
-    if spec.cmp_k == CMP_LE:
-        sizes = range(0, min(inst.k, inst.m) + 1)
-    elif spec.cmp_k == CMP_EQ:
-        sizes = range(inst.k, inst.k + 1) if inst.k <= inst.m else range(0)
-    else:
-        sizes = range(inst.k, inst.m + 1)
+    sizes = [s for s in range(inst.m + 1) if COMPARATORS[spec.cmp_k](s, inst.k)]
     base = [c for size in sizes for c in itertools.combinations(everyone, size)]
     if len(base) > limits.max_committees_per_level:
         raise OracleLimitError(f"{len(base)} committees per level")
@@ -178,7 +173,7 @@ def brute_solve_generalized(
     options = []
     for row in inst.profile:
         pairs = ((c, _satisfied(row, c)) for c in base)
-        options.append([(c, sats) for c, sats in pairs if compares(spec.cmp_x, len(sats), inst.x)])
+        options.append([(c, sats) for c, sats in pairs if COMPARATORS[spec.cmp_x](len(sats), inst.x)])
     stats = {"nodes": 0, "committees_enumerated": len(base) * inst.tau}
     yvec = (inst.y,) * inst.n
     return _finish(_search(inst.profile, options, yvec, spec.cmp_y, stats), stats)

@@ -9,6 +9,7 @@ import pytest
 from ecse.cli import main
 from ecse.formats import parse_instance, parse_solution, serialize_instance
 from ecse.ip import solve_ip
+from ecse.kernel import kernelize_ny
 from ecse.model import EGALITARIAN, EQUITABLE, CommitteeSequence, verify
 from ecse.oracle import brute_solve
 from ecse.generators import (
@@ -485,6 +486,13 @@ def test_input_errors_exit_2(tmp_path, capsys):
     )
     assert (code, out) == (2, "") and "generator 'random' takes no input files" in err
 
+    code, out, err = run(capsys, "generate", "--from", "or")
+    assert (code, out) == (2, "") and "or-composition needs input instance files" in err
+
+    for inputs in ([], [str(cnf), str(cnf)]):
+        code, out, err = run(capsys, "generate", "--from", "sat", *inputs)
+        assert (code, out) == (2, "") and "generator 'sat' takes exactly one input file" in err
+
 
 CNF = "p cnf 3 3\n1 2 -3 0\n-1 2 0\n3 0\n"
 MONOTONE_CNF = "p cnf 3 3\n1 2 3 0\n1 2 3 0\n1 2 3 0\n"
@@ -663,10 +671,9 @@ def test_kernelize_json_keys(tmp_path, capsys):
     payload = json.loads(out)
     assert code == 0 and set(payload) == keys
     assert payload["resolved"] is True and payload["verdict"] == "yes"
+    inst = make_instance([(1, 1, 2)] * 8 + [(3, 3, 3)], mode=EGALITARIAN, k=1, x=2, y=1)
     wide = tmp_path / "wide.ecse"
-    wide.write_text(serialize_instance(
-        make_instance([(1, 1, 2)] * 8 + [(3, 3, 3)], mode=EGALITARIAN, k=1, x=2, y=1)
-    ))
+    wide.write_text(serialize_instance(inst))
     code, out, _ = run(capsys, "kernelize", str(wide), "--json")
     payload = json.loads(out)
     assert code == 0 and set(payload) == keys
@@ -674,6 +681,11 @@ def test_kernelize_json_keys(tmp_path, capsys):
         "resolved": False, "verdict": None, "kept_levels": [7, 8, 9],
         "deleted_levels": [1, 2, 3, 4, 5, 6], "rules": [["delete-level", t] for t in range(1, 7)],
     }
+    # with --out the unresolved kernel goes to that file, the payload still to stdout
+    kernel = tmp_path / "kernel.ecse"
+    code, out, _ = run(capsys, "kernelize", str(wide), "--json", "--out", str(kernel))
+    assert (code, json.loads(out)) == (0, payload)
+    assert kernel.read_text() == serialize_instance(kernelize_ny(inst).instance)
 
 
 def test_solve_tau2_json_witness_verifies(tmp_path, capsys):

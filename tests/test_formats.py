@@ -163,7 +163,12 @@ def _error(doc, line, message, name):
         _error(TRIP_DOC.replace("k 2", "seats 2"), 6, "unknown key 'seats'", "unknown-key"),
         _error(TRIP_DOC.replace("mode gcse\n", ""), 8, "missing `mode`", "no-mode"),
         _error(TRIP_DOC.replace("k 2\n", ""), 8, "missing `k`", "no-scalar"),
-        _error(TRIP_DOC.replace("tau 2", "tau 0"), 9, "tau must be at least 1", "tau-0"),
+        # a size below its floor is refused at its own line
+        _error(TRIP_DOC.replace("tau 2", "tau 0"), 5, "tau must be at least 1", "tau-0"),
+        _error("ecse v1\nmode gcse\nn -1\nm 1\ntau 1\nk 0\nx 0\ny 0\nlevels\nend\n", 3,
+               "n must be at least 0", "negative-n"),
+        _error("ecse v1\nmode gcse\nn 2\nm -1\ntau 1\nk 0\nx 0\ny 0\nlevels\n0 0\nend\n", 4,
+               "m must be at least 0", "negative-m"),
         _error(TRIP_DOC.replace("4 3 2 6 2 3        # day two\n", ""), 11,
                "expected 2 level rows, got 1", "early-end"),
         _error(TRIP_DOC.split("4 3 2 6 2 3")[0], 10, "expected 2 level rows, got 1", "eof-in-rows"),
@@ -184,13 +189,39 @@ def _error(doc, line, message, name):
                "short-kvec"),
         _error(TRIP_DOC.replace("levels", "yvec 1\nlevels"), 13, "yvec must have one entry per agent",
                "short-yvec"),
-        _error("ecse v1\nmode gcse\nn -1\nm 1\ntau 1\nk 0\nx 0\ny 0\nlevels\nend\n", 10,
-               "need n >= 0, m >= 0, tau >= 1", "negative-n"),
     ],
 )
 def test_every_parse_error_names_its_line_and_message(doc, line, message):
     with pytest.raises(ParseError) as err:
         parse_instance(doc)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize(
+    "doc, line, message",
+    [
+        _error("", 1, "empty document", "empty"),
+        _error("# a comment\n\n", 1, "empty document", "comments-only"),
+        _error("ecse-sol v2\n1\n-\n", 1, "expected header `ecse-sol v1`", "header"),
+        _error("# a comment\necse-sol v1\n", 2, "missing committee count", "no-count"),
+        _error("ecse-sol v1\n1 2\n-\n", 2, "expected the number of committees", "count-arity"),
+        _error("ecse-sol v1\none\n-\n", 2, "expected an integer, got 'one'", "count-token"),
+        _error("ecse-sol v1\n0\n", 2, "need at least one committee", "count-0"),
+        _error("ecse-sol v1\n2\n1\n", 3, "expected 2 committee lines, got 1", "too-few"),
+        # too many lines: the last one is named
+        _error("ecse-sol v1\n1\n-\n-\n", 4, "expected 1 committee lines, got 2", "too-many"),
+        _error("ecse-sol v1\n1\n1 x\n", 3, "expected an integer, got 'x'", "id-token"),
+        # `-` stands for an empty committee only on its own
+        _error("ecse-sol v1\n1\n- 1\n", 3, "expected an integer, got '-'", "dash-and-id"),
+        _error("ecse-sol v1\n1\n0 1\n", 3, "candidate ids must be positive", "id-0"),
+        _error("ecse-sol v1\n1\n5 1\n", 3, "candidate ids must be strictly increasing", "unsorted"),
+        _error("ecse-sol v1\n1\n2 2\n", 3, "candidate ids must be strictly increasing", "repeated"),
+    ],
+)
+def test_every_solution_parse_error_names_its_line_and_message(doc, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_solution(doc)
     assert err.value.line == line
     assert str(err.value) == f"line {line}: {message}"
 
