@@ -307,13 +307,11 @@ def _all_scores(inst, seq: CommitteeSequence) -> tuple[tuple[int, ...], tuple[in
     level_scores = []
     agent_scores = [0] * inst.n
     for row, committee in zip(inst.profile, seq):
+        # committee ids are positive, so a 0 (no nomination) never hits
         chosen = set(committee)
-        hit = 0
-        for a0, c in enumerate(row):
-            if c != 0 and c in chosen:
-                hit += 1
-                agent_scores[a0] += 1
-        level_scores.append(hit)
+        hits = [c in chosen for c in row]
+        level_scores.append(sum(hits))
+        agent_scores = list(map(operator.add, agent_scores, hits))
     return tuple(level_scores), tuple(agent_scores)
 
 
@@ -341,10 +339,9 @@ def verify_generalized(
             violation = Violation("level-score", t0 + 1)
             break
     if violation is None:
-        for a0, (score, y) in enumerate(zip(agent_scores, yvec)):
-            if not COMPARATORS[spec.cmp_y](score, y):
-                violation = Violation("agent-score", a0 + 1)
-                break
+        passed = list(map(COMPARATORS[spec.cmp_y], agent_scores, yvec))
+        if not all(passed):
+            violation = Violation("agent-score", passed.index(False) + 1)
     return VerificationReport(violation is None, level_scores, agent_scores, violation)
 
 
@@ -522,14 +519,11 @@ def trivial_solve(inst: Instance) -> SolveResult | None:
         return SolveResult.yes(CommitteeSequence.of(committees), stats)
 
     if inst.egalitarian and inst.k >= inst.m:
-        # electing everything is optimal
+        # electing everything is optimal, so the instance is a yes iff that is feasible
+        everyone = CommitteeSequence.of([range(1, inst.m + 1)] * inst.tau)
         stats = {"trivial_k_ge_m": 1}
-        if any(len(column) - column.count(0) < inst.y for column in zip(*inst.profile)):
-            return SolveResult.no(stats)
-        if any(_top_score(row_support(row).values(), inst.k) < inst.x for row in inst.profile):
-            return SolveResult.no(stats)
-        everyone = tuple(range(1, inst.m + 1))
-        return SolveResult.yes(CommitteeSequence.of([everyone] * inst.tau), stats)
+        feasible = verify(inst, everyone).feasible
+        return SolveResult.yes(everyone, stats) if feasible else SolveResult.no(stats)
 
     return None
 
@@ -543,14 +537,11 @@ def solve_easy_generalized(inst: Instance, spec: ComparatorSpec) -> SolveResult 
     every other triple.
     """
     if spec == ComparatorSpec(CMP_LE, CMP_LE, CMP_LE):
-        empty = CommitteeSequence.of([()] * inst.tau)
-        report = verify_generalized(inst, spec, empty)
-        stats = {"easy_all_empty": 1}
-        return SolveResult.yes(empty, stats) if report.feasible else SolveResult.no(stats)
-    if spec == ComparatorSpec(CMP_GE, CMP_GE, CMP_GE):
-        stats = {"easy_all_candidates": 1}
-        everyone = tuple(range(1, inst.m + 1))
-        full = CommitteeSequence.of([everyone] * inst.tau)
-        report = verify_generalized(inst, spec, full)
-        return SolveResult.yes(full, stats) if report.feasible else SolveResult.no(stats)
-    return None
+        rule, committee = "easy_all_empty", ()
+    elif spec == ComparatorSpec(CMP_GE, CMP_GE, CMP_GE):
+        rule, committee = "easy_all_candidates", range(1, inst.m + 1)
+    else:
+        return None
+    extreme = CommitteeSequence.of([committee] * inst.tau)
+    feasible = verify_generalized(inst, spec, extreme).feasible
+    return SolveResult.yes(extreme, {rule: 1}) if feasible else SolveResult.no({rule: 1})

@@ -393,8 +393,8 @@ def test_criterion_8_generalized_comparators():
     """Extreme-committee checks match the generalized oracle on tiny instances."""
     specs = [ComparatorSpec("<=", "<=", "<="), ComparatorSpec(">=", ">=", ">=")]
     cases = 0
-    for n in (1, 2, 3):
-        for m in (1, 2, 3):
+    for n in (0, 1, 2, 3):
+        for m in (0, 1, 2, 3):
             for tau in (1, 2, 3):
                 for sample in range(6):
                     inst_base = random_instance(

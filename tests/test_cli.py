@@ -1,6 +1,7 @@
 """Command-line surface: output contracts, exit codes, determinism."""
 
 import json
+import re
 import time
 from pathlib import Path
 
@@ -718,3 +719,35 @@ def test_bench_writes_undecided_rows(trip_file, capsys, monkeypatch):
     ]
     assert decided[:3] == ["one.ecse", "dp", "yes"] and decided[4:] == ["1", "1", "1"]
     assert refused[:3] == ["trip.ecse", "dp", "undecided"] and refused[4:] == ["", "", ""]
+
+
+#: every option and positional each subcommand's --help must name
+SUBCOMMAND_ARGUMENTS = {
+    "solve": ("instance", "--algo", "--json", "--exit-verdict", "--max-nodes", "--out"),
+    "verify": ("instance", "solution", "--json"),
+    "kernelize": ("instance", "--json", "--out"),
+    "generate": (
+        "--from", "inputs", "--mode", "--seed", "--n", "--m", "--tau", "--k", "--x", "--y",
+        "--empty-prob", "--out",
+    ),
+    "export-ip": ("instance", "--out"),
+    "bench": ("directory", "--algo", "--max-nodes", "--out"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--help"], ["bogus"]] + [[command, "--help"] for command in SUBCOMMAND_ARGUMENTS],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_help_and_usage_errors_repeat_exactly(argv, capsys):
+    # no golden text: argparse lays help out differently across Python versions
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first == second
+    code, out, err = first
+    assert code == (0 if "--help" in argv else 2)
+    assert (out if code == 0 else err).strip()
+    if argv[1:] == ["--help"]:
+        for name in SUBCOMMAND_ARGUMENTS[argv[0]]:
+            # a whole token, so that --m is not found inside --mode
+            assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", out), (argv[0], name)

@@ -22,8 +22,10 @@ from ecse.model import (
     agent_score,
     committee_score,
     enumerate_valid_committees,
+    greedy_committee,
     level_fingerprints,
     rename_candidates,
+    row_support,
     solve_easy_generalized,
     trivial_solve,
     valid_committees,
@@ -192,6 +194,11 @@ def test_score_double_counting_property(pair):
         committee_score(inst, t, s.committees[t - 1]) for t in range(1, inst.tau + 1)
     )
     assert report.agent_scores == tuple(agent_score(inst, a, s) for a in range(1, inst.n + 1))
+    # agent_score reads the same pass, so count each agent's levels directly too
+    assert report.agent_scores == tuple(
+        sum(1 for row, committee in zip(inst.profile, s) if row[a0] != 0 and row[a0] in committee)
+        for a0 in range(inst.n)
+    )
 
 
 @given(instance_with_sequence(), st.integers(1, 10))
@@ -285,14 +292,25 @@ def test_trivial_none_for_hard_case(trip_egalitarian):
 def test_trivial_agrees_with_oracle_when_it_fires():
     import random as _random
 
+    # each rule's yes-witness, written out directly
+    closed_forms = {
+        "trivial_y_gt_tau": lambda inst: [()] * inst.tau,
+        "trivial_y0_equitable": lambda inst: [()] * inst.tau,
+        "trivial_y0_egalitarian": lambda inst: [
+            greedy_committee(row_support(row), inst.k) if inst.x > 0 else ()
+            for row in inst.profile
+        ],
+        "trivial_y_eq_tau": lambda inst: [set(row) - {0} for row in inst.profile],
+        "trivial_k_ge_m": lambda inst: [range(1, inst.m + 1)] * inst.tau,
+    }
     rules_seen = set()
     for seed in range(400):
         rng = _random.Random(seed)
         tau = rng.randint(1, 3)
-        m = rng.randint(1, 3)
+        m = rng.randint(0, 3)
         inst = random_instance(
             seed,
-            n=rng.randint(1, 4),
+            n=rng.randint(0, 4),
             m=m,
             tau=tau,
             k=rng.randint(0, m + 1),
@@ -304,10 +322,12 @@ def test_trivial_agrees_with_oracle_when_it_fires():
         result = trivial_solve(inst)
         if result is None:
             continue
-        rules_seen.update(result.stats)
+        (rule,) = result.stats
+        rules_seen.add(rule)
         assert result.verdict == brute_solve(inst).verdict
         if result.witness is not None:
             assert verify(inst, result.witness).feasible
+            assert result.witness == CommitteeSequence.of(closed_forms[rule](inst)), (seed, rule)
     assert rules_seen == {
         "trivial_y_gt_tau",
         "trivial_y0_egalitarian",
