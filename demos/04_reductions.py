@@ -48,7 +48,7 @@ print("\nCBVC on a 2x3 graph, budget 2 per side ->", brute_solve(cover_inst).ver
 values = [1, 1, 4, 1, 1, 4]
 part = gen_3part(values, "equitable")
 from ecse import OracleLimits
-limits = OracleLimits(max_n=14, max_m=8, max_tau=6, max_committees_per_level=8192)
+limits = OracleLimits(max_n=14, max_m=8, max_tau=6)
 print(f"\n3-Partition of {values}: {three_partition_exists(values)} "
       f"| election verdict: {brute_solve(part, limits).verdict}")
 

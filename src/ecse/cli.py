@@ -262,7 +262,7 @@ GENERATORS = {
 
 def cmd_generate(args) -> int:
     kind = args.source
-    mode = EGALITARIAN if args.mode == "gcse" else EQUITABLE
+    mode = formats.MODE_TOKENS[args.mode]
     try:
         if kind == "random":
             if args.inputs:
@@ -346,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="build instances from source problems")
     gen.add_argument("--from", dest="source", required=True, choices=GENERATORS)
     gen.add_argument("inputs", nargs="*")
-    gen.add_argument("--mode", choices=["gcse", "qcse"], default="gcse")
+    gen.add_argument("--mode", choices=formats.MODE_TOKENS, default="gcse")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--n", type=int, default=6)
     gen.add_argument("--m", type=int, default=4)

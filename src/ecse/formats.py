@@ -39,8 +39,9 @@ from .model import (
     PeInstance,
 )
 
-_MODE_TOKENS = {"gcse": EGALITARIAN, "qcse": EQUITABLE}
-_TOKEN_OF_MODE = {v: k for k, v in _MODE_TOKENS.items()}
+#: mode token of the instance format -> mode, also the choices of ``generate --mode``
+MODE_TOKENS = {"gcse": EGALITARIAN, "qcse": EQUITABLE}
+_TOKEN_OF_MODE = {v: k for k, v in MODE_TOKENS.items()}
 
 _SCALAR_KEYS = ("n", "m", "tau", "k", "x", "y")
 # k, x and y have no floor: a pre-elected file may give negative defaults
@@ -73,21 +74,25 @@ def _int(token: str, line: int) -> int:
         raise ParseError(line, f"expected an integer, got {token!r}") from None
 
 
-class _IntTable(dict):
-    """Token text -> ``int(token)``, parsed the first time a token is seen.
+class _Memo(dict):
+    """Key -> ``convert(key)``, converted the first time the key is seen.
 
-    A level row repeats few distinct tokens (at most m + 1 canonical ones),
-    so most of its tokens cost one dictionary lookup instead of an ``int``
-    call, and equal entries share one int object."""
+    A level row repeats few distinct values (at most m + 1 canonical ones),
+    so most entries cost one lookup and equal entries share one object:
+    ``_Memo(int)`` parses tokens, ``_Memo(str)`` writes them."""
 
-    __slots__ = ()
+    __slots__ = ("convert",)
 
-    def __missing__(self, token: str) -> int:
-        value = self[token] = int(token)
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
         return value
 
 
-def _ints(tokens: list[str], line: int, table: _IntTable) -> tuple[int, ...]:
+def _ints(tokens: list[str], line: int, table: _Memo) -> tuple[int, ...]:
     try:
         return tuple(map(table.__getitem__, tokens))
     except ValueError:
@@ -99,7 +104,7 @@ def _ints(tokens: list[str], line: int, table: _IntTable) -> tuple[int, ...]:
 _CHUNK = 8192
 
 
-def _row(body: str, line: int, table: _IntTable) -> tuple[int, ...]:
+def _row(body: str, line: int, table: _Memo) -> tuple[int, ...]:
     """A level row's integers, split into tokens a chunk at a time, so only
     one chunk's token strings are alive at once.  A chunk ends at a space:
     a row without spaces (tab-separated, say) is split whole."""
@@ -130,7 +135,7 @@ def parse_instance(text: str) -> Instance | PeInstance:
         raise ParseError(1, "empty document")
     if body.split() != ["ecse", "v1"]:
         raise ParseError(line, "expected header `ecse v1`")
-    table = _IntTable()
+    table = _Memo(int)
 
     mode: str | None = None
     scalars: dict[str, int] = {}
@@ -143,11 +148,11 @@ def parse_instance(text: str) -> Instance | PeInstance:
                 raise ParseError(line, "`levels` takes no arguments")
             break
         if key == "mode":
-            if len(tokens) != 2 or tokens[1] not in _MODE_TOKENS:
+            if len(tokens) != 2 or tokens[1] not in MODE_TOKENS:
                 raise ParseError(line, "mode must be `gcse` or `qcse`")
             if mode is not None:
                 raise ParseError(line, "duplicate `mode`")
-            mode = _MODE_TOKENS[tokens[1]]
+            mode = MODE_TOKENS[tokens[1]]
         elif key in _SCALAR_KEYS:
             if len(tokens) != 2:
                 raise ParseError(line, f"`{key}` takes one integer")
@@ -206,26 +211,15 @@ def parse_instance(text: str) -> Instance | PeInstance:
         raise ParseError(bad[0] if bad else line, str(exc)) from None
 
 
-class _TokenTable(dict):
-    """Int -> ``str(value)``, the mirror of ``_IntTable``: equal entries
-    share one token, so writing a row allocates only the row's text."""
-
-    __slots__ = ()
-
-    def __missing__(self, value: int) -> str:
-        token = self[value] = str(value)
-        return token
-
-
 def serialize_instance(inst: Instance | PeInstance) -> str:
     """Canonical byte-deterministic document; a fixed point of parse/serialize.
 
     PeInstance values serialize with ``k 0 / x 0 / y 0`` placeholders followed
     by all three vectors, so the scalar defaults are never consulted on the
     way back in.  Every integer list is joined through one per-document
-    ``_TokenTable``.
+    ``_Memo``.
     """
-    token = _TokenTable()
+    token = _Memo(str)
     out = ["ecse v1", f"mode {_TOKEN_OF_MODE[inst.mode]}"]
     # a PeInstance has no k, x or y attribute: those lines read 0
     out += [f"{key} {getattr(inst, key, 0)}" for key in _SCALAR_KEYS]

@@ -54,7 +54,6 @@ class KernelResult:
     the reduced instance is expressed over renamed candidate ids.
     """
 
-    resolved: bool
     verdict: str | None
     witness: CommitteeSequence | None
     instance: Instance | None
@@ -62,9 +61,9 @@ class KernelResult:
     deleted_levels: tuple[int, ...]
     rule_log: tuple[tuple, ...]
 
-    def __post_init__(self):
-        if self.resolved == (self.instance is not None):
-            raise ValueError("exactly one of verdict and instance must be set")
+    @property
+    def resolved(self) -> bool:
+        return self.instance is None
 
 
 def compute_criticality(inst: Instance) -> CriticalityTable:
@@ -106,13 +105,13 @@ def kernelize_ny(inst: Instance) -> KernelResult:
     for t0, support in enumerate(supports):
         if _top_score(support.values(), renamed.k) < renamed.x:
             log.append(("no-valid-committee", t0 + 1))
-            return KernelResult(True, "no", None, None, every, (), tuple(log))
+            return KernelResult("no", None, None, every, (), tuple(log))
 
     table = compute_criticality(renamed)
     if not any(table.critical):
         log.append(("all-non-critical",))
         witness = _non_critical_witness(renamed, table, supports)
-        return KernelResult(True, "yes", renaming.lift(witness), None, every, (), tuple(log))
+        return KernelResult("yes", renaming.lift(witness), None, every, (), tuple(log))
 
     # users[t]: agents that can use level t; needed[t]: some critical agent can
     counts = [len(z) for z in table.z_sets]
@@ -140,17 +139,15 @@ def kernelize_ny(inst: Instance) -> KernelResult:
         # every level was useless to critical agents; with a positive target
         # some agent can never score, without one the greedy committees do
         if inst.y > 0:
-            return KernelResult(True, "no", None, None, (), tuple(deleted), tuple(log))
+            return KernelResult("no", None, None, (), tuple(deleted), tuple(log))
         witness = _non_critical_witness(renamed, table, supports)
-        return KernelResult(
-            True, "yes", renaming.lift(witness), None, (), tuple(deleted), tuple(log)
-        )
+        return KernelResult("yes", renaming.lift(witness), None, (), tuple(deleted), tuple(log))
 
     rows = tuple(renamed.profile[t - 1] for t in kept)
     reduced = Instance(
         renamed.mode, renamed.n, renamed.m, len(kept), renamed.k, renamed.x, renamed.y, rows
     )
-    return KernelResult(False, None, None, reduced, tuple(kept), tuple(deleted), tuple(log))
+    return KernelResult(None, None, reduced, tuple(kept), tuple(deleted), tuple(log))
 
 
 def _non_critical_witness(renamed, table, supports) -> CommitteeSequence:

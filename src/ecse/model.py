@@ -110,8 +110,18 @@ def _check_shape(inst) -> None:
                     raise ValueError(f"nomination {c} out of range 0..{inst.m}")
 
 
+class _Election:
+    """The mode predicate shared by both instance types."""
+
+    __slots__ = ()
+
+    @property
+    def egalitarian(self) -> bool:
+        return self.mode == EGALITARIAN
+
+
 @dataclass(frozen=True)
-class Instance:
+class Instance(_Election):
     """One election instance.
 
     ``profile`` holds one row per level; ``profile[t][a]`` is the candidate
@@ -132,13 +142,9 @@ class Instance:
         if self.k < 0 or self.x < 0 or self.y < 0:
             raise ValueError("bounds k, x, y must be nonnegative")
 
-    @property
-    def egalitarian(self) -> bool:
-        return self.mode == EGALITARIAN
-
 
 @dataclass(frozen=True)
-class PeInstance:
+class PeInstance(_Election):
     """Election with pre-elected slack: per-level budgets/thresholds and
     per-agent targets.
 
@@ -162,10 +168,6 @@ class PeInstance:
             raise ValueError("kvec/xvec must have one entry per level")
         if len(self.yvec) != self.n:
             raise ValueError("yvec must have one entry per agent")
-
-    @property
-    def egalitarian(self) -> bool:
-        return self.mode == EGALITARIAN
 
 
 def lift(inst: Instance) -> PeInstance:
@@ -412,14 +414,19 @@ def valid_committees(support: dict[int, int], k: int, x: int) -> list[Committee]
 
 def enumerate_valid_committees(inst, t: int) -> list[Committee]:
     """All valid committees at level ``t``: subsets of the candidates
-    nominated there with size <= k and committee score >= x.
+    nominated there with size <= k and committee score >= x, where a
+    pre-elected instance's level reads its own ``kvec`` and ``xvec`` entries.
 
     Candidates nominated by nobody are omitted since adding them never
     changes any score.  Raises :class:`EnumerationLimitError` where
     :func:`valid_committees` refuses.
     """
     _check_level(inst, t)
-    return valid_committees(row_support(inst.profile[t - 1]), inst.k, inst.x)
+    if isinstance(inst, PeInstance):
+        k, x = inst.kvec[t - 1], inst.xvec[t - 1]
+    else:
+        k, x = inst.k, inst.x
+    return valid_committees(row_support(inst.profile[t - 1]), k, x)
 
 
 def level_fingerprints(inst, t: int) -> dict[tuple[int, ...], Committee]:

@@ -27,11 +27,9 @@ from .model import (
     Instance,
     PeInstance,
     SolveResult,
-    enumerate_valid_committees,  # noqa: F401 -- perfbench/tracing.py wraps this name
+    enumerate_valid_committees,
     lift,
     rename_candidates,
-    row_support,
-    valid_committees,
 )
 
 
@@ -44,10 +42,9 @@ class OracleLimits:
     max_n: int = 8
     max_m: int = 8
     max_tau: int = 6
-    max_committees_per_level: int = 4096
 
     def __post_init__(self):
-        if min(self.max_n, self.max_m, self.max_tau, self.max_committees_per_level) < 1:
+        if min(self.max_n, self.max_m, self.max_tau) < 1:
             raise ValueError("limits must be positive")
 
 
@@ -140,10 +137,8 @@ def brute_solve(inst: Instance | PeInstance, limits: OracleLimits | None = None)
         )
     options = []
     total = 0
-    for t0, row in enumerate(inst.profile):
-        committees = valid_committees(row_support(row), inst.kvec[t0], inst.xvec[t0])
-        if len(committees) > limits.max_committees_per_level:
-            raise OracleLimitError(f"{len(committees)} committees at level {t0 + 1}")
+    for t, row in enumerate(inst.profile, start=1):
+        committees = enumerate_valid_committees(inst, t)
         total += len(committees)
         options.append([(c, _satisfied(row, c)) for c in committees])
 
@@ -167,8 +162,6 @@ def brute_solve_generalized(
     everyone = list(range(1, inst.m + 1))
     sizes = [s for s in range(inst.m + 1) if COMPARATORS[spec.cmp_k](s, inst.k)]
     base = [c for size in sizes for c in itertools.combinations(everyone, size)]
-    if len(base) > limits.max_committees_per_level:
-        raise OracleLimitError(f"{len(base)} committees per level")
 
     options = []
     for row in inst.profile:

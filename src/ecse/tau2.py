@@ -51,8 +51,6 @@ from .model import (
 
 Vertex = tuple[int, int]  # (level side 1|2, candidate id)
 
-_NO_NOMINATION = "agents must nominate at both levels; apply the rules first"
-
 # agents in the graph's first block of nomination pairs; each later block
 # is twice as long
 _FIRST_BLOCK = 1024
@@ -319,13 +317,11 @@ def build_cbivcs(x2: X2Instance) -> CbivcsInstance:
     An agent without a nomination shows up as vertex 0 of the graph (see
     :func:`_components`), which reads the rows only until the graph is
     connected."""
-    if x2.y != 1:
-        if 0 in x2.row1 or 0 in x2.row2:
-            raise ValueError(_NO_NOMINATION)
-        raise ValueError("the graph reduction applies to target-one instances")
     components, zero = _components(x2.row1, x2.row2)
     if zero is not None:
-        raise ValueError(_NO_NOMINATION)
+        raise ValueError("agents must nominate at both levels; apply the rules first")
+    if x2.y != 1:
+        raise ValueError("the graph reduction applies to target-one instances")
     return CbivcsInstance(x2.k1, x2.k2, x2.x1, x2.x2, components)
 
 

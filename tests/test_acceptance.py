@@ -50,7 +50,7 @@ from conftest import (
     random_occurrence_cnf,
 )
 
-GENERATOR_LIMITS = OracleLimits(max_n=24, max_m=8, max_tau=7, max_committees_per_level=8192)
+GENERATOR_LIMITS = OracleLimits(max_n=24, max_m=8, max_tau=7)
 
 
 def _passed(name: str) -> None:
@@ -225,7 +225,7 @@ def test_criterion_3_reduction_soundness():
             brute_solve(composed, GENERATOR_LIMITS).verdict == "yes"
         ) == expected, f"or seed {seed}"
 
-    part_limits = OracleLimits(max_n=14, max_m=8, max_tau=6, max_committees_per_level=8192)
+    part_limits = OracleLimits(max_n=14, max_m=8, max_tau=6)
     for seed in range(count):
         rng = random.Random(80_000 + seed)
         groups = rng.choice([1, 2])

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ecse.cli import main
+from ecse.cli import UsageError, main, solve_with_algo
 from ecse.formats import parse_instance, parse_solution, serialize_instance
 from ecse.ip import solve_ip
 from ecse.kernel import kernelize_ny
@@ -101,6 +101,10 @@ def test_solve_tau2_requires_equitable(trip_file, capsys):
 def test_solve_unknown_algo_usage_error(trip_file, capsys):
     code, _, _ = run(capsys, "solve", trip_file, "--algo", "magic")
     assert code == 2
+    # argparse's choices stop it above; the dispatcher refuses it on its own
+    with pytest.raises(UsageError) as err:
+        solve_with_algo(parse_instance(Path(trip_file).read_text()), "bogus")
+    assert str(err.value) == "unknown algorithm 'bogus'"
 
 
 def test_solve_pe_instance(tmp_path, capsys):

@@ -43,7 +43,7 @@ from ecse.sources import (
 
 from conftest import random_bipartite, random_cnf, random_occurrence_cnf
 
-BIG_LIMITS = OracleLimits(max_n=24, max_m=8, max_tau=6, max_committees_per_level=8192)
+BIG_LIMITS = OracleLimits(max_n=24, max_m=8, max_tau=6)
 
 
 def test_parse_dimacs():
@@ -329,7 +329,7 @@ def test_or_compose_soundness():
 def test_3part_examples():
     inst = gen_3part([1, 2, 3, 1, 2, 3], EGALITARIAN)
     assert (inst.n, inst.m, inst.tau, inst.k, inst.x, inst.y) == (12, 6, 2, 3, 6, 1)
-    limits = OracleLimits(max_n=14, max_m=8, max_tau=6, max_committees_per_level=8192)
+    limits = OracleLimits(max_n=14, max_m=8, max_tau=6)
     result = brute_solve(inst, limits)
     assert result.verdict == "yes"
     # solutions partition the candidates into triples of support sum T
@@ -347,7 +347,7 @@ def test_3part_examples():
 
 
 def test_3part_soundness_sample():
-    limits = OracleLimits(max_n=14, max_m=8, max_tau=6, max_committees_per_level=8192)
+    limits = OracleLimits(max_n=14, max_m=8, max_tau=6)
     seen_yes = seen_no = 0
     for seed in range(60):
         rng = random.Random(seed)
@@ -453,3 +453,47 @@ RANDOM_DRAW_DIGESTS = [
 def test_random_instance_documents_are_pinned(args, digest):
     doc = serialize_instance(random_instance(*args))
     assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == digest
+
+
+THREE_BY_ONE = CnfFormula(3, ((1, 2, 3),))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CnfFormula(2, ((),)), "empty clause"),
+    (lambda: CnfFormula(2, ((3,),)), "literal 3 out of range for 2 variables"),
+    (lambda: CnfFormula(2, ((1, 0),)), "literal 0 out of range for 2 variables"),
+    (lambda: BipartiteGraph(1, 2, ((1, 3),)), "edge (1, 3) out of range"),
+    (lambda: parse_dimacs("p cnf 2 1\n0\n"), "empty clause"),
+    (lambda: parse_dimacs("p cnf 2 1\n1 -2\n"), "unterminated clause"),
+    (lambda: gen_gcse_sat(CnfFormula(0, ())), "need at least one variable"),
+    (lambda: gen_qcse_monotone_x13sat(CnfFormula(0, ())), "need at least one variable"),
+    (lambda: gen_nmx(CnfFormula(2, ((1, 2),)), EGALITARIAN), "clauses must have exactly three literals"),
+    (lambda: gen_nmx(THREE_BY_ONE, EGALITARIAN), "variable 1 must occur twice negated and twice unnegated"),
+    (lambda: gen_nmx(THREE_BY_ONE, EQUITABLE), "variable 1 must occur exactly three times"),
+    (lambda: gen_nmx(THREE_BY_ONE, "bogus"), "unknown mode 'bogus'"),
+    (lambda: gen_3part([2, 0, 1], EGALITARIAN), "values must be positive"),
+])
+def test_generator_input_errors_name_the_fault(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("check, expected", [
+    (lambda: sat_satisfiable(CnfFormula(21, ())), "exhaustive SAT check capped at 20 variables"),
+    (lambda: x13sat_satisfiable(CnfFormula(21, ())), "exhaustive check capped at 20 variables"),
+    (lambda: cbvc_has_cover(BipartiteGraph(17, 1, ()), 1, 1),
+     "exhaustive cover check capped at 16 left vertices"),
+    # no triples at all, a count that is no multiple of three, a sum that
+    # does not split evenly over the triples
+    (lambda: three_partition_exists([]), False),
+    (lambda: three_partition_exists([1, 2]), False),
+    (lambda: three_partition_exists([1, 1, 1, 1, 1, 2]), False),
+])
+def test_source_checkers_refuse_or_answer_early(check, expected):
+    if expected is False:
+        assert check() is False
+        return
+    with pytest.raises(ValueError) as err:
+        check()
+    assert str(err.value) == expected

@@ -44,8 +44,13 @@ def test_criticality_extremes():
     table = compute_criticality(high)
     assert all(z == () for z in table.z_sets)
 
-    with pytest.raises(ValueError):
-        compute_criticality(make_instance(TRIP_ROWS, mode=EQUITABLE, k=1, x=0, y=1, m=6))
+    equitable = make_instance(TRIP_ROWS, mode=EQUITABLE, k=1, x=0, y=1, m=6)
+    with pytest.raises(ValueError) as err:
+        compute_criticality(equitable)
+    assert str(err.value) == "criticality is defined for egalitarian instances"
+    with pytest.raises(ValueError) as err:
+        kernelize_ny(equitable)
+    assert str(err.value) == "the level kernel is defined for egalitarian instances"
 
 
 def test_rr3_resolves_yes():

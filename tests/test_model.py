@@ -454,3 +454,20 @@ def test_solve_easy_generalized(trip_egalitarian):
     assert (ge.verdict == "yes") == expect.feasible
 
     assert solve_easy_generalized(trip_egalitarian, EGALITARIAN_SPEC) is None
+
+
+def test_comparator_tokens_and_forced_member_edges():
+    with pytest.raises(ValueError) as err:
+        ComparatorSpec("<", ">=", ">=")
+    assert str(err.value) == "unknown comparator '<'"
+    # no seat for the forced member: the empty committee
+    assert greedy_committee({1: 3, 2: 1}, 0, include=2) == ()
+
+
+def test_pre_elected_levels_enumerate_under_their_own_bounds():
+    rows = ((1, 2, 2, 3), (1, 1, 2, 0), (3, 3, 3, 1))
+    pe = PeInstance(EGALITARIAN, 4, 3, 3, (1, 2, -1), (2, 0, 1), (1, 1, 1, 1), rows)
+    for t, row in enumerate(rows, start=1):
+        expected = valid_committees(row_support(row), pe.kvec[t - 1], pe.xvec[t - 1])
+        assert enumerate_valid_committees(pe, t) == expected
+    assert [len(enumerate_valid_committees(pe, t)) for t in (1, 2, 3)] == [1, 4, 0]

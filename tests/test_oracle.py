@@ -7,6 +7,7 @@ import pytest
 from ecse.model import (
     COMPARATORS,
     EGALITARIAN,
+    EGALITARIAN_SPEC,
     EQUITABLE,
     CommitteeSequence,
     ComparatorSpec,
@@ -51,7 +52,7 @@ def test_oracle_limits():
     # renaming shrinks the candidate set below the guard
     assert brute_solve(big_m).verdict == "yes"
     with pytest.raises(OracleLimitError):
-        brute_solve(inst, OracleLimits(max_n=4, max_m=4, max_tau=4, max_committees_per_level=64))
+        brute_solve(inst, OracleLimits(max_n=4, max_m=4, max_tau=4))
 
 
 def test_witnesses_verify_on_samples():
@@ -171,3 +172,20 @@ def test_generalized_matches_product_enumeration(ops):
         assert (result.verdict == "yes") == _any_feasible(inst, spec), f"seed {seed}"
         if result.verdict == "yes":
             assert verify_generalized(inst, spec, result.witness).feasible
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: OracleLimits(max_n=0), ValueError, "limits must be positive"),
+    (lambda: OracleLimits(max_m=0), ValueError, "limits must be positive"),
+    (lambda: OracleLimits(max_tau=-1), ValueError, "limits must be positive"),
+    (lambda: brute_solve_generalized(make_instance([(1,) * 9]), EGALITARIAN_SPEC),
+     OracleLimitError, "n=9, m=1, tau=1 exceed limits OracleLimits(max_n=8, max_m=8, max_tau=6)"),
+    (lambda: brute_solve_generalized(make_instance([(1,)], m=9), EGALITARIAN_SPEC),
+     OracleLimitError, "n=1, m=9, tau=1 exceed limits OracleLimits(max_n=8, max_m=8, max_tau=6)"),
+    (lambda: brute_solve_generalized(make_instance([(1,)] * 7), EGALITARIAN_SPEC),
+     OracleLimitError, "n=1, m=1, tau=7 exceed limits OracleLimits(max_n=8, max_m=8, max_tau=6)"),
+])
+def test_oracle_input_errors_name_the_fault(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -549,3 +549,19 @@ def test_forcing_cascade_scales_to_1e5_agents():
     assert result.stats["forced"] == 2000
     assert result.verdict == "yes"
     assert verify(inst, result.witness).feasible
+
+
+TARGET_TWO = X2Instance(2, 2, (1, 2), (2, 1), 1, 1, 0, 0, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: X2Instance(2, 2, (1,), (1, 2), 1, 1, 0, 0, 1), "rows must have one entry per agent"),
+    (lambda: X2Instance(2, 2, (1, 2), (1, 2, 1), 1, 1, 0, 0, 1), "rows must have one entry per agent"),
+    (lambda: rr_x2_no_nomination(TARGET_TWO), "rule applies to target-one instances"),
+    (lambda: rr_x2_force_single(TARGET_TWO), "rule applies to target-one instances"),
+    (lambda: apply_x2_rules(TARGET_TWO), "rule applies to target-one instances"),
+])
+def test_two_level_input_errors_name_the_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
