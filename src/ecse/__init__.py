@@ -26,7 +26,7 @@ from .model import (
     agent_score,
     committee_score,
     enumerate_valid_committees,
-    level_fingerprints,
+    lift,
     rename_candidates,
     solve_easy_generalized,
     trivial_solve,
@@ -42,14 +42,13 @@ from .formats import (
 )
 from .oracle import OracleLimitError, OracleLimits, brute_solve, brute_solve_generalized
 from .kernel import CriticalityTable, KernelResult, compute_criticality, kernelize_ny, rr_pe_qcse_zero_y
-from .branching import branch_children, counting_bound, lift, solve_branch
-from .score_dp import DpGuardError, solve_dp
+from .branching import branch_children, counting_bound, solve_branch
+from .score_dp import DpGuardError, level_fingerprints, solve_dp
 from .tau2 import (
     CbivcsInstance,
     X2Instance,
     build_cbivcs,
     rr_x2_force_single,
-    rr_x2_no_nomination,
     solve_cbivcs,
     solve_qcse_tau2,
 )

@@ -44,7 +44,6 @@ from .model import (
     _top_score,
     dfs,
     greedy_committee,
-    lift,
 )
 
 
@@ -74,7 +73,7 @@ def _score_set(supports, k: int, x: int) -> int:
     return scores >> x << x if x > 0 else scores
 
 
-def counting_bound(pe: PeInstance) -> bool:
+def counting_bound(pe: Instance | PeInstance) -> bool:
     """A necessary condition for a yes, by counting alone: False only when
     no committee sequence meets the budgets, thresholds and targets.
 
@@ -119,7 +118,7 @@ class _Search:
     guesses made.
     """
 
-    def __init__(self, pe: PeInstance):
+    def __init__(self, pe: Instance | PeInstance):
         self.mode, self.m, self.profile = pe.mode, pe.m, pe.profile
         self.equitable = pe.mode == EQUITABLE
         self.kvec, self.xvec, self.yvec = list(pe.kvec), list(pe.xvec), list(pe.yvec)
@@ -289,8 +288,8 @@ def _pick_agent(node: _Search) -> int | None:
 
 def solve_branch(inst: Instance | PeInstance, max_nodes: int = MAX_NODES) -> SolveResult:
     """Fingerprint DFS for both modes and both instance types (a plain
-    instance is lifted first); the witness is rebuilt along the accepting
-    path.
+    instance is searched through its constant vectors); the witness is
+    rebuilt along the accepting path.
 
     Equitable mode adds two steps: an overshot agent (negative target) fails
     the node, and satisfied agents are removed eagerly, their candidates
@@ -303,8 +302,7 @@ def solve_branch(inst: Instance | PeInstance, max_nodes: int = MAX_NODES) -> Sol
     :func:`ecse.model.dfs`, which raises :class:`~ecse.model.UndecidedError`
     after ``max_nodes`` nodes.
     """
-    pe = lift(inst) if isinstance(inst, Instance) else inst
-    equitable = pe.mode == EQUITABLE
+    equitable = inst.mode == EQUITABLE
     stats = {
         "nodes_expanded": 0, "fingerprints_tried": 0, "max_depth": 0, "max_children": 0,
         "bound_prunes": 0,
@@ -333,7 +331,7 @@ def solve_branch(inst: Instance | PeInstance, max_nodes: int = MAX_NODES) -> Sol
             stats["max_children"] = max(stats["max_children"], count)
             yield child
 
-    root = _Search(rr_pe_qcse_zero_y(pe) if equitable else pe)
+    root = _Search(rr_pe_qcse_zero_y(inst) if equitable else inst)
     if not dfs(root, expand, max_nodes):
         return SolveResult.no(stats)
     # the accepting leaf is still applied, and its trail is the path to it

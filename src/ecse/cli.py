@@ -246,7 +246,8 @@ def _from_cnf(generator):
 
 
 #: ``generate --from`` kinds; those reading one input file map to a builder
-#: of the instance from that file's text and the mode
+#: of the instance from that file's text and the mode, which only ``nmx`` and
+#: ``3part`` read (``--mode``, egalitarian when absent, as for ``random``)
 GENERATORS = {
     "cbvc": lambda text, mode: gen_from_cbvc(*parse_cbvc(text)),
     "sat": _from_cnf(gen_gcse_sat),
@@ -262,7 +263,7 @@ GENERATORS = {
 
 def cmd_generate(args) -> int:
     kind = args.source
-    mode = formats.MODE_TOKENS[args.mode]
+    mode = formats.MODE_TOKENS[args.mode or "gcse"]
     try:
         if kind == "random":
             if args.inputs:
@@ -281,6 +282,8 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         # malformed source files and unmet generator preconditions are input errors
         raise UsageError(str(exc)) from exc
+    if args.mode and inst.mode != mode:
+        raise UsageError(f"generator {kind!r} builds {inst.mode} instances, not --mode {args.mode}")
     _emit(formats.serialize_instance(inst), args.out)
     return EXIT_OK
 
@@ -346,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="build instances from source problems")
     gen.add_argument("--from", dest="source", required=True, choices=GENERATORS)
     gen.add_argument("inputs", nargs="*")
-    gen.add_argument("--mode", choices=formats.MODE_TOKENS, default="gcse")
+    gen.add_argument("--mode", choices=formats.MODE_TOKENS)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--n", type=int, default=6)
     gen.add_argument("--m", type=int, default=4)

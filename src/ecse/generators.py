@@ -137,33 +137,19 @@ def _check_simple_clauses(cnf: CnfFormula) -> None:
             seen.add(abs(lit))
 
 
-def _threesat_rows(cnf: CnfFormula) -> list[list[int]]:
+def _threesat_rows(cnf: CnfFormula) -> tuple[tuple[int, ...], ...]:
     """Profile rows of the three-level construction: six gadget agents per
     variable pin that exactly one of each candidate pair is elected, in the
     same way, at every level; clause agents nominate their literals by
     position."""
-
-    def cand(lit: int) -> int:
-        return 2 * abs(lit) - (1 if lit > 0 else 0)
-
-    rows: list[list[int]] = [[], [], []]
+    columns = []
     for i in range(1, cnf.num_vars + 1):
         cp, cn = 2 * i - 1, 2 * i
-        gadget = [
-            (cp, 0, cn),
-            (cn, cp, 0),
-            (0, cn, cp),
-            (cn, 0, cp),
-            (cp, cn, 0),
-            (0, cp, cn),
-        ]
-        for agent in gadget:
-            for t0 in range(3):
-                rows[t0].append(agent[t0])
+        columns += [(cp, 0, cn), (cn, cp, 0), (0, cn, cp), (cn, 0, cp), (cp, cn, 0), (0, cp, cn)]
     for clause in cnf.clauses:
-        for t0 in range(3):
-            rows[t0].append(cand(clause[t0]) if t0 < len(clause) else 0)
-    return rows
+        # a clause of fewer than three literals nominates nothing at the rest
+        columns.append(tuple(2 * abs(lit) - (lit > 0) for lit in clause) + (0,) * (3 - len(clause)))
+    return tuple(zip(*columns)) or ((),) * 3  # without agents, three empty rows
 
 
 def gen_gcse_3sat(cnf: CnfFormula) -> Instance:
@@ -173,7 +159,7 @@ def gen_gcse_3sat(cnf: CnfFormula) -> Instance:
     _check_simple_clauses(cnf)
     rows = _threesat_rows(cnf)
     n = 6 * cnf.num_vars + len(cnf.clauses)
-    return Instance(EGALITARIAN, n, 2 * cnf.num_vars, 3, cnf.num_vars, 0, 1, tuple(map(tuple, rows)))
+    return Instance(EGALITARIAN, n, 2 * cnf.num_vars, 3, cnf.num_vars, 0, 1, rows)
 
 
 def gen_qcse_x13sat(cnf: CnfFormula) -> Instance:
@@ -236,17 +222,10 @@ def gen_qcse_monotone_x13sat(cnf: CnfFormula) -> Instance:
         raise ValueError("need at least one variable")
     _check_simple_clauses(cnf)
     n_levels = 2 * cnf.num_vars
-    rows = [[] for _ in range(n_levels)]
-    for clause in cnf.clauses:
-        members = set(clause)
-        for t0 in range(n_levels):
-            rows[t0].append(1 if t0 + 1 in members else 0)
-    for i in range(1, cnf.num_vars + 1):
-        for _ in range(2):
-            for t0 in range(n_levels):
-                rows[t0].append(1 if t0 + 1 in (i, cnf.num_vars + i) else 0)
-    n = len(cnf.clauses) + 2 * cnf.num_vars
-    return Instance(EQUITABLE, n, 1, n_levels, 1, 0, 1, tuple(map(tuple, rows)))
+    agent_levels = [set(clause) for clause in cnf.clauses]
+    agent_levels += [{i, cnf.num_vars + i} for i in range(1, cnf.num_vars + 1) for _ in range(2)]
+    columns = [tuple(int(t in levels) for t in range(1, n_levels + 1)) for levels in agent_levels]
+    return Instance(EQUITABLE, len(columns), 1, n_levels, 1, 0, 1, tuple(zip(*columns)))
 
 
 def gen_nmx(cnf: CnfFormula, mode: str) -> Instance:

@@ -173,8 +173,8 @@ def _non_critical_witness(renamed, table, supports) -> CommitteeSequence:
     return CommitteeSequence.of(committees)
 
 
-def rr_pe_qcse_zero_y(pe: PeInstance) -> PeInstance:
-    """Remove satisfied agents from an equitable pre-elected instance.
+def rr_pe_qcse_zero_y(pe: Instance | PeInstance) -> Instance | PeInstance:
+    """Remove satisfied agents from an equitable plain or pre-elected instance.
 
     An agent whose remaining target is zero forbids every candidate it
     nominates (electing one would overshoot), so those nominations are
@@ -183,13 +183,14 @@ def rr_pe_qcse_zero_y(pe: PeInstance) -> PeInstance:
     """
     if pe.mode != EQUITABLE:
         raise ValueError("the zero-target rule applies to equitable instances")
-    zeros = [a0 for a0 in range(pe.n) if pe.yvec[a0] == 0]
+    yvec = pe.yvec
+    zeros = [a0 for a0 in range(pe.n) if yvec[a0] == 0]
     if not zeros:
         return pe
-    keep = [a0 for a0 in range(pe.n) if pe.yvec[a0] != 0]
+    keep = [a0 for a0 in range(pe.n) if yvec[a0] != 0]
     rows = []
     for row in pe.profile:
         banned = {row[a0] for a0 in zeros} - {0}
         rows.append(tuple(0 if row[a0] in banned else row[a0] for a0 in keep))
-    targets = tuple(pe.yvec[a0] for a0 in keep)
+    targets = tuple(yvec[a0] for a0 in keep)
     return PeInstance(pe.mode, len(keep), pe.m, pe.tau, pe.kvec, pe.xvec, targets, tuple(rows))

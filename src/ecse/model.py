@@ -126,6 +126,8 @@ class Instance(_Election):
 
     ``profile`` holds one row per level; ``profile[t][a]`` is the candidate
     agent ``a+1`` nominates in level ``t+1`` (0 = nominates nothing).
+    ``kvec``, ``xvec`` and ``yvec`` give ``k``, ``x`` and ``y`` as the
+    per-level and per-agent vectors a :class:`PeInstance` stores.
     """
 
     mode: str
@@ -141,6 +143,18 @@ class Instance(_Election):
         _check_shape(self)
         if self.k < 0 or self.x < 0 or self.y < 0:
             raise ValueError("bounds k, x, y must be nonnegative")
+
+    @property
+    def kvec(self) -> tuple[int, ...]:
+        return (self.k,) * self.tau
+
+    @property
+    def xvec(self) -> tuple[int, ...]:
+        return (self.x,) * self.tau
+
+    @property
+    def yvec(self) -> tuple[int, ...]:
+        return (self.y,) * self.n
 
 
 @dataclass(frozen=True)
@@ -171,17 +185,8 @@ class PeInstance(_Election):
 
 
 def lift(inst: Instance) -> PeInstance:
-    """Embed a plain instance: constant per-level bounds, uniform targets."""
-    return PeInstance(
-        inst.mode,
-        inst.n,
-        inst.m,
-        inst.tau,
-        (inst.k,) * inst.tau,
-        (inst.x,) * inst.tau,
-        (inst.y,) * inst.n,
-        inst.profile,
-    )
+    """Embed a plain instance as the pre-elected instance of its vectors."""
+    return PeInstance(inst.mode, inst.n, inst.m, inst.tau, inst.kvec, inst.xvec, inst.yvec, inst.profile)
 
 
 @dataclass(frozen=True)
@@ -328,12 +333,8 @@ def verify_generalized(
     order; the report always carries all level and agent scores.
     """
     level_scores, agent_scores = _all_scores(inst, seq)
-    if isinstance(inst, PeInstance):
-        kvec, xvec, yvec = inst.kvec, inst.xvec, inst.yvec
-    else:
-        kvec, xvec, yvec = map(itertools.repeat, (inst.k, inst.x, inst.y))
     violation = None
-    for t0, (committee, k, x) in enumerate(zip(seq, kvec, xvec)):
+    for t0, (committee, k, x) in enumerate(zip(seq, inst.kvec, inst.xvec)):
         if not COMPARATORS[spec.cmp_k](len(committee), k):
             violation = Violation("level-size", t0 + 1)
             break
@@ -341,7 +342,7 @@ def verify_generalized(
             violation = Violation("level-score", t0 + 1)
             break
     if violation is None:
-        passed = list(map(COMPARATORS[spec.cmp_y], agent_scores, yvec))
+        passed = list(map(COMPARATORS[spec.cmp_y], agent_scores, inst.yvec))
         if not all(passed):
             violation = Violation("agent-score", passed.index(False) + 1)
     return VerificationReport(violation is None, level_scores, agent_scores, violation)
@@ -414,37 +415,15 @@ def valid_committees(support: dict[int, int], k: int, x: int) -> list[Committee]
 
 def enumerate_valid_committees(inst, t: int) -> list[Committee]:
     """All valid committees at level ``t``: subsets of the candidates
-    nominated there with size <= k and committee score >= x, where a
-    pre-elected instance's level reads its own ``kvec`` and ``xvec`` entries.
+    nominated there with size <= ``kvec[t]`` and committee score >=
+    ``xvec[t]`` (``k`` and ``x`` on a plain instance).
 
     Candidates nominated by nobody are omitted since adding them never
     changes any score.  Raises :class:`EnumerationLimitError` where
     :func:`valid_committees` refuses.
     """
     _check_level(inst, t)
-    if isinstance(inst, PeInstance):
-        k, x = inst.kvec[t - 1], inst.xvec[t - 1]
-    else:
-        k, x = inst.k, inst.x
-    return valid_committees(row_support(inst.profile[t - 1]), k, x)
-
-
-def level_fingerprints(inst, t: int) -> dict[tuple[int, ...], Committee]:
-    """Agent-inclusion patterns of the valid committees at level ``t``, in
-    the committees' (size, lexicographic) order.
-
-    A fingerprint is the n-bit vector with bit ``a`` set iff agent ``a+1``'s
-    nominee is in the committee.  Each maps to its one committee: valid
-    committees hold nominated candidates only, and two candidates' supporters
-    at one level are disjoint and nonempty, so two distinct committees
-    differ on the supporters of a candidate only one of them holds.
-    """
-    row = inst.profile[t - 1]
-    out: dict[tuple[int, ...], Committee] = {}
-    for committee in enumerate_valid_committees(inst, t):
-        chosen = set(committee)
-        out[tuple(1 if c in chosen else 0 for c in row)] = committee
-    return out
+    return valid_committees(row_support(inst.profile[t - 1]), inst.kvec[t - 1], inst.xvec[t - 1])
 
 
 # -- candidate renaming (cuts m down to at most n) ----------------------------

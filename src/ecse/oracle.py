@@ -168,5 +168,4 @@ def brute_solve_generalized(
         pairs = ((c, _satisfied(row, c)) for c in base)
         options.append([(c, sats) for c, sats in pairs if COMPARATORS[spec.cmp_x](len(sats), inst.x)])
     stats = {"nodes": 0, "committees_enumerated": len(base) * inst.tau}
-    yvec = (inst.y,) * inst.n
-    return _finish(_search(inst.profile, options, yvec, spec.cmp_y, stats), stats)
+    return _finish(_search(inst.profile, options, inst.yvec, spec.cmp_y, stats), stats)

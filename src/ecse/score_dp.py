@@ -25,9 +25,7 @@ vectors' lexicographic order and the sweeps visit, record and report exactly
 what sweeps over tuples would.  The spare top bit of each field flags the
 agents already at y, so a transition is two masks and one add whatever n is.
 A level's fingerprints are packed straight from per-candidate supporter
-fields (:func:`packed_fingerprints`), never built as n-tuples.  The module
-still imports :func:`ecse.model.level_fingerprints`: ``perfbench/tracing.py``
-wraps that name here and fails when it is missing.
+fields (:func:`packed_fingerprints`), never built as n-tuples.
 
 ``table_entries`` counts the vectors kept on both sides and
 ``max_frontier`` is the largest frontier on either side.  The table is
@@ -57,7 +55,6 @@ from .model import (
     Instance,
     SolveResult,
     enumerate_valid_committees,
-    level_fingerprints,  # noqa: F401 -- perfbench/tracing.py wraps this name
     rename_candidates,
     subsets_to_try,
 )
@@ -74,11 +71,29 @@ MAX_TABLE_ENTRIES = 1_000_000
 AUTO_BUDGET = 2_000
 
 
+def level_fingerprints(inst, t: int) -> dict[tuple[int, ...], Committee]:
+    """Agent-inclusion patterns of the valid committees at level ``t``, in
+    the committees' (size, lexicographic) order.
+
+    A fingerprint is the n-bit vector with bit ``a`` set iff agent ``a+1``'s
+    nominee is in the committee.  Each maps to its one committee: valid
+    committees hold nominated candidates only, and two candidates' supporters
+    at one level are disjoint and nonempty, so two distinct committees
+    differ on the supporters of a candidate only one of them holds.
+    """
+    row = inst.profile[t - 1]
+    out: dict[tuple[int, ...], Committee] = {}
+    for committee in enumerate_valid_committees(inst, t):
+        chosen = set(committee)
+        out[tuple(1 if c in chosen else 0 for c in row)] = committee
+    return out
+
+
 def packed_fingerprints(inst: Instance, t: int, w: int) -> list[tuple[int, Committee]]:
     """``(fingerprint, committee)`` for each valid committee at level ``t``,
     in :func:`enumerate_valid_committees` order.  The fingerprint is the
-    agent-inclusion vector of :func:`ecse.model.level_fingerprints` packed
-    ``w`` bits per agent, agent 1's field highest.
+    agent-inclusion vector of :func:`level_fingerprints` packed ``w`` bits
+    per agent, agent 1's field highest.
 
     ``field[c]`` holds a 1 in the field of each agent nominating ``c``.  The
     supporter sets of one level are disjoint, so a committee's fingerprint

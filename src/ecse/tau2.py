@@ -86,16 +86,6 @@ def x2_from_instance(inst: Instance) -> X2Instance:
     )
 
 
-def rr_x2_no_nomination(x2: X2Instance) -> X2Instance | None:
-    """An agent without any nomination can never reach target one: None
-    (meaning: resolved no) if such an agent exists, else the input."""
-    if x2.y != 1:
-        raise ValueError("rule applies to target-one instances")
-    if 0 in x2.row1 and (0, 0) in zip(x2.row1, x2.row2):
-        return None
-    return x2
-
-
 def rr_x2_force_single(x2: X2Instance) -> X2Instance | None:
     """Force the nominee of the first single-nomination agent.
 
@@ -143,16 +133,18 @@ def rr_x2_force_single(x2: X2Instance) -> X2Instance | None:
 def apply_x2_rules(x2: X2Instance) -> X2Instance | None:
     """Both rules to a joint fixed point; None means resolved no.
 
-    The result equals that of alternating ``rr_x2_no_nomination`` and
-    ``rr_x2_force_single`` until neither changes anything, ``forced1`` and
-    ``forced2`` order included, and it is the input itself when no agent
-    nominates in only one level.  Single-nomination agents wait in a min-heap
-    by agent index, so the next one popped is the first single agent the
-    one-step rule would pick.  Forcing a candidate deletes its supporters,
-    taken from a (level, candidate) index built once over every agent given,
-    and erases each of their other-level nominations once through the same
-    index; an agent that loses a nomination is pushed.  No agent is deleted,
-    erased or pushed twice, so the cost is O(n log n) in the agents given.
+    The first rule answers no where an agent has no nomination, since it can
+    never reach target one; the second is ``rr_x2_force_single``.  The result
+    equals that of alternating the two until neither changes anything,
+    ``forced1`` and ``forced2`` order included, and it is the input itself
+    when no agent nominates in only one level.  Single-nomination agents
+    wait in a min-heap by agent index, so the next one popped is the first
+    single agent the one-step rule would pick.  Forcing a candidate deletes
+    its supporters, taken from a (level, candidate) index built once over
+    every agent given, and erases each of their other-level nominations once
+    through the same index; an agent that loses a nomination is pushed.  No
+    agent is deleted, erased or pushed twice, so the cost is O(n log n) in
+    the agents given.
     """
     if x2.y != 1:
         raise ValueError("rule applies to target-one instances")

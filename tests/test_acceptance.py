@@ -8,7 +8,7 @@ clock budgets.
 import random
 import time
 
-from ecse.branching import branch_children, lift, solve_branch
+from ecse.branching import branch_children, solve_branch
 from ecse.generators import (
     gen_3part,
     gen_from_cbvc,
@@ -27,6 +27,7 @@ from ecse.model import (
     EQUITABLE,
     ComparatorSpec,
     Instance,
+    lift,
     solve_easy_generalized,
     verify,
 )

@@ -14,20 +14,26 @@ from ecse.branching import (
     _Search,
     branch_children,
     counting_bound,
-    lift,
     solve_branch,
 )
 from ecse.kernel import rr_pe_qcse_zero_y
 from ecse.model import (
+    COMPARATORS,
     EGALITARIAN,
     EQUITABLE,
+    MAX_NODES,
+    CommitteeSequence,
+    ComparatorSpec,
     EnumerationLimitError,
     PeInstance,
     UndecidedError,
+    enumerate_valid_committees,
     greedy_committee,
+    lift,
     row_support,
     valid_committees,
     verify,
+    verify_generalized,
 )
 from ecse.oracle import brute_solve
 from ecse.generators import random_instance
@@ -54,6 +60,36 @@ def test_lift_preserves_verdicts():
             mode=EGALITARIAN if seed % 2 else EQUITABLE, empty_prob=0.25,
         )
         assert brute_solve(lift(inst)).verdict == brute_solve(inst).verdict
+
+
+def _branch_outcome(inst, max_nodes):
+    try:
+        return solve_branch(inst, max_nodes=max_nodes)
+    except UndecidedError as exc:
+        return str(exc)
+
+
+def test_a_plain_instance_reads_as_its_lift():
+    # the readers of the per-level and per-agent vectors take a plain
+    # instance as it is; each must answer exactly as on its lift
+    rng = random.Random(5)
+    for seed in range(200):
+        m, tau = 1 + seed % 4, 1 + seed // 4 % 4
+        inst = random_instance(
+            seed, n=seed % 6, m=m, tau=tau, k=seed % 3, x=seed % 4, y=(seed // 2) % 3,
+            mode=EGALITARIAN if seed % 2 else EQUITABLE, empty_prob=0.3 if seed % 3 else 0.0,
+        )
+        pe = lift(inst)
+        for _ in range(4):
+            seq = CommitteeSequence.of(rng.sample(range(1, m + 1), rng.randint(0, m)) for _ in range(tau))
+            spec = ComparatorSpec(*(rng.choice(list(COMPARATORS)) for _ in range(3)))
+            assert verify(inst, seq) == verify(pe, seq)
+            assert verify_generalized(inst, spec, seq) == verify_generalized(pe, spec, seq)
+        for t in range(1, tau + 1):
+            assert enumerate_valid_committees(inst, t) == enumerate_valid_committees(pe, t)
+        assert counting_bound(inst) == counting_bound(pe)
+        for max_nodes in (1, MAX_NODES):
+            assert _branch_outcome(inst, max_nodes) == _branch_outcome(pe, max_nodes)
 
 
 def _choices(pe, a0):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from ecse.cli import UsageError, main, solve_with_algo
-from ecse.formats import parse_instance, parse_solution, serialize_instance
+from ecse.formats import MODE_TOKENS, parse_instance, parse_solution, serialize_instance
 from ecse.ip import solve_ip
 from ecse.kernel import kernelize_ny
 from ecse.model import EGALITARIAN, EQUITABLE, CommitteeSequence, verify
@@ -509,14 +509,16 @@ PE_DOC = (
     "kvec 1 1\nxvec 1 1\nyvec 1 1\nlevels\n1 2\n2 1\nend\n"
 )
 
-# (--from kind, --mode, input file texts, the instance it must write); the
-# kinds that read --mode run in both modes, the others in the default one
+# (--from kind, the mode of the instance, input file texts, the instance it
+# must write); the kinds that read --mode are given it and run in both modes,
+# the others build one mode and are run without --mode
+MODE_KINDS = ("nmx", "3part", "random")
 GENERATE_CASES = [
     ("cbvc", "gcse", [CBVC], lambda: gen_from_cbvc(*parse_cbvc(CBVC))),
     ("sat", "gcse", [CNF], lambda: gen_gcse_sat(parse_dimacs(CNF))),
     ("3sat", "gcse", [CNF], lambda: gen_gcse_3sat(parse_dimacs(CNF))),
-    ("x13sat", "gcse", [CNF], lambda: gen_qcse_x13sat(parse_dimacs(CNF))),
-    ("monotone-x13sat", "gcse", [MONOTONE_CNF],
+    ("x13sat", "qcse", [CNF], lambda: gen_qcse_x13sat(parse_dimacs(CNF))),
+    ("monotone-x13sat", "qcse", [MONOTONE_CNF],
      lambda: gen_qcse_monotone_x13sat(parse_dimacs(MONOTONE_CNF))),
     ("nmx", "gcse", [NMX_CNF], lambda: gen_nmx(parse_dimacs(NMX_CNF), EGALITARIAN)),
     ("nmx", "qcse", [MONOTONE_CNF], lambda: gen_nmx(parse_dimacs(MONOTONE_CNF), EQUITABLE)),
@@ -528,18 +530,51 @@ GENERATE_CASES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "kind, mode, texts, build", GENERATE_CASES, ids=[f"{k}-{m}" for k, m, *_ in GENERATE_CASES]
-)
-def test_generate_writes_the_generator_output(kind, mode, texts, build, tmp_path, capsys):
+def write_inputs(tmp_path, texts):
     paths = []
     for i, text in enumerate(texts):
         path = tmp_path / f"input{i}"
         path.write_text(text)
         paths.append(str(path))
-    code, out, err = run(capsys, "generate", "--from", kind, "--mode", mode, *paths)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "kind, mode, texts, build", GENERATE_CASES, ids=[f"{k}-{m}" for k, m, *_ in GENERATE_CASES]
+)
+def test_generate_writes_the_generator_output(kind, mode, texts, build, tmp_path, capsys):
+    mode_args = ["--mode", mode] if kind in MODE_KINDS else []
+    code, out, err = run(capsys, "generate", "--from", kind, *mode_args, *write_inputs(tmp_path, texts))
     assert (code, err) == (0, "")
     assert out == serialize_instance(build())
+    assert parse_instance(out).mode == MODE_TOKENS[mode]
+
+
+# (--from kind, --mode, input file texts, the mode the construction fixes
+# where --mode contradicts it, else None)
+FIXED_MODE_CASES = [
+    ("x13sat", "qcse", [CNF], None),
+    ("x13sat", "gcse", [CNF], "equitable"),
+    ("monotone-x13sat", "gcse", [MONOTONE_CNF], "equitable"),
+    ("sat", "qcse", [CNF], "egalitarian"),
+    ("3sat", "qcse", [CNF], "egalitarian"),
+    ("cbvc", "qcse", [CBVC], "egalitarian"),
+    ("or", "qcse", [UNIT_DOC, UNIT_DOC], "egalitarian"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, mode, texts, built", FIXED_MODE_CASES, ids=[f"{k}-{m}" for k, m, *_ in FIXED_MODE_CASES]
+)
+def test_generate_mode_must_agree_with_a_fixed_mode_construction(kind, mode, texts, built, tmp_path, capsys):
+    paths = write_inputs(tmp_path, texts)
+    code, out, err = run(capsys, "generate", "--from", kind, "--mode", mode, *paths)
+    if built is None:
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "generate", "--from", kind, *paths)[1]
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error: generator {kind!r} builds {built} instances, not --mode {mode}\n"
 
 
 @pytest.mark.parametrize("argv", [

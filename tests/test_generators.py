@@ -455,6 +455,33 @@ def test_random_instance_documents_are_pinned(args, digest):
     assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == digest
 
 
+# (SAT-family generator, random_cnf seed, variables, clauses, monotone, sha256
+# of the serialized instance); a changed gadget row changes these bytes
+SAT_FAMILY_DIGESTS = [
+    (gen_gcse_3sat, 1, 4, 6, False, "08f1966bca8c65b8c9a291a86dd1956ba2c11f6009ba0432e04b241033d7a4a2"),
+    (gen_gcse_3sat, 2, 8, 20, False, "3ca0355e240524981b5b4613c29f1cff1bdf49cfcddb45dc2eb7e35a0a8f36c6"),
+    (gen_gcse_3sat, 3, 0, 0, False, "8962fa72fab09fa430ce99801f55c6b024268a4fe62c29ed0340393ba1f9d6b5"),
+    (gen_qcse_x13sat, 4, 5, 9, False, "0e2a9613a72ac6d615b5f1c6baf3ad037095b3f468c73483784a8684315d5ff9"),
+    (gen_qcse_x13sat, 5, 7, 14, False, "c92615c5130fbe0490fd1f0204e659ccfe60a81cce19e6e383ae43ae49780ee1"),
+    (gen_qcse_monotone_x13sat, 6, 4, 5, True,
+     "cff926aaee1cacf06287252a962e5525a4b83225902234c7801e18fff9c078bc"),
+    (gen_qcse_monotone_x13sat, 7, 9, 18, True,
+     "f280237a7bd16b20b64043496f0c85366f53fb94fec929166ff6803204b9586c"),
+    (gen_gcse_sat, 8, 3, 7, False, "d846ba60c520f940755c9cbc61f154ada98a215306cd362eb3520af774d67d0a"),
+    (gen_gcse_sat, 9, 10, 30, False, "a822561fba07e86ec5273bed3a76dadab86b8132636edd7e2ee84b2f6b0662ee"),
+]
+
+
+@pytest.mark.parametrize(
+    "generator, seed, num_vars, num_clauses, monotone, digest", SAT_FAMILY_DIGESTS,
+    ids=[f"{gen.__name__}-{seed}" for gen, seed, *_ in SAT_FAMILY_DIGESTS],
+)
+def test_sat_family_documents_are_pinned(generator, seed, num_vars, num_clauses, monotone, digest):
+    cnf = random_cnf(random.Random(seed), num_vars, num_clauses, monotone=monotone)
+    doc = serialize_instance(generator(cnf))
+    assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == digest
+
+
 THREE_BY_ONE = CnfFormula(3, ((1, 2, 3),))
 
 

@@ -61,6 +61,15 @@ def test_lift_distributes_in_level_order():
     assert witness.committees == (committees[0], committees[1])
 
 
+def test_lift_refuses_an_assignment_that_misses_a_level():
+    inst = make_instance([(1, 2), (1, 2)], mode=EGALITARIAN, k=1, x=1, y=1)
+    model = build_ip(inst)
+    for assignment in ({(0, 0): 1}, {(0, 0): 2, (0, 1): 1}):
+        with pytest.raises(ValueError) as err:
+            lift_ip_witness(inst, model, assignment)
+        assert str(err.value) == "assignment does not cover the type's levels"
+
+
 def test_lift_all_weight_on_empty_committee():
     inst = make_instance([(1, 2), (2, 1)], mode=EGALITARIAN, k=1, x=0, y=0)
     model = build_ip(inst)

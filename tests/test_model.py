@@ -23,7 +23,7 @@ from ecse.model import (
     committee_score,
     enumerate_valid_committees,
     greedy_committee,
-    level_fingerprints,
+    lift,
     rename_candidates,
     row_support,
     solve_easy_generalized,
@@ -33,6 +33,7 @@ from ecse.model import (
     verify_generalized,
 )
 from ecse.oracle import brute_solve
+from ecse.score_dp import level_fingerprints
 from ecse.generators import random_instance
 
 from conftest import TRIP_ROWS, instances, make_instance
@@ -164,8 +165,6 @@ def test_double_counting(trip_egalitarian):
 
 
 def test_pe_feasible_matches_scalar_semantics(trip_equitable_x3):
-    from ecse.branching import lift
-
     pe = lift(trip_equitable_x3)
     assert verify(pe, CommitteeSequence.of([(1, 3), (3, 6)])).feasible
     assert not verify(pe, CommitteeSequence.of([(1, 5), (2, 3)])).feasible

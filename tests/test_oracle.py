@@ -12,11 +12,11 @@ from ecse.model import (
     CommitteeSequence,
     ComparatorSpec,
     Instance,
+    lift,
     verify,
     verify_generalized,
 )
 from ecse.oracle import OracleLimitError, OracleLimits, brute_solve, brute_solve_generalized
-from ecse.branching import lift
 from ecse.generators import random_instance
 
 from conftest import all_feasible_sequences, make_instance

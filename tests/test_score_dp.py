@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 import ecse.model
 import ecse.score_dp
 from ecse.model import (
-    EGALITARIAN, EQUITABLE, CommitteeSequence, SolveResult, level_fingerprints,
-    rename_candidates, verify,
+    EGALITARIAN, EQUITABLE, CommitteeSequence, SolveResult, rename_candidates, verify,
 )
 from ecse.oracle import brute_solve
-from ecse.score_dp import AUTO_BUDGET, DpGuardError, packed_fingerprints, solve_dp
+from ecse.score_dp import AUTO_BUDGET, DpGuardError, level_fingerprints, packed_fingerprints, solve_dp
 from ecse.generators import gen_3part, random_instance
 
 from conftest import make_instance

@@ -20,7 +20,6 @@ from ecse.tau2 import (
     apply_x2_rules,
     build_cbivcs,
     rr_x2_force_single,
-    rr_x2_no_nomination,
     solve_cbivcs,
     solve_qcse_tau2,
     x2_from_instance,
@@ -187,6 +186,15 @@ def test_agrees_with_oracle():
         if result.witness is not None:
             assert verify(inst, result.witness).feasible
         full_side_invariant(inst)
+
+
+def rr_x2_no_nomination(inst):
+    """The one-step no-nomination rule: an agent without any nomination can
+    never reach target one, so None (resolved no) if one exists, else the
+    input."""
+    if inst.y != 1:
+        raise ValueError("rule applies to target-one instances")
+    return None if (0, 0) in zip(inst.row1, inst.row2) else inst
 
 
 def fixed_point_reference(inst):
