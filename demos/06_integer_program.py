@@ -23,11 +23,11 @@ inst = Instance(
 renamed, renaming = rename_candidates(inst)
 model = build_ip(renamed)
 print(f"{inst.tau} levels fold into {model.num_types} types "
-      f"(counts {model.type_counts}), {model.num_variables} variables")
+      f"(counts {tuple(map(len, model.type_levels))}), {model.num_variables} variables")
 
 assignment = solve_ip_naive(model)
 print("assignment:", assignment)
-witness = renaming.lift(lift_ip_witness(renamed, model, assignment))
+witness = renaming.lift(lift_ip_witness(model, assignment))
 print("lifted committees:", witness.committees)
 assert verify(inst, witness).feasible
 

@@ -43,7 +43,6 @@ from .model import (
     GuardExceeded,
     Instance,
     PeInstance,
-    SolveResult,
     rename_candidates,
     trivial_solve,
     verify,
@@ -159,16 +158,6 @@ def _solve_auto(inst: Instance, max_nodes, route: list | None = None):
     return solve_ip(inst, max_nodes=max_nodes), "ip"
 
 
-def _result_payload(result: SolveResult, algo: str, micros: int, route: list) -> dict:
-    return {
-        "verdict": result.verdict,
-        "algo": algo,
-        "route": route,
-        "committees": [list(c) for c in result.witness] if result.witness else None,
-        "stats": {**result.stats, "elapsed_micros": micros},
-    }
-
-
 def cmd_solve(args) -> int:
     inst = formats.parse_instance(_read(args.instance))
     route: list[dict] = []
@@ -176,7 +165,14 @@ def cmd_solve(args) -> int:
     result, algo = solve_with_algo(inst, args.algo, max_nodes=args.max_nodes, route=route)
     micros = int((time.perf_counter() - started) * 1e6)
     if args.json:
-        print(json.dumps(_result_payload(result, algo, micros, route), sort_keys=True))
+        payload = {
+            "verdict": result.verdict,
+            "algo": algo,
+            "route": route,
+            "committees": [list(c) for c in result.witness] if result.witness else None,
+            "stats": {**result.stats, "elapsed_micros": micros},
+        }
+        print(json.dumps(payload, sort_keys=True))
     else:
         print(result.verdict.upper())
         if result.witness is not None:
@@ -245,9 +241,10 @@ def _from_cnf(generator):
     return lambda text, mode: generator(parse_dimacs(text))
 
 
-#: ``generate --from`` kinds; those reading one input file map to a builder
-#: of the instance from that file's text and the mode, which only ``nmx`` and
-#: ``3part`` read (``--mode``, egalitarian when absent, as for ``random``)
+#: ``generate --from`` kinds that read one input file, each to a builder of
+#: the instance from that file's text and the mode, which only ``nmx`` and
+#: ``3part`` read (``--mode``, egalitarian when absent, as for ``random``);
+#: ``or`` and ``random`` are built in :func:`cmd_generate`
 GENERATORS = {
     "cbvc": lambda text, mode: gen_from_cbvc(*parse_cbvc(text)),
     "sat": _from_cnf(gen_gcse_sat),
@@ -256,21 +253,23 @@ GENERATORS = {
     "monotone-x13sat": _from_cnf(gen_qcse_monotone_x13sat),
     "nmx": lambda text, mode: gen_nmx(parse_dimacs(text), mode),
     "3part": lambda text, mode: gen_3part([int(tok) for tok in text.split()], mode),
-    "or": None,
-    "random": None,
 }
+
+#: the options only ``generate --from random`` reads, each to its value when absent
+_RANDOM_DEFAULTS = {"seed": 0, "n": 6, "m": 4, "tau": 3, "k": 2, "x": 1, "y": 1, "empty_prob": 0.0}
 
 
 def cmd_generate(args) -> int:
     kind = args.source
     mode = formats.MODE_TOKENS[args.mode or "gcse"]
+    given = {name: value for name in _RANDOM_DEFAULTS if (value := getattr(args, name)) is not None}
+    if given and kind != "random":
+        raise UsageError(f"generator {kind!r} takes no --{next(iter(given)).replace('_', '-')}")
     try:
         if kind == "random":
             if args.inputs:
                 raise UsageError("generator 'random' takes no input files")
-            inst = random_instance(
-                args.seed, args.n, args.m, args.tau, args.k, args.x, args.y, mode, args.empty_prob
-            )
+            inst = random_instance(mode=mode, **{**_RANDOM_DEFAULTS, **given})
         elif kind == "or":
             if not args.inputs:
                 raise UsageError("or-composition needs input instance files")
@@ -347,17 +346,11 @@ def _build_parser() -> argparse.ArgumentParser:
     kern.set_defaults(func=cmd_kernelize)
 
     gen = sub.add_parser("generate", help="build instances from source problems")
-    gen.add_argument("--from", dest="source", required=True, choices=GENERATORS)
+    gen.add_argument("--from", dest="source", required=True, choices=(*GENERATORS, "or", "random"))
     gen.add_argument("inputs", nargs="*")
     gen.add_argument("--mode", choices=formats.MODE_TOKENS)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--n", type=int, default=6)
-    gen.add_argument("--m", type=int, default=4)
-    gen.add_argument("--tau", type=int, default=3)
-    gen.add_argument("--k", type=int, default=2)
-    gen.add_argument("--x", type=int, default=1)
-    gen.add_argument("--y", type=int, default=1)
-    gen.add_argument("--empty-prob", type=float, default=0.0)
+    for name, default in _RANDOM_DEFAULTS.items():
+        gen.add_argument(f"--{name.replace('_', '-')}", type=type(default))
     gen.add_argument("--out")
     gen.set_defaults(func=cmd_generate)
 

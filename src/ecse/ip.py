@@ -35,21 +35,19 @@ class IpModel:
 
     Constraints: per agent, the variables whose committee respects the
     agent's nomination in that type sum to at least (egalitarian) or exactly
-    (equitable) ``y``; per type, all variables sum to the type's level count;
-    every variable ranges over 0..count.
+    (equitable) ``y``; per type, all variables sum to the type's level count,
+    ``len(type_levels[ti])``; every variable ranges over 0..count.
     """
 
     equitable: bool
-    n: int
     y: int
-    type_counts: tuple[int, ...]
     type_levels: tuple[tuple[int, ...], ...]  # 1-based level indices per type
     committees: tuple[tuple[Committee, ...], ...]  # valid committees per type
-    agent_vars: tuple[tuple[VarKey, ...], ...]  # X_a per agent
+    agent_vars: tuple[tuple[VarKey, ...], ...]  # X_a per agent, so n entries
 
     @property
     def num_types(self) -> int:
-        return len(self.type_counts)
+        return len(self.type_levels)
 
     @property
     def num_variables(self) -> int:
@@ -78,9 +76,7 @@ def build_ip(inst: Instance) -> IpModel:
                     agent_vars[a0].append((ti, ci))
     return IpModel(
         not inst.egalitarian,
-        inst.n,
         inst.y,
-        tuple(map(len, levels_of.values())),
         tuple(map(tuple, levels_of.values())),
         tuple(committees),
         tuple(map(tuple, agent_vars)),
@@ -100,7 +96,7 @@ def solve_ip_naive(model: IpModel, max_nodes: int = MAX_NODES) -> dict[VarKey, i
         (ti, ci) for ti in range(model.num_types) for ci in range(len(model.committees[ti]))
     ]
     for ti in range(model.num_types):
-        if not model.committees[ti] and model.type_counts[ti] > 0:
+        if not model.committees[ti] and model.type_levels[ti]:
             return None  # type-sum constraint unsatisfiable
 
     # var -> agents whose constraint it feeds
@@ -110,8 +106,8 @@ def solve_ip_naive(model: IpModel, max_nodes: int = MAX_NODES) -> dict[VarKey, i
             consumers[key].append(a0)
 
     assignment: dict[VarKey, int] = {}
-    remaining = list(model.type_counts)  # capacity left per type
-    agent_sum = [0] * model.n
+    remaining = list(map(len, model.type_levels))  # capacity left per type
+    agent_sum = [0] * len(model.agent_vars)
     open_by_type = [Counter(ti for ti, _ in pairs) for pairs in model.agent_vars]
 
     def optimistic(a0: int) -> int:
@@ -122,7 +118,7 @@ def solve_ip_naive(model: IpModel, max_nodes: int = MAX_NODES) -> dict[VarKey, i
         return bound
 
     def feasible_so_far() -> bool:
-        for a0 in range(model.n):
+        for a0 in range(len(model.agent_vars)):
             if model.equitable and agent_sum[a0] > model.y:
                 return False
             if optimistic(a0) < model.y:
@@ -156,10 +152,10 @@ def solve_ip_naive(model: IpModel, max_nodes: int = MAX_NODES) -> dict[VarKey, i
     return dict(assignment) if dfs(0, expand, max_nodes) else None
 
 
-def lift_ip_witness(inst: Instance, model: IpModel, assignment: dict[VarKey, int]) -> CommitteeSequence:
+def lift_ip_witness(model: IpModel, assignment: dict[VarKey, int]) -> CommitteeSequence:
     """Distribute each type's committee counts over its (interchangeable)
     levels, in level order and canonical committee order."""
-    committees: list[Committee | None] = [None] * inst.tau
+    committees: list[Committee | None] = [None] * sum(map(len, model.type_levels))
     for ti, levels in enumerate(model.type_levels):
         queue: list[Committee] = []
         for ci, committee in enumerate(model.committees[ti]):
@@ -182,7 +178,7 @@ def solve_ip(inst: Instance, max_nodes: int = MAX_NODES) -> SolveResult:
     }
     if assignment is None:
         return SolveResult.no(stats)
-    witness = renaming.lift(lift_ip_witness(renamed, model, assignment))
+    witness = renaming.lift(lift_ip_witness(model, assignment))
     return SolveResult.yes(witness, stats)
 
 
@@ -208,12 +204,12 @@ def export_lp(model: IpModel) -> str:
         lines.append(f" a{a0 + 1}: {expr} {op} {model.y}")
     for ti, committees in enumerate(model.committees):
         expr = " + ".join(names[(ti, ci)] for ci in range(len(committees))) or empty_sum
-        lines.append(f" t{ti + 1}: {expr} = {model.type_counts[ti]}")
+        lines.append(f" t{ti + 1}: {expr} = {len(model.type_levels[ti])}")
     lines.append("Bounds")
     if not names and (model.agent_vars or model.committees):
         lines.append(" 0 <= x_none <= 0")
     for (ti, _), name in names.items():
-        lines.append(f" 0 <= {name} <= {model.type_counts[ti]}")
+        lines.append(f" 0 <= {name} <= {len(model.type_levels[ti])}")
     lines.append("General")
     lines += [f" {name}" for name in names.values()]
     lines.append("End")

@@ -436,12 +436,10 @@ class CandidateRenaming:
     new_to_old: tuple[dict[int, int], ...]
 
     def lift(self, seq: CommitteeSequence) -> CommitteeSequence:
-        """Map a renamed-instance witness back to original candidate ids."""
-        lifted = []
-        for t0, committee in enumerate(seq):
-            back = self.new_to_old[t0]
-            lifted.append(tuple(sorted(back[c] for c in committee)))
-        return CommitteeSequence(tuple(lifted))
+        """Map a renamed-instance witness back to original candidate ids;
+        a sequence of the wrong length raises ValueError."""
+        pairs = zip(self.new_to_old, seq, strict=True)
+        return CommitteeSequence.of(map(back.__getitem__, committee) for back, committee in pairs)
 
 
 def rename_candidates(inst: Instance) -> tuple[Instance, CandidateRenaming]:

@@ -5,9 +5,9 @@ deliberately plain: per level the committees that meet the level constraints
 are enumerated, then one depth-first search over the level product checks
 the agent targets, with only the obvious dead-branch cuts (an agent that can
 no longer reach, or has already passed, its target).  Both entry points
-share that search; :func:`brute_solve` renames and lifts a plain instance to
-a pre-elected one first.  Nothing here is shared with the optimized solvers
-beyond the data model.
+share that search; :func:`brute_solve` renames a plain instance's candidates
+first and maps its witness back.  Nothing here is shared with the optimized
+solvers beyond the data model.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .model import (
     PeInstance,
     SolveResult,
     enumerate_valid_committees,
-    lift,
     rename_candidates,
 )
 
@@ -114,21 +113,18 @@ def brute_solve(inst: Instance | PeInstance, limits: OracleLimits | None = None)
     """Exact verdict by exhaustion, witness included on yes.
 
     A plain instance has its candidates renamed first, so the limits apply
-    to the candidates actually nominated; it is then lifted and solved, and
-    the witness mapped back to the original ids.
+    to the candidates actually nominated; it is then searched as its own
+    vectors, and the witness mapped back to the original ids.
 
-    On a pre-elected instance each level's options are its valid
-    committees: nominated candidates only, at most ``kvec[t]`` of them,
-    scoring at least ``xvec[t]``.  A negative budget admits no committee at
+    Each level's options are its valid committees: nominated candidates
+    only, at most ``kvec[t]`` of them, scoring at least ``xvec[t]``.  A
+    negative budget (pre-elected instances only) admits no committee at
     all, so any such level makes the instance a no.  The candidate limit
     applies to the distinct candidates nominated per level.
     """
+    renaming = None
     if isinstance(inst, Instance):
-        renamed, renaming = rename_candidates(inst)
-        result = brute_solve(lift(renamed), limits)
-        if result.witness is None:
-            return result
-        return SolveResult.yes(renaming.lift(result.witness), result.stats)
+        inst, renaming = rename_candidates(inst)
     limits = limits or DEFAULT_LIMITS
     effective_m = max((len(set(row) - {0}) for row in inst.profile), default=0)
     if inst.n > limits.max_n or effective_m > limits.max_m or inst.tau > limits.max_tau:
@@ -144,7 +140,10 @@ def brute_solve(inst: Instance | PeInstance, limits: OracleLimits | None = None)
 
     stats = {"nodes": 0, "committees_enumerated": total}
     cmp_y = CMP_GE if inst.egalitarian else CMP_EQ
-    return _finish(_search(inst.profile, options, inst.yvec, cmp_y, stats), stats)
+    result = _finish(_search(inst.profile, options, inst.yvec, cmp_y, stats), stats)
+    if renaming is None or result.witness is None:
+        return result
+    return SolveResult.yes(renaming.lift(result.witness), stats)
 
 
 def brute_solve_generalized(

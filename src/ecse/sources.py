@@ -13,34 +13,28 @@ import itertools
 from .generators import BipartiteGraph, CnfFormula
 
 
-def _assignments(num_vars: int):
-    return itertools.product((False, True), repeat=num_vars)
-
-
-def sat_satisfiable(cnf: CnfFormula) -> bool:
+def _exhaustive(cnf: CnfFormula, holds, cap_message: str) -> bool:
+    """Is there an assignment under which ``holds`` accepts each clause's
+    count of true literal occurrences?"""
     if cnf.num_vars > 20:
-        raise ValueError("exhaustive SAT check capped at 20 variables")
-    for assignment in _assignments(cnf.num_vars):
+        raise ValueError(cap_message)
+    for assignment in itertools.product((False, True), repeat=cnf.num_vars):
         if all(
-            any((lit > 0) == assignment[abs(lit) - 1] for lit in clause)
+            holds(sum((lit > 0) == assignment[abs(lit) - 1] for lit in clause))
             for clause in cnf.clauses
         ):
             return True
     return False
+
+
+def sat_satisfiable(cnf: CnfFormula) -> bool:
+    return _exhaustive(cnf, bool, "exhaustive SAT check capped at 20 variables")
 
 
 def x13sat_satisfiable(cnf: CnfFormula) -> bool:
     """Exactly one true literal occurrence per clause (occurrences count,
     so a repeated literal counts as often as it appears)."""
-    if cnf.num_vars > 20:
-        raise ValueError("exhaustive check capped at 20 variables")
-    for assignment in _assignments(cnf.num_vars):
-        if all(
-            sum(1 for lit in clause if (lit > 0) == assignment[abs(lit) - 1]) == 1
-            for clause in cnf.clauses
-        ):
-            return True
-    return False
+    return _exhaustive(cnf, (1).__eq__, "exhaustive check capped at 20 variables")
 
 
 def cbvc_has_cover(graph: BipartiteGraph, k1: int, k2: int) -> bool:

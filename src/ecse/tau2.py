@@ -62,7 +62,6 @@ class X2Instance:
     log of force-elected candidates."""
 
     n: int
-    m: int
     row1: tuple[int, ...]
     row2: tuple[int, ...]
     k1: int
@@ -81,9 +80,7 @@ class X2Instance:
 def x2_from_instance(inst: Instance) -> X2Instance:
     if inst.mode != EQUITABLE or inst.tau != 2:
         raise ValueError("expected an equitable two-level instance")
-    return X2Instance(
-        inst.n, inst.m, inst.profile[0], inst.profile[1], inst.k, inst.k, inst.x, inst.x, inst.y
-    )
+    return X2Instance(inst.n, inst.profile[0], inst.profile[1], inst.k, inst.k, inst.x, inst.x, inst.y)
 
 
 def rr_x2_force_single(x2: X2Instance) -> X2Instance | None:

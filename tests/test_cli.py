@@ -498,6 +498,17 @@ def test_input_errors_exit_2(tmp_path, capsys):
         code, out, err = run(capsys, "generate", "--from", "sat", *inputs)
         assert (code, out) == (2, "") and "generator 'sat' takes exactly one input file" in err
 
+    # the options only random reads are input errors for every other kind
+    good_cnf = tmp_path / "good.cnf"
+    good_cnf.write_text(CNF)
+    for kind, path, option, value in (
+        ("sat", good_cnf, "--n", "9"),
+        ("or", equit, "--seed", "4"),
+        ("3part", nums, "--empty-prob", "0.5"),
+    ):
+        code, out, err = run(capsys, "generate", "--from", kind, str(path), option, value)
+        assert (code, out, err) == (2, "", f"error: generator {kind!r} takes no {option}\n")
+
 
 CNF = "p cnf 3 3\n1 2 -3 0\n-1 2 0\n3 0\n"
 MONOTONE_CNF = "p cnf 3 3\n1 2 3 0\n1 2 3 0\n1 2 3 0\n"

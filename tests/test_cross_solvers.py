@@ -4,6 +4,8 @@ The seeded sweeps elsewhere cover volume; these properties add shrinking, so
 any regression reports a minimal instance.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from ecse.branching import counting_bound, solve_branch
 from ecse.cli import solve_with_algo
 from ecse.generators import random_instance
-from ecse.ip import solve_ip
+from ecse.ip import build_ip, solve_ip
 from ecse.model import (
     EGALITARIAN,
     EQUITABLE,
@@ -97,6 +99,49 @@ def test_tau2_matches_oracle(inst):
     assert result.verdict == brute_solve(inst).verdict
     if result.witness is not None:
         assert verify(inst, result.witness).feasible
+
+
+@st.composite
+def duplicated_instances(draw):
+    """A small base draw whose level rows and agent columns repeat, in a
+    shuffled order, within the oracle's limits (n <= 8, tau <= 6)."""
+    base_n, base_tau, m = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    base = [[draw(st.integers(0, m)) for _ in range(base_n)] for _ in range(base_tau)]
+    copies = st.integers(1, 3)
+    columns = draw(st.permutations([a for a in range(base_n) for _ in range(draw(copies))]))
+    levels = draw(st.permutations([t for t in range(base_tau) for _ in range(draw(copies))]))
+    columns, levels = columns[:8], levels[:6]
+    rows = tuple(tuple(base[t][a] for a in columns) for t in levels)
+    return Instance(
+        draw(st.sampled_from([EGALITARIAN, EQUITABLE])),
+        len(columns),
+        m,
+        len(levels),
+        draw(st.integers(0, m)),
+        draw(st.integers(0, len(columns))),
+        draw(st.integers(0, len(levels))),
+        rows,
+    )
+
+
+@given(duplicated_instances())
+@settings(max_examples=300, deadline=None)
+def test_duplicated_rows_and_columns_match_oracle(inst):
+    truth = brute_solve(inst).verdict
+    algos = ["auto", "branch", "dp", "ip"]
+    if inst.mode == EQUITABLE and inst.tau == 2:
+        algos.append("tau2")
+    for algo in algos:
+        result, _ = solve_with_algo(inst, algo)
+        assert result.verdict == truth, algo
+        if result.witness is not None:
+            assert verify(inst, result.witness).feasible, algo
+    # one type per distinct row, in first-occurrence order, counting its levels
+    model = build_ip(inst)
+    multiplicity = Counter(inst.profile)
+    assert [inst.profile[levels[0] - 1] for levels in model.type_levels] == list(multiplicity)
+    assert [len(levels) for levels in model.type_levels] == list(multiplicity.values())
+    assert all(inst.profile[t - 1] == inst.profile[levels[0] - 1] for levels in model.type_levels for t in levels)
 
 
 @pytest.mark.parametrize("mode", [EGALITARIAN, EQUITABLE])

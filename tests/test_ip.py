@@ -1,5 +1,6 @@
 """Type-grouped integer program: model shape, search, export, lifting."""
 
+import hashlib
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from conftest import make_instance
 def test_build_trip_model(trip_egalitarian):
     model = build_ip(trip_egalitarian)
     assert model.num_types == 2
-    assert model.type_counts == (1, 1)
+    assert model.type_levels == ((1,), (2,))
     assert model.committees == (((1, 5),), ((2, 3),))
     assert model.num_variables == 2
     # agent 2 nominates into the unique valid committee of both types
@@ -26,7 +27,6 @@ def test_identical_levels_group():
     inst = make_instance([(1, 2), (1, 2)], mode=EGALITARIAN, k=1, x=1, y=1)
     model = build_ip(inst)
     assert model.num_types == 1
-    assert model.type_counts == (2,)
     assert model.type_levels == ((1, 2),)
 
 
@@ -41,7 +41,7 @@ def test_solve_trip_assignment(trip_egalitarian):
     model = build_ip(trip_egalitarian)
     assignment = solve_ip_naive(model)
     assert assignment == {(0, 0): 1, (1, 0): 1}
-    witness = lift_ip_witness(trip_egalitarian, model, assignment)
+    witness = lift_ip_witness(model, assignment)
     assert witness.committees == ((1, 5), (2, 3))
     assert verify(trip_egalitarian, witness).feasible
 
@@ -57,7 +57,7 @@ def test_lift_distributes_in_level_order():
     model = build_ip(inst)
     committees = model.committees[0]
     assignment = {(0, 0): 1, (0, 1): 1}
-    witness = lift_ip_witness(inst, model, assignment)
+    witness = lift_ip_witness(model, assignment)
     assert witness.committees == (committees[0], committees[1])
 
 
@@ -66,7 +66,7 @@ def test_lift_refuses_an_assignment_that_misses_a_level():
     model = build_ip(inst)
     for assignment in ({(0, 0): 1}, {(0, 0): 2, (0, 1): 1}):
         with pytest.raises(ValueError) as err:
-            lift_ip_witness(inst, model, assignment)
+            lift_ip_witness(model, assignment)
         assert str(err.value) == "assignment does not cover the type's levels"
 
 
@@ -74,10 +74,10 @@ def test_lift_all_weight_on_empty_committee():
     inst = make_instance([(1, 2), (2, 1)], mode=EGALITARIAN, k=1, x=0, y=0)
     model = build_ip(inst)
     empty_vars = {
-        (ti, model.committees[ti].index(())): model.type_counts[ti]
+        (ti, model.committees[ti].index(())): len(model.type_levels[ti])
         for ti in range(model.num_types)
     }
-    witness = lift_ip_witness(inst, model, empty_vars)
+    witness = lift_ip_witness(model, empty_vars)
     assert witness.committees == ((), ())
     assert verify(inst, witness).feasible
 
@@ -95,7 +95,7 @@ def test_type_sums_hold_in_assignments():
             continue
         for ti in range(model.num_types):
             total = sum(assignment.get((ti, ci), 0) for ci in range(len(model.committees[ti])))
-            assert total == model.type_counts[ti]
+            assert total == len(model.type_levels[ti])
 
 
 def test_solve_ip_trip(trip_egalitarian, trip_equitable_x3, trip_equitable_x4):
@@ -116,7 +116,7 @@ def _reference_ip_search(model):
     """Recursive value search in the same variable and value order as
     ``solve_ip_naive``; returns (assignment or None, nodes visited)."""
     order = [(ti, ci) for ti, cs in enumerate(model.committees) for ci in range(len(cs))]
-    if any(not cs and count > 0 for cs, count in zip(model.committees, model.type_counts)):
+    if any(not cs and levels for cs, levels in zip(model.committees, model.type_levels)):
         return None, 0
     assignment = {}
     nodes = 0
@@ -131,12 +131,12 @@ def _reference_ip_search(model):
 
     def remaining(ti):
         used = sum(v for (tj, _), v in assignment.items() if tj == ti)
-        return model.type_counts[ti] - used
+        return len(model.type_levels[ti]) - used
 
     def rec(idx):
         nonlocal nodes
         nodes += 1
-        if not all(agent_ok(a0) for a0 in range(model.n)):
+        if not all(agent_ok(a0) for a0 in range(len(model.agent_vars))):
             return False
         if idx == len(order):
             return all(remaining(ti) == 0 for ti in range(model.num_types))
@@ -203,7 +203,7 @@ def test_export_lp_equitable_rows(trip_equitable_x3):
 
 
 def test_export_lp_empty_model():
-    model = IpModel(False, 0, 0, (), (), (), ())
+    model = IpModel(False, 0, (), (), ())
     text = export_lp(model)
     assert text == "Minimize\n obj: 0\nSubject To\nBounds\nGeneral\nEnd\n"
 
@@ -223,6 +223,53 @@ def test_export_lp_keeps_unsatisfiable_rows():
     # with no variable at all, every row sits on a placeholder fixed to 0
     text = export_lp(build_ip(make_instance([(1,)], k=0, x=1, y=1)))
     assert " a1: 0 x_none >= 1\n t1: 0 x_none = 1\nBounds\n 0 <= x_none <= 0\n" in text
+
+
+# (random_instance arguments, sha256 of the LP export of its renamed form);
+# most draws repeat level rows, so their types count several levels, and the
+# last two hold types that admit no committee
+EXPORT_LP_DIGESTS = [
+    ((1, 2, 2, 6, 1, 1, 2, EGALITARIAN, 0.0),
+     "fb11f5c81bcb571674409fe5f7114b512cabaf0404765a7a8f46b71d251430a2"),
+    ((2, 2, 2, 6, 1, 1, 3, EQUITABLE, 0.0),
+     "fa11a6d2f6bbe5f9011c76b268f02b7d2f32ce2f8c9f6f6d8faad0fc0f9c3402"),
+    ((3, 3, 2, 5, 2, 1, 2, EGALITARIAN, 0.3),
+     "77df5a4abac729d69e87edf7e38a1c6872847dab9cdce9a024f2769e7cde997b"),
+    ((4, 3, 3, 5, 1, 1, 2, EQUITABLE, 0.3),
+     "e758482a3acb483d44bff0dc636acbc701c39d54652d024ac0c9018fc8a61906"),
+    ((5, 4, 3, 4, 2, 2, 1, EGALITARIAN, 0.0),
+     "e314ceac73f2be149d7b4e234ac6ceec399a8c1c0ebf607bd5b6aa9792f60f02"),
+    ((6, 4, 3, 4, 2, 2, 1, EQUITABLE, 0.2),
+     "86f8c9dc41ecf69ecb82e648d0affc01cb0227e7e1ea64a39ed07e4fd471d7a1"),
+    ((7, 5, 4, 8, 2, 2, 3, EGALITARIAN, 0.1),
+     "9c70d609ca7d00fe69c60aad7d09c6bc3406aa924b042db2d33063c81cc42f3b"),
+    ((8, 5, 4, 8, 2, 2, 3, EQUITABLE, 0.1),
+     "8056686e8fee33311c8eab4ec56dc1b7824d3c2aabd6870718ebf79fc671d408"),
+    ((9, 1, 3, 4, 1, 0, 2, EQUITABLE, 0.5),
+     "daa77042e34627c0d8ee88c8c16b7f2219ea5a4d6d37cdf0a7b97350259a5eb0"),
+    ((10, 6, 2, 10, 1, 3, 4, EGALITARIAN, 0.0),
+     "c5466e3801a81c98a4aa9988f9522d7e2c728464acf2e7a03de1ff0482f08f96"),
+    ((11, 3, 1, 3, 0, 0, 0, EQUITABLE, 0.0),
+     "932a3204f3749cc3829011bf21967b6411715f1f4f232730d0231865ba5eeca0"),
+    ((12, 0, 2, 2, 1, 0, 0, EGALITARIAN, 0.0),
+     "21171d84a3c8a673e9fdc5a41efbefdbb19a07e19e795791f2c33bde9c9f5236"),
+    ((13, 3, 2, 4, 1, 3, 1, EGALITARIAN, 0.0),
+     "54b43a9bb8dd5dd3b96d6c8b227def0fadcdc9c152386da4037a2b1239c44c0a"),
+    ((14, 3, 2, 4, 1, 3, 1, EQUITABLE, 0.0),
+     "b23df189fa7e9eb66fb5bb580cd0a010490d9229bbff34bc8e2623c178405f9d"),
+]
+
+
+@pytest.mark.parametrize("args, digest", EXPORT_LP_DIGESTS)
+def test_export_lp_documents_are_pinned(args, digest):
+    text = export_lp(build_ip(rename_candidates(random_instance(*args))[0]))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_pinned_exports_repeat_rows_and_hold_empty_types():
+    models = [build_ip(rename_candidates(random_instance(*args))[0]) for args, _ in EXPORT_LP_DIGESTS]
+    assert sum(any(len(levels) > 1 for levels in model.type_levels) for model in models) == 11
+    assert sum(not all(model.committees) for model in models) == 2
 
 
 def _milp_feasible(text: str) -> bool:

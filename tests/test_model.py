@@ -19,6 +19,9 @@ from ecse.model import (
     EnumerationLimitError,
     Instance,
     PeInstance,
+    SolveResult,
+    VerificationReport,
+    Violation,
     agent_score,
     committee_score,
     enumerate_valid_committees,
@@ -72,6 +75,20 @@ def test_row_check_names_the_first_bad_nomination_in_row_order():
         PeInstance(EQUITABLE, 4, 3, 1, (1,), (0,), (0,) * 4, (row,))
     with pytest.raises(ValueError, match="^nomination -1 out of range 0..3$"):
         Instance(EQUITABLE, 4, 3, 2, 1, 0, 0, ((1, 2, 3, 0), (3, 0, -1, 2)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SolveResult("maybe"), "verdict must be yes/no, got 'maybe'"),
+    (lambda: SolveResult("yes"), "witness must be present exactly on yes"),
+    (lambda: SolveResult("no", CommitteeSequence(((),))), "witness must be present exactly on yes"),
+    (lambda: VerificationReport(True, (0,), (0,), Violation("agent-score", 1)),
+     "feasible must mirror the absence of a violation"),
+    (lambda: VerificationReport(False, (0,), (0,)), "feasible must mirror the absence of a violation"),
+])
+def test_result_invariants_name_the_broken_rule(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_committee_sequence_must_be_canonical():
@@ -345,6 +362,14 @@ def test_rename_two_agents_single_candidate():
     assert renamed.profile == ((1, 1),)
     assert renamed.m == 2
     assert renaming.lift(seq((1,))).committees == ((7,),)
+
+
+def test_rename_lift_refuses_a_sequence_of_the_wrong_length():
+    _, renaming = rename_candidates(make_instance([(7, 7), (3, 0)], m=9))
+    assert renaming.lift(seq((1,), ())).committees == ((7,), ())
+    for wrong in (seq((1,)), seq((1,), (), ())):
+        with pytest.raises(ValueError):
+            renaming.lift(wrong)
 
 
 def test_rename_preserves_empty_profile():

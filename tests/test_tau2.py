@@ -29,9 +29,8 @@ from ecse.generators import random_instance
 from conftest import forcing_cascade, make_instance
 
 
-def x2(row1, row2, k1=2, k2=2, x1=0, x2_=0, m=None):
-    m = m or max((*row1, *row2), default=0)
-    return X2Instance(len(row1), m, tuple(row1), tuple(row2), k1, k2, x1, x2_, 1)
+def x2(row1, row2, k1=2, k2=2, x1=0, x2_=0):
+    return X2Instance(len(row1), tuple(row1), tuple(row2), k1, k2, x1, x2_, 1)
 
 
 def test_rr_no_nomination():
@@ -227,7 +226,7 @@ def x2_with_chains(draw):
     budgets = st.integers(0, 4)
     thresholds = st.integers(0, 6)
     return X2Instance(
-        len(pairs), m, tuple(a for a, _ in pairs), tuple(b for _, b in pairs),
+        len(pairs), tuple(a for a, _ in pairs), tuple(b for _, b in pairs),
         draw(budgets), draw(budgets), draw(thresholds), draw(thresholds), 1,
     )
 
@@ -330,10 +329,12 @@ def test_missing_nominations_are_the_one_vertex_zero(row1, row2, others, zero):
     assert sorted(members) == zero
 
 
-def lift(inst):
+def lift(inst, m=None):
     """The equitable two-level ``Instance`` of an ``X2Instance`` whose
-    budgets and thresholds agree across levels: its first level's."""
-    return Instance(EQUITABLE, inst.n, inst.m, 2, inst.k1, inst.x1, 1, (inst.row1, inst.row2))
+    budgets and thresholds agree across levels: its first level's.  ``m``
+    is the largest candidate nominated unless given."""
+    m = max((*inst.row1, *inst.row2), default=0) if m is None else m
+    return Instance(EQUITABLE, inst.n, m, 2, inst.k1, inst.x1, 1, (inst.row1, inst.row2))
 
 
 def pipeline_reference(inst):
@@ -363,13 +364,13 @@ def pipeline_reference(inst):
 @settings(max_examples=500, deadline=None)
 @given(x2_with_chains().map(lift))
 # zeros in two candidate groups, one at each level, next to a zero-free one
-@example(lift(x2((1, 1, 2, 0, 4, 5), (0, 3, 3, 6, 6, 7), k1=3, k2=3, x1=1, x2_=1, m=7)))
+@example(lift(x2((1, 1, 2, 0, 4, 5), (0, 3, 3, 6, 6, 7), k1=3, k2=3, x1=1, x2_=1)))
 # zeros on both levels in one group; an agent with no nomination at all
-@example(lift(x2((1, 0, 1, 2), (0, 2, 3, 3), k1=3, k2=3, m=3)))
-@example(lift(x2((1, 0, 2), (2, 0, 1), k1=2, k2=2, m=2)))
+@example(lift(x2((1, 0, 1, 2), (0, 2, 3, 3), k1=3, k2=3)))
+@example(lift(x2((1, 0, 2), (2, 0, 1), k1=2, k2=2)))
 # a cascade that forces three level-one candidates on a budget of two
-@example(lift(x2((1, 1, 2, 2, 3), (0, 4, 4, 5, 5), k1=2, k2=2, m=5)))
-@example(lift(x2((), (), m=1)))
+@example(lift(x2((1, 1, 2, 2, 3), (0, 4, 4, 5, 5), k1=2, k2=2)))
+@example(lift(x2((), ()), 1))
 def test_pipeline_matches_the_reference_composition(inst):
     assert solve_qcse_tau2(inst) == pipeline_reference(inst)
 
@@ -457,10 +458,11 @@ def test_pipeline_with_a_zero_after_the_first_block(shape, data):
     inst = data.draw(multi_block_rows(shape))
     assume(inst.n > _FIRST_BLOCK)
     a0 = data.draw(st.integers(_FIRST_BLOCK, inst.n - 1))
+    m = max((*inst.row1, *inst.row2))
     rows = [list(inst.row1), list(inst.row2)]
     rows[data.draw(st.integers(0, 1))][a0] = 0
-    budget = data.draw(st.sampled_from((2, inst.m)))
-    case = lift(x2(*rows, k1=budget, x1=data.draw(st.integers(0, inst.n // 4)), m=inst.m))
+    budget = data.draw(st.sampled_from((2, m)))
+    case = lift(x2(*rows, k1=budget, x1=data.draw(st.integers(0, inst.n // 4))), m)
     assert solve_qcse_tau2(case) == pipeline_reference(case)
 
 
@@ -559,12 +561,12 @@ def test_forcing_cascade_scales_to_1e5_agents():
     assert verify(inst, result.witness).feasible
 
 
-TARGET_TWO = X2Instance(2, 2, (1, 2), (2, 1), 1, 1, 0, 0, 2)
+TARGET_TWO = X2Instance(2, (1, 2), (2, 1), 1, 1, 0, 0, 2)
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: X2Instance(2, 2, (1,), (1, 2), 1, 1, 0, 0, 1), "rows must have one entry per agent"),
-    (lambda: X2Instance(2, 2, (1, 2), (1, 2, 1), 1, 1, 0, 0, 1), "rows must have one entry per agent"),
+    (lambda: X2Instance(2, (1,), (1, 2), 1, 1, 0, 0, 1), "rows must have one entry per agent"),
+    (lambda: X2Instance(2, (1, 2), (1, 2, 1), 1, 1, 0, 0, 1), "rows must have one entry per agent"),
     (lambda: rr_x2_no_nomination(TARGET_TWO), "rule applies to target-one instances"),
     (lambda: rr_x2_force_single(TARGET_TWO), "rule applies to target-one instances"),
     (lambda: apply_x2_rules(TARGET_TWO), "rule applies to target-one instances"),
