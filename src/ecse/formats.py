@@ -106,15 +106,20 @@ _CHUNK = 8192
 
 def _row(body: str, line: int, table: _Memo) -> tuple[int, ...]:
     """A level row's integers, split into tokens a chunk at a time, so only
-    one chunk's token strings are alive at once.  A chunk ends at a space:
-    a row without spaces (tab-separated, say) is split whole."""
+    one chunk's token strings are alive at once, and each chunk's values
+    extend one list.  A chunk ends at a space: a row without spaces
+    (tab-separated, say) is split whole."""
     out: list[int] = []
     start, end = 0, len(body)
     while start < end:
         cut = body.find(" ", start + _CHUNK)
         if cut < 0:
             cut = end
-        out += _ints(body[start:cut].split(), line, table)
+        tokens = body[start:cut].split()
+        try:
+            out.extend(map(table.__getitem__, tokens))
+        except ValueError:
+            _ints(tokens, line, table)  # names the bad token
         start = cut
     return tuple(out)
 

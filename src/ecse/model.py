@@ -92,28 +92,38 @@ def _check_shape(inst) -> None:
     """Validation shared by both instance types: mode, sizes, and a profile
     of ``tau`` rows of ``n`` nominations in ``0..m``.
 
-    A row is checked in one C-level pass over its distinct values; only a
-    row that fails is walked again, to name its first bad nomination."""
+    Each row's distinct values are sorted once and kept as ``row_values``;
+    a row is range-checked by the first and last of them, and only a row
+    that fails is walked again, to name its first bad nomination."""
     if inst.mode not in MODES:
         raise ValueError(f"unknown mode {inst.mode!r}")
     if inst.n < 0 or inst.m < 0 or inst.tau < 1:
         raise ValueError("need n >= 0, m >= 0, tau >= 1")
     if len(inst.profile) != inst.tau:
         raise ValueError(f"profile has {len(inst.profile)} rows, expected {inst.tau}")
+    row_values = []
     for row in inst.profile:
         if len(row) != inst.n:
             raise ValueError(f"profile row has {len(row)} entries, expected {inst.n}")
-        values = set(row)
-        if values and (min(values) < 0 or max(values) > inst.m):
+        values = tuple(sorted(set(row)))
+        if values and (values[0] < 0 or values[-1] > inst.m):
             for c in row:
                 if c < 0 or c > inst.m:
                     raise ValueError(f"nomination {c} out of range 0..{inst.m}")
+        row_values.append(values)
+    object.__setattr__(inst, "row_values", tuple(row_values))
 
 
+@dataclass(frozen=True)
 class _Election:
-    """The mode predicate shared by both instance types."""
+    """What both instance types share: the mode predicate, and
+    ``row_values``, each profile row's distinct nominations in increasing
+    order (0 first where a row has one), which validation computes and
+    which takes no part in ``==``, ``hash`` or ``repr``."""
 
     __slots__ = ()
+
+    row_values: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     @property
     def egalitarian(self) -> bool:
@@ -480,13 +490,15 @@ def trivial_solve(inst: Instance) -> SolveResult | None:
 
     if inst.y == 0:
         if inst.egalitarian:
-            # per level the top-k committee is score-maximal
-            if any(_top_score(row_support(row).values(), inst.k) < inst.x for row in inst.profile):
-                return SolveResult.no({"trivial_y0_egalitarian": 1})
-            committees = [
-                greedy_committee(row_support(row), inst.k) if inst.x > 0 else ()
-                for row in inst.profile
-            ]
+            # per level the top-k committee is score-maximal; with x = 0
+            # the empty one will do
+            committees = [()] * inst.tau
+            if inst.x > 0:
+                for t0, row in enumerate(inst.profile):
+                    support = row_support(row)
+                    if _top_score(support.values(), inst.k) < inst.x:
+                        return SolveResult.no({"trivial_y0_egalitarian": 1})
+                    committees[t0] = greedy_committee(support, inst.k)
             return SolveResult.yes(CommitteeSequence.of(committees), {"trivial_y0_egalitarian": 1})
         # equitable: electing any nominated candidate overshoots its nominator
         if inst.x == 0:
@@ -497,10 +509,10 @@ def trivial_solve(inst: Instance) -> SolveResult | None:
     if inst.y == inst.tau:
         # every agent must score in every level: elect all nominated candidates
         stats = {"trivial_y_eq_tau": 1}
-        committees = [tuple(sorted(set(row))) for row in inst.profile]
+        committees = inst.row_values
         if inst.n < inst.x or any(0 in c or len(c) > inst.k for c in committees):
             return SolveResult.no(stats)
-        return SolveResult.yes(CommitteeSequence.of(committees), stats)
+        return SolveResult.yes(CommitteeSequence(committees), stats)
 
     if inst.egalitarian and inst.k >= inst.m:
         # electing everything is optimal, so the instance is a yes iff that is feasible

@@ -126,7 +126,7 @@ def brute_solve(inst: Instance | PeInstance, limits: OracleLimits | None = None)
     if isinstance(inst, Instance):
         inst, renaming = rename_candidates(inst)
     limits = limits or DEFAULT_LIMITS
-    effective_m = max((len(set(row) - {0}) for row in inst.profile), default=0)
+    effective_m = max((len(values) - (0 in values) for values in inst.row_values), default=0)
     if inst.n > limits.max_n or effective_m > limits.max_m or inst.tau > limits.max_tau:
         raise OracleLimitError(
             f"n={inst.n}, m={effective_m} (effective), tau={inst.tau} exceed limits {limits}"

@@ -221,11 +221,13 @@ class CbivcsInstance:
 
 
 def _components(
-    row1: tuple[int, ...], row2: tuple[int, ...]
+    row1: tuple[int, ...], row2: tuple[int, ...], sides: tuple[tuple[int, ...], ...] | None = None
 ) -> tuple[tuple[CbivcsComponent, ...], list[int] | None]:
     """The components of the graph whose edges are the agents' (left, right)
     nomination pairs, each counted with its multiplicity, except vertex 0's,
     and that component's vertex list (None if every agent nominates twice).
+    ``sides``, if given, holds each row's distinct values in increasing
+    order, as an instance's ``row_values`` does.
 
     Vertices are ints: left candidate u is vertex u and right candidate v is
     vertex -v, so a missing nomination on either side is vertex 0.  Each
@@ -235,15 +237,15 @@ def _components(
 
     The pairs are read in blocks that double in length, each deduplicated by
     a set and merged only for the pairs no earlier block held.  While the
-    graph read so far is one component, the vertices are taken (once) from
-    the rows' distinct values; when the component holds all of them, no
+    graph read so far is one component, its size is compared with the
+    number of the rows' distinct values (from ``sides``, or sorted from the
+    rows once where it is not given); when the component holds them all, no
     later pair can change the answer, the rest of the rows is never read,
     and the component holds every agent.  A graph that never connects reads
     every pair and counts each component's edges as the degrees of its left
     vertices."""
     owner: dict[int, list[int]] = {}
     seen: set[tuple[int, int]] = set()
-    sides = None
     pairs = zip(row1, row2)
     size = _FIRST_BLOCK
     while block := set(islice(pairs, size)):
@@ -270,12 +272,13 @@ def _components(
                     owner[x] = a
         group = owner[row1[0]]
         if len(group) == len(owner):
-            sides = sides or (set(row1), set(row2))
+            sides = sides or (tuple(sorted(set(row1))), tuple(sorted(set(row2))))
             lefts, rights = sides
-            if len(group) == len(lefts) + len(rights) - (0 in lefts and 0 in rights):
+            # sorted and nonnegative, so a side holds 0 iff it starts with it
+            if len(group) == len(lefts) + len(rights) - (lefts[0] == rights[0] == 0):
                 if 0 in owner:
                     return (), group
-                return (CbivcsComponent(tuple(sorted(lefts)), tuple(sorted(rights)), len(row1)),), None
+                return (CbivcsComponent(lefts, rights, len(row1)),), None
         size *= 2
     zero = owner.get(0)
     degree = Counter(row1)
@@ -380,7 +383,7 @@ def solve_qcse_tau2(inst: Instance) -> SolveResult:
         return result
 
     stats = {"forced": 0, "components": 0, "surviving_agents": 0}
-    components, zero = _components(x2.row1, x2.row2)
+    components, zero = _components(x2.row1, x2.row2, inst.row_values)
     survivors = x2.n
     if zero is not None:
         # the rules reach only vertex 0's component (see the module docstring)

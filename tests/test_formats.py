@@ -2,13 +2,18 @@
 
 import random
 import tracemalloc
+from bisect import bisect
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecse.formats import (
+    _CHUNK,
     ParseError,
+    _Memo,
+    _row,
     parse_instance,
     parse_solution,
     serialize_instance,
@@ -354,6 +359,36 @@ def test_malformed_token_in_the_last_long_row_names_its_line_and_token():
         parse_instance(doc)
     assert err.value.line == 12
     assert str(err.value) == "line 12: expected an integer, got '1x'"
+
+
+def _long_body(rng, count, separators):
+    return "".join(str(rng.randint(-3, 300)) + rng.choice(separators) for _ in range(count))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([("\t",), ("  ", "   "), (" ", "\t", "  ", " \t\t ")]))
+def test_row_parses_long_rows_as_int_splits_them(seed, separators):
+    # tabs alone leave no space to cut a chunk at, so that row is split whole
+    body = _long_body(random.Random(seed), 6000, separators)
+    assert len(body) > 2 * _CHUNK
+    assert _row(body, 7, _Memo(int)) == tuple(map(int, body.split()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(["1x", "x", "--1", "1.0", "0x10", "1,2"]))
+def test_row_names_a_bad_token_past_the_first_chunk(seed, bad):
+    rng = random.Random(seed)
+    tokens = _long_body(rng, 6000, (" ",)).split()
+    # each token's offset in the body: the first bad token lies past the
+    # first chunk, and a second one follows it
+    starts = list(accumulate((len(tok) + 1 for tok in tokens), initial=0))
+    at = rng.randrange(bisect(starts, _CHUNK), len(tokens) - 1)
+    tokens[at], tokens[-1] = bad, "y"
+    body = " ".join(tokens)
+    with pytest.raises(ParseError) as err:
+        _row(body, 12, _Memo(int))
+    assert err.value.line == 12
+    assert str(err.value) == f"line 12: expected an integer, got {bad!r}"
 
 
 def test_1e5_agent_two_level_round_trip():

@@ -1,5 +1,6 @@
 """Core model: scores, verification, trivial cases, renaming, enumeration."""
 
+import dataclasses
 import itertools
 import math
 import time
@@ -35,6 +36,8 @@ from ecse.model import (
     verify,
     verify_generalized,
 )
+from ecse.formats import ParseError, parse_instance, serialize_instance
+from ecse.kernel import rr_pe_qcse_zero_y
 from ecse.oracle import brute_solve
 from ecse.score_dp import level_fingerprints
 from ecse.generators import random_instance
@@ -75,6 +78,96 @@ def test_row_check_names_the_first_bad_nomination_in_row_order():
         PeInstance(EQUITABLE, 4, 3, 1, (1,), (0,), (0,) * 4, (row,))
     with pytest.raises(ValueError, match="^nomination -1 out of range 0..3$"):
         Instance(EQUITABLE, 4, 3, 2, 1, 0, 0, ((1, 2, 3, 0), (3, 0, -1, 2)))
+
+
+def sorted_row_values(inst):
+    return tuple(tuple(sorted(set(row))) for row in inst.profile)
+
+
+@given(instances(max_n=6, max_m=5), st.integers(0, 2**32), st.sampled_from([0.0, 0.3, 1.0]))
+@settings(max_examples=150)
+def test_row_values_on_every_construction_path(inst, seed, empty_prob):
+    # large ids as well as small ones: a set of small ints iterates in
+    # increasing order anyway
+    pe = lift(inst)
+    equitable = dataclasses.replace(pe, mode=EQUITABLE, yvec=(0,) + pe.yvec[1:])
+    built = [
+        inst,
+        pe,
+        parse_instance(serialize_instance(inst)),
+        parse_instance(serialize_instance(pe)),
+        random_instance(seed, 40, 10**6, inst.tau, inst.k, inst.x, inst.y, inst.mode, empty_prob),
+        rename_candidates(inst)[0],
+        equitable,
+        rr_pe_qcse_zero_y(equitable),
+        dataclasses.replace(inst, m=999 * inst.m, profile=tuple(
+            tuple(999 * c for c in row[::-1]) for row in inst.profile)),
+        dataclasses.replace(pe, profile=tuple(tuple(c // 2 for c in row) for row in pe.profile)),
+    ]
+    assert {type(case) for case in built} == {Instance, PeInstance}
+    for case in built:
+        assert case.row_values == sorted_row_values(case)
+
+
+def test_row_values_take_no_part_in_equality_hash_or_repr():
+    inst = make_instance(TRIP_ROWS, k=2, x=4, m=6)
+    for case in (inst, lift(inst)):
+        spec = {f.name: f for f in dataclasses.fields(case)}["row_values"]
+        assert (spec.init, spec.compare, spec.repr) == (False, False, False)
+        twin = dataclasses.replace(case)
+        object.__setattr__(twin, "row_values", ((0,), (1,)))
+        assert twin == case
+        assert hash(twin) == hash(case)
+        assert repr(twin) == repr(case)
+        assert "row_values" not in repr(case)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            case.row_values = ()
+
+
+def first_bad_nomination(rows, m):
+    """The range check as a loop over every entry: the message and the
+    0-based row of the first nomination outside ``0..m``, else None."""
+    for t0, row in enumerate(rows):
+        for c in row:
+            if not 0 <= c <= m:
+                return f"nomination {c} out of range 0..{m}", t0
+    return None
+
+
+@given(
+    st.integers(0, 4).flatmap(lambda m: st.tuples(
+        st.just(m),
+        st.integers(1, 6).flatmap(lambda n: st.lists(
+            st.lists(st.integers(-2, m + 2), min_size=n, max_size=n), min_size=1, max_size=3)),
+    ))
+)
+@settings(max_examples=300)
+def test_out_of_range_nominations_are_named_as_before(case):
+    # the message the constructors give, and the line the parser names
+    m, rows = case
+    rows = tuple(map(tuple, rows))
+    n, tau = len(rows[0]), len(rows)
+    expected = first_bad_nomination(rows, m)
+    builds = (
+        lambda: Instance(EQUITABLE, n, m, tau, 1, 0, 1, rows),
+        lambda: PeInstance(EQUITABLE, n, m, tau, (1,) * tau, (0,) * tau, (1,) * n, rows),
+    )
+    for build in builds:
+        if expected is None:
+            assert build().row_values == sorted_row_values(build())
+            continue
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == expected[0]
+    doc = (f"ecse v1\nmode qcse\nn {n}\nm {m}\ntau {tau}\nk 1\nx 0\ny 1\nlevels\n"
+           + "".join(" ".join(map(str, row)) + "\n" for row in rows) + "end\n")
+    if expected is None:
+        assert parse_instance(doc).profile == rows
+        return
+    with pytest.raises(ParseError) as err:
+        parse_instance(doc)
+    line = 10 + expected[1]  # the first level row is line 10
+    assert str(err.value) == f"line {line}: {expected[0]}"
 
 
 @pytest.mark.parametrize("build, message", [

@@ -466,6 +466,31 @@ def test_pipeline_with_a_zero_after_the_first_block(shape, data):
     assert solve_qcse_tau2(case) == pipeline_reference(case)
 
 
+@pytest.mark.parametrize("shape", [CONNECTED, LATE_BRIDGE, LATE_EDGE, SEVERAL])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_components_read_the_instance_row_values_as_their_own(shape, data):
+    # the sides a validated instance keeps are the ones the graph would
+    # sort from its rows, with or without a missing nomination
+    inst = data.draw(multi_block_rows(shape))
+    rows = [list(inst.row1), list(inst.row2)]
+    if data.draw(st.booleans()):
+        a0 = data.draw(st.integers(0, inst.n - 1))
+        rows[data.draw(st.integers(0, 1))][a0] = 0
+    case = lift(x2(*rows))
+    row1, row2 = case.profile
+    assert _components(row1, row2, case.row_values) == _components(row1, row2)
+
+
+def test_one_component_spanning_40_and_40_candidates():
+    inst = random_instance(6, 5000, 40, 2, 40, 0, 1, EQUITABLE)
+    assert inst.row_values == (tuple(range(1, 41)),) * 2
+    row1, row2 = inst.profile
+    whole = (CbivcsComponent(tuple(range(1, 41)), tuple(range(1, 41)), 5000),)
+    assert _components(row1, row2, inst.row_values) == _components(row1, row2) == (whole, None)
+    assert solve_qcse_tau2(inst).stats["components"] == 1
+
+
 def all_j_sweep(g):
     """``solve_cbivcs`` as first written: every j from 0 to the type count is
     tried from every state, and states over budget are dropped."""
