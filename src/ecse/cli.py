@@ -2,7 +2,7 @@
 
 Subcommands: ``solve``, ``verify``, ``kernelize``, ``generate``,
 ``export-ip``, ``bench``.  Exit codes: 0 on success, 2 for input errors (bad
-arguments, unreadable, unwritable or malformed files, unsuitable
+arguments, unreadable, non-UTF-8, unwritable or malformed files, unsuitable
 instances), 3 when a guard or a search node budget refused to decide, 4 on
 any other exception (its traceback goes to stderr; never a verdict); with
 ``--exit-verdict``, a successful ``solve`` exits 0 on yes and 1 on no.
@@ -66,8 +66,8 @@ class UsageError(ValueError):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8-sig")  # drops a byte order mark
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 

@@ -128,9 +128,8 @@ def solve_ip_naive(model: IpModel, max_nodes: int = MAX_NODES) -> dict[VarKey, i
     def expand(idx: int):
         if not feasible_so_far():
             return False
-        if idx == len(order):
-            return all(left == 0 for left in remaining)
-        return values(idx)
+        # each type's last variable takes the rest of its levels
+        return idx == len(order) or values(idx)
 
     def values(idx: int):
         """Assign each value of variable ``idx`` in turn, then undo it."""

@@ -11,14 +11,17 @@ problem in polynomial time.  For each state and batch of equal components the
 sweep enumerates only the numbers of left sides that fit both budgets.
 
 One pass over the agents' nomination pairs builds the graph, with a missing
-nomination as the ordinary vertex 0.  Forcing a candidate deletes its
-supporters and erases their partner nominations, all in the forcing agent's
-component, so the forcing rules run only on the agents of vertex 0's
-component.  They run as a worklist, as unit propagation does for Horn
-clauses: each forcing deletes its supporters and erases each partner
-nomination through a (level, candidate) index, and agents left with one
-nomination join a heap.  The sweep takes the other components as the pass
-read them, plus the survivors'.
+nomination as the ordinary vertex 0.  The forcing rules run on vertex 0's
+component alone and decide it whole.  A single-nomination agent is an edge
+at vertex 0; forcing its nominee deletes every edge at that candidate and
+erases each partner nomination, turning every other edge at that partner
+into an edge at vertex 0.  So along every path from vertex 0 each candidate
+is forced or erased and each agent deleted, or the rules answer no, and no
+step leaves the component.  The rules run as a worklist, as unit
+propagation does for Horn clauses: each forcing deletes its supporters and
+erases each partner nomination through a (level, candidate) index, and
+agents left with one nomination join a heap.  The sweep takes the other
+components as the pass read them.
 
 The graph is held as its components alone, which partition both sides.  It
 reads the pairs in blocks that double in length and merges each block's new
@@ -141,7 +144,10 @@ def apply_x2_rules(x2: X2Instance) -> X2Instance | None:
     every agent given, and erases each of their other-level nominations once
     through the same index; an agent that loses a nomination is pushed.  No
     agent is deleted, erased or pushed twice, so the cost is O(n log n) in
-    the agents given.
+    the agents given.  Unless it answers no, it keeps exactly the agents
+    outside vertex 0's component (see the module docstring), rows unchanged
+    and in order: each forcing turns the other edges at its erased partners
+    into edges at vertex 0, so the rules walk that component whole.
     """
     if x2.y != 1:
         raise ValueError("rule applies to target-one instances")
@@ -294,12 +300,8 @@ def _components(
         components.append(CbivcsComponent(lefts, rights, sum(map(degree.__getitem__, lefts))))
     # every component but vertex 0's carries an edge between two candidates,
     # so both its sides are nonempty and no two share a first left candidate
-    components.sort(key=_first_left)
+    components.sort(key=lambda comp: comp.left[0])
     return tuple(components), zero
-
-
-def _first_left(comp: CbivcsComponent) -> int:
-    return comp.left[0]
 
 
 def build_cbivcs(x2: X2Instance) -> CbivcsInstance:
@@ -386,19 +388,17 @@ def solve_qcse_tau2(inst: Instance) -> SolveResult:
     components, zero = _components(x2.row1, x2.row2, inst.row_values)
     survivors = x2.n
     if zero is not None:
-        # the rules reach only vertex 0's component (see the module docstring)
+        # the rules delete every agent of vertex 0's component or answer no
         mask = list(map(set(zero).__contains__, x2.row1))
         row1, row2 = tuple(compress(x2.row1, mask)), tuple(compress(x2.row2, mask))
-        sub = replace(x2, n=len(row1), row1=row1, row2=row2)
-        x2 = apply_x2_rules(sub)
+        survivors -= len(row1)
+        x2 = apply_x2_rules(replace(x2, n=len(row1), row1=row1, row2=row2))
         if x2 is None:
             return SolveResult.no(stats)
-        survivors += x2.n - sub.n
-        components = sorted((*components, *build_cbivcs(x2).components), key=_first_left)
     stats["forced"] = len(x2.forced1) + len(x2.forced2)
     stats["surviving_agents"] = survivors
     stats["components"] = len(components)
-    cover = solve_cbivcs(CbivcsInstance(x2.k1, x2.k2, x2.x1, x2.x2, tuple(components)))
+    cover = solve_cbivcs(CbivcsInstance(x2.k1, x2.k2, x2.x1, x2.x2, components))
     if cover is None:
         return SolveResult.no(stats)
     first = set(x2.forced1) | {c for side, c in cover if side == 1}

@@ -684,6 +684,43 @@ def test_more_than_30_distinct_candidates_refuse_at_any_k(argv, tmp_path, capsys
     assert code == 0 and out.startswith("REDUCED")
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "{bad}"],
+    ["verify", "{bad}", "{sol}"],
+    ["verify", "{trip}", "{bad}"],
+    ["kernelize", "{bad}"],
+    ["export-ip", "{bad}"],
+    ["bench", "{dir}"],
+    ["generate", "--from", "sat", "{bad}"],
+], ids=lambda argv: "-".join(a.strip("{}") for a in argv))
+def test_a_file_that_is_not_utf8_is_an_input_error(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.ecse"
+    bad.write_bytes(b"ecse v1\nmode gcse\n\xff\n")
+    trip = tmp_path / "trip.txt"
+    trip.write_text(TRIP_DOC)
+    sol = tmp_path / "sol.txt"
+    sol.write_text("ecse-sol v1\n2\n1 5\n2 3\n")
+    code, out, err = run(capsys, *[
+        a.format(bad=bad, trip=trip, sol=sol, dir=tmp_path) for a in argv
+    ])
+    assert (code, out) == (2, "")
+    assert f"cannot read {bad}: " in err and "Traceback" not in err
+
+
+def test_a_byte_order_mark_reads_as_the_plain_document(tmp_path, capsys):
+    outputs = []
+    for prefix in ("", "\ufeff"):
+        doc = tmp_path / f"doc{len(prefix)}.ecse"
+        doc.write_text(prefix + TRIP_DOC, encoding="utf-8")
+        sol = tmp_path / f"sol{len(prefix)}.txt"
+        sol.write_text(prefix + "ecse-sol v1\n2\n1 5\n2 3\n", encoding="utf-8")
+        outputs.append((run(capsys, "solve", str(doc)), run(capsys, "verify", str(doc), str(sol))))
+    plain, marked = outputs
+    assert plain == marked
+    (solved, _, _), verified = plain
+    assert solved == 0 and verified == (0, "FEASIBLE\n", "")
+
+
 @pytest.mark.parametrize("command", ["solve", "bench"])
 def test_negative_max_nodes_is_a_usage_error(command, trip_file, capsys):
     target = trip_file if command == "solve" else str(Path(trip_file).parent)

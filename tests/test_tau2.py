@@ -241,6 +241,20 @@ def test_worklist_rules_match_the_fixed_point(inst):
         assert fast == reference  # every field, forced order included
 
 
+@settings(max_examples=400, deadline=None)
+@given(x2_with_chains())
+def test_rules_keep_exactly_the_agents_outside_vertex_zeros_component(inst):
+    # why the pipeline needs no graph over the rules' survivors
+    rest = apply_x2_rules(inst)
+    if rest is None:
+        return
+    zero = set(_components(inst.row1, inst.row2)[1] or ())
+    outside = [a0 for a0 in range(inst.n) if inst.row1[a0] not in zero]
+    assert rest.n == len(outside)
+    assert rest.row1 == tuple(inst.row1[a0] for a0 in outside)
+    assert rest.row2 == tuple(inst.row2[a0] for a0 in outside)
+
+
 def naive_components(edges):
     """Union-find once per edge, parallel edges included:
     sorted (left, right, edge count) triples."""
