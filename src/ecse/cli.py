@@ -193,7 +193,7 @@ def cmd_verify(args) -> int:
         raise UsageError(f"solution elects a candidate above the instance's m={inst.m}")
     report = verify(inst, seq)
     if args.json:
-        print(json.dumps(dataclasses.asdict(report), sort_keys=True))
+        print(json.dumps({**dataclasses.asdict(report), "feasible": report.feasible}, sort_keys=True))
     elif report.feasible:
         print("FEASIBLE")
     else:

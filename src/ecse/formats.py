@@ -1,6 +1,7 @@
 """Text formats for instances and solutions.
 
-Instance format (UTF-8, ``#`` starts a comment, tokens whitespace-separated)::
+Instance format (UTF-8, ``#`` starts a comment, tokens whitespace-separated,
+integers ASCII decimal with an optional sign)::
 
     ecse v1
     mode gcse            # or qcse
@@ -67,9 +68,16 @@ def _content_lines(text: str):
             yield i, body
 
 
+def _to_int(token: str) -> int:
+    """What ``int`` reads from an ASCII token without ``_``; ValueError otherwise."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return int(token)
+
+
 def _int(token: str, line: int) -> int:
     try:
-        return int(token)
+        return _to_int(token)
     except ValueError:
         raise ParseError(line, f"expected an integer, got {token!r}") from None
 
@@ -79,7 +87,7 @@ class _Memo(dict):
 
     A level row repeats few distinct values (at most m + 1 canonical ones),
     so most entries cost one lookup and equal entries share one object:
-    ``_Memo(int)`` parses tokens, ``_Memo(str)`` writes them."""
+    ``_Memo(_to_int)`` parses tokens, ``_Memo(str)`` writes them."""
 
     __slots__ = ("convert",)
 
@@ -92,23 +100,16 @@ class _Memo(dict):
         return value
 
 
-def _ints(tokens: list[str], line: int, table: _Memo) -> tuple[int, ...]:
-    try:
-        return tuple(map(table.__getitem__, tokens))
-    except ValueError:
-        return tuple(_int(tok, line) for tok in tokens)  # names the bad token
-
-
 # characters of a level row split into tokens at a time; on a 10^6-entry
 # row, chunks of 1,024 to 8,192 parse equally fast and larger ones slower
 _CHUNK = 8192
 
 
 def _row(body: str, line: int, table: _Memo) -> tuple[int, ...]:
-    """A level row's integers, split into tokens a chunk at a time, so only
-    one chunk's token strings are alive at once, and each chunk's values
-    extend one list.  A chunk ends at a space: a row without spaces
-    (tab-separated, say) is split whole."""
+    """A level row's or vector's integers, split into tokens a chunk at a
+    time, so only one chunk's token strings are alive at once, and each
+    chunk's values extend one list.  A chunk ends at a space: a row without
+    spaces (tab-separated, say) is split whole."""
     out: list[int] = []
     start, end = 0, len(body)
     while start < end:
@@ -119,7 +120,8 @@ def _row(body: str, line: int, table: _Memo) -> tuple[int, ...]:
         try:
             out.extend(map(table.__getitem__, tokens))
         except ValueError:
-            _ints(tokens, line, table)  # names the bad token
+            for tok in tokens:
+                _int(tok, line)  # raises on the bad token, naming it
         start = cut
     return tuple(out)
 
@@ -140,7 +142,7 @@ def parse_instance(text: str) -> Instance | PeInstance:
         raise ParseError(1, "empty document")
     if body.split() != ["ecse", "v1"]:
         raise ParseError(line, "expected header `ecse v1`")
-    table = _Memo(int)
+    table = _Memo(_to_int)
 
     mode: str | None = None
     scalars: dict[str, int] = {}
@@ -169,7 +171,8 @@ def parse_instance(text: str) -> Instance | PeInstance:
         elif key in _VECTOR_KEYS:
             if key in vectors:
                 raise ParseError(line, f"duplicate `{key}`")
-            vectors[key] = _ints(tokens[1:], line, table)
+            # the key is the body's first token, so what follows it is the vector
+            vectors[key] = _row(body.partition(key)[2], line, table)
         else:
             raise ParseError(line, f"unknown key {key!r}")
     else:

@@ -236,14 +236,13 @@ class Violation:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    feasible: bool
     level_scores: tuple[int, ...]
     agent_scores: tuple[int, ...]
     first_violation: Violation | None = None
 
-    def __post_init__(self):
-        if self.feasible != (self.first_violation is None):
-            raise ValueError("feasible must mirror the absence of a violation")
+    @property
+    def feasible(self) -> bool:
+        return self.first_violation is None
 
 
 @dataclass(frozen=True)
@@ -355,7 +354,7 @@ def verify_generalized(
         passed = list(map(COMPARATORS[spec.cmp_y], agent_scores, inst.yvec))
         if not all(passed):
             violation = Violation("agent-score", passed.index(False) + 1)
-    return VerificationReport(violation is None, level_scores, agent_scores, violation)
+    return VerificationReport(level_scores, agent_scores, violation)
 
 
 def verify(inst: Instance | PeInstance, seq: CommitteeSequence) -> VerificationReport:
@@ -441,9 +440,9 @@ def enumerate_valid_committees(inst, t: int) -> list[Committee]:
 
 @dataclass(frozen=True)
 class CandidateRenaming:
-    """Per-level maps from renamed back to original candidate ids."""
+    """Per level, 0 and then the original candidate ids in order of first nomination."""
 
-    new_to_old: tuple[dict[int, int], ...]
+    new_to_old: tuple[tuple[int, ...], ...]
 
     def lift(self, seq: CommitteeSequence) -> CommitteeSequence:
         """Map a renamed-instance witness back to original candidate ids;
@@ -460,7 +459,7 @@ def rename_candidates(inst: Instance) -> tuple[Instance, CandidateRenaming]:
     verdict is unchanged (committees never interact across levels).  The
     returned renaming lifts witnesses back to original ids.
     """
-    new_to_old: list[dict[int, int]] = []
+    new_to_old: list[tuple[int, ...]] = []
     rows: list[tuple[int, ...]] = []
     for row in inst.profile:
         fwd: dict[int, int] = {}
@@ -468,7 +467,7 @@ def rename_candidates(inst: Instance) -> tuple[Instance, CandidateRenaming]:
             if c != 0 and c not in fwd:
                 fwd[c] = len(fwd) + 1
         rows.append(tuple(fwd[c] if c != 0 else 0 for c in row))
-        new_to_old.append({v: k for k, v in fwd.items()})
+        new_to_old.append((0, *fwd))
     renamed = Instance(inst.mode, inst.n, inst.n, inst.tau, inst.k, inst.x, inst.y, tuple(rows))
     return renamed, CandidateRenaming(tuple(new_to_old))
 
@@ -516,12 +515,16 @@ def trivial_solve(inst: Instance) -> SolveResult | None:
 
     if inst.egalitarian and inst.k >= inst.m:
         # electing everything is optimal, so the instance is a yes iff that is feasible
-        everyone = CommitteeSequence.of([range(1, inst.m + 1)] * inst.tau)
-        stats = {"trivial_k_ge_m": 1}
-        feasible = verify(inst, everyone).feasible
-        return SolveResult.yes(everyone, stats) if feasible else SolveResult.no(stats)
+        return _judge_extreme(inst, EGALITARIAN_SPEC, range(1, inst.m + 1), "trivial_k_ge_m")
 
     return None
+
+
+def _judge_extreme(inst, spec: ComparatorSpec, committee, rule: str) -> SolveResult:
+    """Yes iff ``committee`` in every level satisfies ``spec``; flags ``rule``."""
+    extreme = CommitteeSequence.of([committee] * inst.tau)
+    feasible = verify_generalized(inst, spec, extreme).feasible
+    return SolveResult.yes(extreme, {rule: 1}) if feasible else SolveResult.no({rule: 1})
 
 
 def solve_easy_generalized(inst: Instance, spec: ComparatorSpec) -> SolveResult | None:
@@ -538,6 +541,4 @@ def solve_easy_generalized(inst: Instance, spec: ComparatorSpec) -> SolveResult 
         rule, committee = "easy_all_candidates", range(1, inst.m + 1)
     else:
         return None
-    extreme = CommitteeSequence.of([committee] * inst.tau)
-    feasible = verify_generalized(inst, spec, extreme).feasible
-    return SolveResult.yes(extreme, {rule: 1}) if feasible else SolveResult.no({rule: 1})
+    return _judge_extreme(inst, spec, committee, rule)

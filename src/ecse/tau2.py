@@ -61,29 +61,34 @@ _FIRST_BLOCK = 1024
 
 @dataclass(frozen=True)
 class X2Instance:
-    """Two-level equitable instance with independent per-level bounds and a
-    log of force-elected candidates."""
+    """Two-level equitable instance with target one, independent per-level
+    bounds and a log of force-elected candidates.  Every other target of a
+    two-level instance is a trivial case (see :func:`solve_qcse_tau2`)."""
 
-    n: int
     row1: tuple[int, ...]
     row2: tuple[int, ...]
     k1: int
     k2: int
     x1: int
     x2: int
-    y: int
     forced1: tuple[int, ...] = ()
     forced2: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if len(self.row1) != self.n or len(self.row2) != self.n:
+        if len(self.row1) != len(self.row2):
             raise ValueError("rows must have one entry per agent")
+
+    @property
+    def n(self) -> int:
+        return len(self.row1)
 
 
 def x2_from_instance(inst: Instance) -> X2Instance:
     if inst.mode != EQUITABLE or inst.tau != 2:
         raise ValueError("expected an equitable two-level instance")
-    return X2Instance(inst.n, inst.profile[0], inst.profile[1], inst.k, inst.k, inst.x, inst.x, inst.y)
+    if inst.y != 1:
+        raise ValueError("expected target one")
+    return X2Instance(inst.profile[0], inst.profile[1], inst.k, inst.k, inst.x, inst.x)
 
 
 def rr_x2_force_single(x2: X2Instance) -> X2Instance | None:
@@ -95,8 +100,6 @@ def rr_x2_force_single(x2: X2Instance) -> X2Instance | None:
     (electing one would overshoot a deleted agent).  Returns the input
     unchanged when no agent qualifies, None when the budget goes negative.
     """
-    if x2.y != 1:
-        raise ValueError("rule applies to target-one instances")
     pick = None
     for a0 in range(x2.n):
         one, two = x2.row1[a0], x2.row2[a0]
@@ -116,18 +119,13 @@ def rr_x2_force_single(x2: X2Instance) -> X2Instance | None:
     if budget < 0:
         return None
     threshold = max(0, (x2.x1 if t == 1 else x2.x2) - len(supporters))
-    fields = {"n": len(keep)}
     if t == 1:
-        fields.update(
-            row1=new_here, row2=new_there, k1=budget, x1=threshold,
-            forced1=x2.forced1 + (star,),
+        return replace(
+            x2, row1=new_here, row2=new_there, k1=budget, x1=threshold, forced1=x2.forced1 + (star,)
         )
-    else:
-        fields.update(
-            row2=new_here, row1=new_there, k2=budget, x2=threshold,
-            forced2=x2.forced2 + (star,),
-        )
-    return replace(x2, **fields)
+    return replace(
+        x2, row2=new_here, row1=new_there, k2=budget, x2=threshold, forced2=x2.forced2 + (star,)
+    )
 
 
 def apply_x2_rules(x2: X2Instance) -> X2Instance | None:
@@ -149,8 +147,6 @@ def apply_x2_rules(x2: X2Instance) -> X2Instance | None:
     and in order: each forcing turns the other edges at its erased partners
     into edges at vertex 0, so the rules walk that component whole.
     """
-    if x2.y != 1:
-        raise ValueError("rule applies to target-one instances")
     zero1, zero2 = 0 in x2.row1, 0 in x2.row2  # one scan per row
     if not (zero1 or zero2):
         return x2
@@ -195,7 +191,6 @@ def apply_x2_rules(x2: X2Instance) -> X2Instance | None:
                     heappush(single, b)
     return replace(
         x2,
-        n=sum(alive),
         row1=tuple(compress(rows[1], alive)),
         row2=tuple(compress(rows[2], alive)),
         k1=budget[1], k2=budget[2], x1=threshold[1], x2=threshold[2],
@@ -314,8 +309,6 @@ def build_cbivcs(x2: X2Instance) -> CbivcsInstance:
     components, zero = _components(x2.row1, x2.row2)
     if zero is not None:
         raise ValueError("agents must nominate at both levels; apply the rules first")
-    if x2.y != 1:
-        raise ValueError("the graph reduction applies to target-one instances")
     return CbivcsInstance(x2.k1, x2.k2, x2.x1, x2.x2, components)
 
 
@@ -377,12 +370,12 @@ def solve_cbivcs(g: CbivcsInstance) -> set[Vertex] | None:
 
 def solve_qcse_tau2(inst: Instance) -> SolveResult:
     """Exact polynomial solver for equitable two-level instances."""
-    x2 = x2_from_instance(inst)
-    if inst.y != 1:
+    if inst.y != 1 and inst.mode == EQUITABLE and inst.tau == 2:
         result = trivial_solve(inst)
         if result is None:
             raise AssertionError("y != 1 must hit a trivial case for tau = 2")
         return result
+    x2 = x2_from_instance(inst)
 
     stats = {"forced": 0, "components": 0, "surviving_agents": 0}
     components, zero = _components(x2.row1, x2.row2, inst.row_values)
@@ -392,7 +385,7 @@ def solve_qcse_tau2(inst: Instance) -> SolveResult:
         mask = list(map(set(zero).__contains__, x2.row1))
         row1, row2 = tuple(compress(x2.row1, mask)), tuple(compress(x2.row2, mask))
         survivors -= len(row1)
-        x2 = apply_x2_rules(replace(x2, n=len(row1), row1=row1, row2=row2))
+        x2 = apply_x2_rules(replace(x2, row1=row1, row2=row2))
         if x2 is None:
             return SolveResult.no(stats)
     stats["forced"] = len(x2.forced1) + len(x2.forced2)

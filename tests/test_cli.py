@@ -70,6 +70,15 @@ def test_solve_no_and_exit_verdict(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("token", ["1_2", "\u0663", "\uff11"])
+def test_tokens_int_reads_but_the_format_does_not_mean_exit_2(tmp_path, capsys, token):
+    path = tmp_path / "odd.ecse"
+    path.write_text(TRIP_DOC.replace("m 6", f"m {token}"), encoding="utf-8")
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 2 and out == ""
+    assert f"line 4: expected an integer, got {token!r}" in err
+
+
 def test_solve_json_and_algos(trip_file, capsys):
     for algo in ("auto", "brute", "branch", "dp", "ip"):
         code, out, _ = run(capsys, "solve", trip_file, "--algo", algo, "--json")

@@ -7,13 +7,14 @@ any regression reports a minimal instance.
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ecse.branching import counting_bound, solve_branch
 from ecse.cli import solve_with_algo
-from ecse.generators import random_instance
+from ecse.generators import or_compose, random_instance
 from ecse.ip import build_ip, solve_ip
+from ecse.kernel import kernelize_ny
 from ecse.model import (
     EGALITARIAN,
     EQUITABLE,
@@ -124,9 +125,9 @@ def duplicated_instances(draw):
     )
 
 
-@given(duplicated_instances())
-@settings(max_examples=300, deadline=None)
-def test_duplicated_rows_and_columns_match_oracle(inst):
+def assert_every_algo_matches_oracle(inst):
+    """``auto``, ``branch``, ``dp``, ``ip`` and, where it applies, ``tau2``
+    give the oracle's verdict, and every yes-witness passes ``verify``."""
     truth = brute_solve(inst).verdict
     algos = ["auto", "branch", "dp", "ip"]
     if inst.mode == EQUITABLE and inst.tau == 2:
@@ -136,12 +137,63 @@ def test_duplicated_rows_and_columns_match_oracle(inst):
         assert result.verdict == truth, algo
         if result.witness is not None:
             assert verify(inst, result.witness).feasible, algo
+    return truth
+
+
+@given(duplicated_instances())
+@settings(max_examples=300, deadline=None)
+def test_duplicated_rows_and_columns_match_oracle(inst):
+    assert_every_algo_matches_oracle(inst)
     # one type per distinct row, in first-occurrence order, counting its levels
     model = build_ip(inst)
     multiplicity = Counter(inst.profile)
     assert [inst.profile[levels[0] - 1] for levels in model.type_levels] == list(multiplicity)
     assert [len(levels) for levels in model.type_levels] == list(multiplicity.values())
     assert all(inst.profile[t - 1] == inst.profile[levels[0] - 1] for levels in model.type_levels for t in levels)
+
+
+@st.composite
+def or_compositions(draw):
+    """``or_compose`` of 2 or 4 two-candidate egalitarian inputs (m = 2,
+    k = 1, x = 0, y = 1), within the oracle's limits (n <= 8, tau <= 6)."""
+    count = draw(st.sampled_from([2, 4]))
+    selectors = count.bit_length() - 1
+    tau = draw(st.integers(1, 6 - selectors))
+    inputs = []
+    for _ in range(count):
+        n = draw(st.integers(1, 8 // count))
+        rows = tuple(tuple(draw(st.integers(0, 2)) for _ in range(n)) for _ in range(tau))
+        inputs.append(Instance(EGALITARIAN, n, 2, tau, 1, 0, 1, rows))
+    return inputs
+
+
+@given(or_compositions())
+@settings(max_examples=150, deadline=None)
+def test_or_compositions_match_oracle(inputs):
+    composed = or_compose(inputs)
+    truth = assert_every_algo_matches_oracle(composed)
+    # a yes iff some input is
+    assert (truth == "yes") == any(brute_solve(inst).verdict == "yes" for inst in inputs)
+
+
+@st.composite
+def kernel_reductions(draw):
+    """An egalitarian draw within the oracle's limits that ``kernelize_ny``
+    reduces without resolving it, and its reduced instance."""
+    n, m, tau = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rows = tuple(tuple(draw(st.integers(0, m)) for _ in range(n)) for _ in range(tau))
+    k, x, y = draw(st.integers(1, 2)), draw(st.integers(0, n)), draw(st.integers(1, 3))
+    inst = Instance(EGALITARIAN, n, m, tau, k, x, y, rows)
+    reduced = kernelize_ny(inst).instance
+    assume(reduced is not None)
+    return inst, reduced
+
+
+@given(kernel_reductions())
+@settings(max_examples=150, deadline=None)
+def test_kernel_reductions_match_oracle(pair):
+    inst, reduced = pair
+    assert assert_every_algo_matches_oracle(reduced) == brute_solve(inst).verdict
 
 
 @pytest.mark.parametrize("mode", [EGALITARIAN, EQUITABLE])

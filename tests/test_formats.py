@@ -14,6 +14,7 @@ from ecse.formats import (
     ParseError,
     _Memo,
     _row,
+    _to_int,
     parse_instance,
     parse_solution,
     serialize_instance,
@@ -161,10 +162,15 @@ def _error(doc, line, message, name):
         _error(TRIP_DOC.replace("x 4", "x 4\nx 4"), 8, "duplicate `x`", "dup-scalar"),
         _error(TRIP_DOC.replace("n 6", "n 6\nn"), 4, "`n` takes one integer", "dup-scalar-arity"),
         _error(TRIP_DOC.replace("n 6", "n six"), 3, "expected an integer, got 'six'", "scalar-token"),
+        # `int` reads these, but the format's integers are ASCII without `_`
+        _error(TRIP_DOC.replace("m 6", "m 1_2"), 4, "expected an integer, got '1_2'",
+               "scalar-underscore"),
         _error(TRIP_DOC.replace("levels", "kvec 2 2\nkvec 2 2\nlevels"), 10, "duplicate `kvec`",
                "dup-vector"),
         _error(TRIP_DOC.replace("levels", "yvec 1 one\nlevels"), 9, "expected an integer, got 'one'",
                "vector-token"),
+        _error(TRIP_DOC.replace("levels", "yvec 1 1 \uff11 1 1 1\nlevels"), 9,
+               "expected an integer, got '\uff11'", "vector-fullwidth-digit"),
         _error(TRIP_DOC.replace("k 2", "seats 2"), 6, "unknown key 'seats'", "unknown-key"),
         _error(TRIP_DOC.replace("mode gcse\n", ""), 8, "missing `mode`", "no-mode"),
         _error(TRIP_DOC.replace("k 2\n", ""), 8, "missing `k`", "no-scalar"),
@@ -181,6 +187,10 @@ def _error(doc, line, message, name):
                "row-length"),
         _error(TRIP_DOC.replace("4 3 2 6 2 3", "4 3 two 6 2 3"), 11, "expected an integer, got 'two'",
                "row-token"),
+        _error(TRIP_DOC.replace("4 3 2 6 2 3", "1_1 \u0663 2 6 2 3"), 11, "expected an integer, got '1_1'",
+               "row-underscore"),
+        _error(TRIP_DOC.replace("4 3 2 6 2 3", "1 \u0663 2 6 2 3"), 11,
+               "expected an integer, got '\u0663'", "row-arabic-indic-digit"),
         _error(TRIP_DOC.replace("end\n", ""), 11, "missing `end`", "no-end"),
         _error(TRIP_DOC.replace("end\n", "1 1 1 1 1 1\nend\n"), 12, "expected `end`", "extra-row"),
         # a line other than `end` is not `end`, even with an `end` after it
@@ -217,6 +227,8 @@ def test_every_parse_error_names_its_line_and_message(doc, line, message):
         # too many lines: the last one is named
         _error("ecse-sol v1\n1\n-\n-\n", 4, "expected 1 committee lines, got 2", "too-many"),
         _error("ecse-sol v1\n1\n1 x\n", 3, "expected an integer, got 'x'", "id-token"),
+        _error("ecse-sol v1\n1\n1_2\n", 3, "expected an integer, got '1_2'", "id-underscore"),
+        _error("ecse-sol v1\n\u0661\n-\n", 2, "expected an integer, got '\u0661'", "count-non-ascii"),
         # `-` stands for an empty committee only on its own
         _error("ecse-sol v1\n1\n- 1\n", 3, "expected an integer, got '-'", "dash-and-id"),
         _error("ecse-sol v1\n1\n0 1\n", 3, "candidate ids must be positive", "id-0"),
@@ -371,7 +383,7 @@ def test_row_parses_long_rows_as_int_splits_them(seed, separators):
     # tabs alone leave no space to cut a chunk at, so that row is split whole
     body = _long_body(random.Random(seed), 6000, separators)
     assert len(body) > 2 * _CHUNK
-    assert _row(body, 7, _Memo(int)) == tuple(map(int, body.split()))
+    assert _row(body, 7, _Memo(_to_int)) == tuple(map(int, body.split()))
 
 
 @settings(max_examples=30, deadline=None)
@@ -386,9 +398,25 @@ def test_row_names_a_bad_token_past_the_first_chunk(seed, bad):
     tokens[at], tokens[-1] = bad, "y"
     body = " ".join(tokens)
     with pytest.raises(ParseError) as err:
-        _row(body, 12, _Memo(int))
+        _row(body, 12, _Memo(_to_int))
     assert err.value.line == 12
     assert str(err.value) == f"line 12: expected an integer, got {bad!r}"
+
+
+def test_a_yvec_line_longer_than_a_chunk_parses_and_names_its_bad_token():
+    rng = random.Random(3)
+    n = 6000
+    targets = [str(rng.randint(0, 300)) for _ in range(n)]
+    assert len(" ".join(targets)) > 2 * _CHUNK
+    head = f"ecse v1\nmode qcse\nn {n}\nm 1\ntau 1\nk 1\nx 0\ny 1\n"
+    tail = "levels\n" + " ".join(["1"] * n) + "\nend\n"
+    inst = parse_instance(head + "yvec " + " ".join(targets) + "\n" + tail)
+    assert inst.yvec == tuple(map(int, targets))
+    # a bad token well past the first chunk, on the yvec line (line 9)
+    targets[5000] = "1_0"
+    with pytest.raises(ParseError) as err:
+        parse_instance(head + "yvec " + " ".join(targets) + "\n" + tail)
+    assert str(err.value) == "line 9: expected an integer, got '1_0'"
 
 
 def test_1e5_agent_two_level_round_trip():

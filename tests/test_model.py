@@ -174,14 +174,16 @@ def test_out_of_range_nominations_are_named_as_before(case):
     (lambda: SolveResult("maybe"), "verdict must be yes/no, got 'maybe'"),
     (lambda: SolveResult("yes"), "witness must be present exactly on yes"),
     (lambda: SolveResult("no", CommitteeSequence(((),))), "witness must be present exactly on yes"),
-    (lambda: VerificationReport(True, (0,), (0,), Violation("agent-score", 1)),
-     "feasible must mirror the absence of a violation"),
-    (lambda: VerificationReport(False, (0,), (0,)), "feasible must mirror the absence of a violation"),
 ])
 def test_result_invariants_name_the_broken_rule(build, message):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
+
+
+def test_a_report_is_feasible_iff_it_names_no_violation():
+    assert VerificationReport((0,), (0,)).feasible
+    assert not VerificationReport((0,), (0,), Violation("agent-score", 1)).feasible
 
 
 def test_committee_sequence_must_be_canonical():
@@ -463,6 +465,28 @@ def test_rename_lift_refuses_a_sequence_of_the_wrong_length():
     for wrong in (seq((1,)), seq((1,), (), ())):
         with pytest.raises(ValueError):
             renaming.lift(wrong)
+
+
+@given(instances(max_n=8, max_m=12, max_tau=4), st.data())
+@settings(max_examples=200)
+def test_rename_lift_matches_the_inverted_dict_reference(inst, data):
+    renamed, renaming = rename_candidates(inst)
+    committees = [
+        data.draw(st.lists(st.integers(1, max(row)), unique=True)) if any(row) else []
+        for row in renamed.profile
+    ]
+    reference = []
+    for row, committee in zip(inst.profile, committees):
+        # the renaming as first written: ids in order of first nomination,
+        # then that dict inverted
+        fwd = {}
+        for c in row:
+            if c != 0 and c not in fwd:
+                fwd[c] = len(fwd) + 1
+        back = {new: old for old, new in fwd.items()}
+        reference.append([back[c] for c in committee])
+    lifted = renaming.lift(CommitteeSequence.of(committees))
+    assert lifted == CommitteeSequence.of(reference)
 
 
 def test_rename_preserves_empty_profile():

@@ -3,13 +3,12 @@
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ecse.model import EQUITABLE, CommitteeSequence, Instance, SolveResult, verify
+from ecse.model import EGALITARIAN, EQUITABLE, CommitteeSequence, Instance, SolveResult, verify
 from ecse.oracle import brute_solve
 from ecse.tau2 import (
     _FIRST_BLOCK,
@@ -30,7 +29,7 @@ from conftest import forcing_cascade, make_instance
 
 
 def x2(row1, row2, k1=2, k2=2, x1=0, x2_=0):
-    return X2Instance(len(row1), tuple(row1), tuple(row2), k1, k2, x1, x2_, 1)
+    return X2Instance(tuple(row1), tuple(row2), k1, k2, x1, x2_)
 
 
 def test_rr_no_nomination():
@@ -141,6 +140,9 @@ def test_mode_and_level_preconditions(trip_egalitarian):
     three = make_instance([(1,), (1,), (1,)], mode=EQUITABLE, k=1, x=0, y=1)
     with pytest.raises(ValueError):
         solve_qcse_tau2(three)
+    # a target other than one is a trivial case only on an equitable two-level instance
+    with pytest.raises(ValueError):
+        solve_qcse_tau2(make_instance([(1, 2), (2, 1)], mode=EGALITARIAN, k=1, x=0, y=0))
 
 
 def test_trivial_targets():
@@ -191,8 +193,6 @@ def rr_x2_no_nomination(inst):
     """The one-step no-nomination rule: an agent without any nomination can
     never reach target one, so None (resolved no) if one exists, else the
     input."""
-    if inst.y != 1:
-        raise ValueError("rule applies to target-one instances")
     return None if (0, 0) in zip(inst.row1, inst.row2) else inst
 
 
@@ -226,8 +226,8 @@ def x2_with_chains(draw):
     budgets = st.integers(0, 4)
     thresholds = st.integers(0, 6)
     return X2Instance(
-        len(pairs), tuple(a for a, _ in pairs), tuple(b for _, b in pairs),
-        draw(budgets), draw(budgets), draw(thresholds), draw(thresholds), 1,
+        tuple(a for a, _ in pairs), tuple(b for _, b in pairs),
+        draw(budgets), draw(budgets), draw(thresholds), draw(thresholds),
     )
 
 
@@ -302,20 +302,17 @@ def graph_from_rows(inst):
     off the full rows, components from per-edge union-find."""
     if 0 in inst.row1 or 0 in inst.row2:
         raise ValueError("agents must nominate at both levels; apply the rules first")
-    if inst.y != 1:
-        raise ValueError("the graph reduction applies to target-one instances")
     edges = list(zip(inst.row1, inst.row2))
     return tuple(sorted(set(inst.row1))), tuple(sorted(set(inst.row2))), naive_components(edges)
 
 
 @settings(max_examples=300, deadline=None)
-@given(x2_with_chains(), st.integers(0, 2))
-def test_graph_sides_from_pairs_match_the_rows(inst, y):
+@given(x2_with_chains())
+def test_graph_sides_from_pairs_match_the_rows(inst):
     # the drawn instance may still hold zeros; the rules' output holds none
     for case in (inst, apply_x2_rules(inst)):
         if case is None:
             continue
-        case = replace(case, y=y)
         try:
             expected = graph_from_rows(case)
         except ValueError as exc:
@@ -600,15 +597,11 @@ def test_forcing_cascade_scales_to_1e5_agents():
     assert verify(inst, result.witness).feasible
 
 
-TARGET_TWO = X2Instance(2, (1, 2), (2, 1), 1, 1, 0, 0, 2)
-
-
 @pytest.mark.parametrize("call, message", [
-    (lambda: X2Instance(2, (1,), (1, 2), 1, 1, 0, 0, 1), "rows must have one entry per agent"),
-    (lambda: X2Instance(2, (1, 2), (1, 2, 1), 1, 1, 0, 0, 1), "rows must have one entry per agent"),
-    (lambda: rr_x2_no_nomination(TARGET_TWO), "rule applies to target-one instances"),
-    (lambda: rr_x2_force_single(TARGET_TWO), "rule applies to target-one instances"),
-    (lambda: apply_x2_rules(TARGET_TWO), "rule applies to target-one instances"),
+    (lambda: X2Instance((1,), (1, 2), 1, 1, 0, 0), "rows must have one entry per agent"),
+    (lambda: X2Instance((1, 2), (1, 2, 1), 1, 1, 0, 0), "rows must have one entry per agent"),
+    (lambda: x2_from_instance(make_instance([(1, 2), (2, 1)], mode=EQUITABLE, k=1, x=0, y=2)),
+     "expected target one"),
 ])
 def test_two_level_input_errors_name_the_fault(call, message):
     with pytest.raises(ValueError) as err:
