@@ -64,6 +64,7 @@ from .generators import (
     gen_qcse_monotone_x13sat,
     gen_qcse_x13sat,
     or_compose,
+    parse_3part,
     parse_cbvc,
     parse_dimacs,
     random_instance,

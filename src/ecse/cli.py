@@ -30,6 +30,7 @@ from .generators import (
     gen_qcse_monotone_x13sat,
     gen_qcse_x13sat,
     or_compose,
+    parse_3part,
     parse_cbvc,
     parse_dimacs,
     random_instance,
@@ -237,22 +238,18 @@ def cmd_export_ip(args) -> int:
     return EXIT_OK
 
 
-def _from_cnf(generator):
-    return lambda text, mode: generator(parse_dimacs(text))
-
-
 #: ``generate --from`` kinds that read one input file, each to a builder of
 #: the instance from that file's text and the mode, which only ``nmx`` and
 #: ``3part`` read (``--mode``, egalitarian when absent, as for ``random``);
 #: ``or`` and ``random`` are built in :func:`cmd_generate`
 GENERATORS = {
     "cbvc": lambda text, mode: gen_from_cbvc(*parse_cbvc(text)),
-    "sat": _from_cnf(gen_gcse_sat),
-    "3sat": _from_cnf(gen_gcse_3sat),
-    "x13sat": _from_cnf(gen_qcse_x13sat),
-    "monotone-x13sat": _from_cnf(gen_qcse_monotone_x13sat),
+    "sat": lambda text, mode: gen_gcse_sat(parse_dimacs(text)),
+    "3sat": lambda text, mode: gen_gcse_3sat(parse_dimacs(text)),
+    "x13sat": lambda text, mode: gen_qcse_x13sat(parse_dimacs(text)),
+    "monotone-x13sat": lambda text, mode: gen_qcse_monotone_x13sat(parse_dimacs(text)),
     "nmx": lambda text, mode: gen_nmx(parse_dimacs(text), mode),
-    "3part": lambda text, mode: gen_3part([int(tok) for tok in text.split()], mode),
+    "3part": lambda text, mode: gen_3part(parse_3part(text), mode),
 }
 
 #: the options only ``generate --from random`` reads, each to its value when absent

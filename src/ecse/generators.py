@@ -17,6 +17,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 
+from .formats import ParseError, _content_lines, _int
 from .model import EGALITARIAN, EQUITABLE, CommitteeSequence, Instance
 
 
@@ -50,68 +51,68 @@ class BipartiteGraph:
                 raise ValueError(f"edge ({u}, {v}) out of range")
 
 
-def _p_lines(text: str, kind: str, arity: int, item: str):
-    """Read a ``p <kind>`` document lazily: yield the header's ``arity``
-    integers, then ``(raw, tokens)`` for each body line.
-
-    Blank lines and ``c`` comments are skipped; a second header, a body
-    line (an ``item``) before the header, or no header at all is an error,
-    raised when the reader reaches it, so errors come in line order."""
-    header = False
-    for raw in text.splitlines():
-        tokens = raw.split()
-        if not tokens or tokens[0] == "c":
+def _p_lines(text: str, kind: str, arity: int):
+    """Read a ``p <kind>`` document lazily: yield ``(line, integers)`` for
+    the header, then for each body line but ``c`` comments.  A second header,
+    a body line before the header or no header is a ParseError raised when
+    the reader reaches it, so errors come in line order."""
+    line, header = 1, False
+    for line, body in _content_lines(text):
+        tokens = body.split()
+        if tokens[0] == "c":
             continue
         if tokens[0] == "p":
             if header or len(tokens) != arity + 2 or tokens[1] != kind:
-                raise ValueError(f"malformed header: {raw!r}")
-            header = True
-            yield tuple(map(int, tokens[2:]))
+                raise ParseError(line, f"expected one `p {kind}` header with {arity} integers")
+            header, tokens = True, tokens[2:]
         elif not header:
-            raise ValueError(f"{item} before `p {kind}` header")
-        else:
-            yield raw, tokens
+            raise ParseError(line, f"expected the `p {kind}` header first")
+        yield line, [_int(tok, line) for tok in tokens]
     if not header:
-        raise ValueError(f"missing `p {kind}` header")
+        raise ParseError(line, f"missing `p {kind}` header")
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF (``c`` comments, ``p cnf N M`` header, 0-terminated
-    clauses possibly spanning lines)."""
-    lines = _p_lines(text, "cnf", 2, "clause")
-    num_vars, num_clauses = next(lines)
+    """Parse DIMACS CNF (``p cnf N M`` header, 0-terminated clauses possibly
+    spanning lines); a fault found at the end names the last clause line."""
+    lines = _p_lines(text, "cnf", 2)
+    line, (num_vars, num_clauses) = next(lines)
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
-    for _, tokens in lines:
-        for tok in tokens:
-            lit = int(tok)
+    for line, lits in lines:
+        for lit in lits:
             if lit == 0:
                 if not current:
-                    raise ValueError("empty clause")
+                    raise ParseError(line, "empty clause")
                 clauses.append(tuple(current))
                 current = []
+            elif abs(lit) > num_vars:
+                raise ParseError(line, f"literal {lit} exceeds variable count {num_vars}")
             else:
-                if abs(lit) > num_vars:
-                    raise ValueError(f"literal {lit} exceeds variable count {num_vars}")
                 current.append(lit)
     if current:
-        raise ValueError("unterminated clause")
+        raise ParseError(line, "unterminated clause")
     if len(clauses) != num_clauses:
-        raise ValueError(f"header promises {num_clauses} clauses, found {len(clauses)}")
+        raise ParseError(line, f"header promises {num_clauses} clauses, found {len(clauses)}")
     return CnfFormula(num_vars, tuple(clauses))
 
 
 def parse_cbvc(text: str) -> tuple[BipartiteGraph, int]:
     """Parse the bipartite-cover format: ``p cbvc |V1| |V2| k`` then one
-    ``u v`` line per edge; ``c`` comments allowed."""
-    lines = _p_lines(text, "cbvc", 3, "edge")
-    n1, n2, k = next(lines)
+    ``u v`` line per edge."""
+    lines = _p_lines(text, "cbvc", 3)
+    _, (n1, n2, k) = next(lines)
     edges: list[tuple[int, int]] = []
-    for raw, tokens in lines:
-        if len(tokens) != 2:
-            raise ValueError(f"malformed edge line: {raw!r}")
-        edges.append((int(tokens[0]), int(tokens[1])))
+    for line, edge in lines:
+        if len(edge) != 2 or not (1 <= edge[0] <= n1 and 1 <= edge[1] <= n2):
+            raise ParseError(line, f"expected an edge `u v` with u in 1..{n1} and v in 1..{n2}")
+        edges.append((edge[0], edge[1]))
     return BipartiteGraph(n1, n2, tuple(edges)), k
+
+
+def parse_3part(text: str) -> list[int]:
+    """Parse a 3-Partition multiset: whitespace-separated integers."""
+    return [_int(tok, line) for line, body in _content_lines(text) for tok in body.split()]
 
 
 # -- reductions ----------------------------------------------------------------

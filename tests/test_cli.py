@@ -79,6 +79,28 @@ def test_tokens_int_reads_but_the_format_does_not_mean_exit_2(tmp_path, capsys, 
     assert f"line 4: expected an integer, got {token!r}" in err
 
 
+# (--from kind, a source text with {} in place of one integer, that line)
+ODD_SOURCES = [
+    ("sat", "p cnf {} 1\n1 0\n", 1),
+    ("sat", "c two variables\np cnf 2 1\n1 {} 0\n", 3),
+    ("cbvc", "p cbvc {} 1 0\n", 1),
+    ("cbvc", "p cbvc 2 2 1\n1 1\n# a second edge\n1 {}\n", 4),
+    ("3part", "{} 2 3\n", 1),
+    ("3part", "1 2 3\n\n2 {} 2\n", 3),
+]
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11"])
+@pytest.mark.parametrize("kind, text, line", ODD_SOURCES)
+def test_generate_sources_refuse_tokens_int_reads_but_the_format_does_not_mean(
+    kind, text, line, token, tmp_path, capsys
+):
+    path = tmp_path / "odd.src"
+    path.write_text(text.format(token), encoding="utf-8")
+    code, out, err = run(capsys, "generate", "--from", kind, str(path))
+    assert (code, out, err) == (2, "", f"error: line {line}: expected an integer, got {token!r}\n")
+
+
 def test_solve_json_and_algos(trip_file, capsys):
     for algo in ("auto", "brute", "branch", "dp", "ip"):
         code, out, _ = run(capsys, "solve", trip_file, "--algo", algo, "--json")

@@ -23,6 +23,7 @@ from ecse.generators import (
     gen_qcse_monotone_x13sat,
     gen_qcse_x13sat,
     or_compose,
+    parse_3part,
     parse_cbvc,
     parse_dimacs,
     random_instance,
@@ -33,7 +34,7 @@ from ecse.generators import (
 )
 from ecse.model import EGALITARIAN, EQUITABLE, Instance, verify
 from ecse.oracle import OracleLimits, brute_solve
-from ecse.formats import serialize_instance
+from ecse.formats import ParseError, serialize_instance
 from ecse.sources import (
     cbvc_has_cover,
     sat_satisfiable,
@@ -68,24 +69,94 @@ def test_parse_cbvc():
         parse_cbvc("1 1\n")
 
 
+def test_sources_take_hash_comments():
+    cnf = parse_dimacs("p cnf 2 1\n1 -2 0\n")
+    assert parse_dimacs("# a formula\np cnf 2 1  # two variables\n1 -2 0 # one clause\n") == cnf
+    star = parse_cbvc("p cbvc 1 2 1\n1 1\n1 2\n")
+    assert parse_cbvc("p cbvc 1 2 1 # a star\n1 1\n1 2#the second edge\n") == star
+    assert parse_3part("1 2 3 # the first triple\n\n+2 2\t2\n") == [1, 2, 3, 2, 2, 2]
+
+
 @pytest.mark.parametrize(
-    "parse, text, message",
+    "parse, text, message, line",
     [
         # a bad literal ahead of a second header: the reader stops at the literal
-        (parse_dimacs, "p cnf 2 1\n1 x 0\np cnf 2 1\n", "invalid literal for int() with base 10: 'x'"),
-        (parse_cbvc, "p cbvc 1 1 0\n1 x\np cbvc 1 1 0\n", "invalid literal for int() with base 10: 'x'"),
-        (parse_dimacs, "p cnf 2 1\np cnf 2 1\n1 x 0\n", "malformed header: 'p cnf 2 1'"),
-        (parse_dimacs, "c first\n1 0\np cnf 1 1\n", "clause before `p cnf` header"),
-        (parse_cbvc, "1 1\np cbvc 1 1 0\n", "edge before `p cbvc` header"),
-        (parse_cbvc, "p cbvc 1 1 0\n 1  1  1 \n", "malformed edge line: ' 1  1  1 '"),
-        (parse_dimacs, "", "missing `p cnf` header"),
-        (parse_cbvc, "c only a comment\n\n", "missing `p cbvc` header"),
+        (parse_dimacs, "p cnf 2 1\n1 x 0\np cnf 2 1\n", "expected an integer, got 'x'", 2),
+        (parse_cbvc, "p cbvc 1 1 0\n1 x\np cbvc 1 1 0\n", "expected an integer, got 'x'", 2),
+        (parse_dimacs, "p cnf 2 1\np cnf 2 1\n1 x 0\n", "expected one `p cnf` header with 2 integers", 2),
+        (parse_dimacs, "c first\n1 0\np cnf 1 1\n", "expected the `p cnf` header first", 2),
+        (parse_cbvc, "1 1\np cbvc 1 1 0\n", "expected the `p cbvc` header first", 1),
+        (parse_cbvc, "p cbvc 1 1 0\n 1  1  1 \n", "expected an edge `u v` with u in 1..1 and v in 1..1", 2),
+        (parse_dimacs, "", "missing `p cnf` header", 1),
+        (parse_cbvc, "c only a comment\n\n", "missing `p cbvc` header", 1),
+        (parse_dimacs, "p cnf 2 1\n0\n", "empty clause", 2),
+        # faults found at the end of the text name the last clause line
+        (parse_dimacs, "p cnf 2 1\n1 -2\n", "unterminated clause", 2),
+        (parse_dimacs, "p cnf 2 2\n1\n2 0\nc tail\n\n", "header promises 2 clauses, found 1", 3),
+        (parse_dimacs, "c no clauses\np cnf 2 1\n", "header promises 1 clauses, found 0", 2),
+        (parse_dimacs, "p cnf 1_0 1\n1 0\n", "expected an integer, got '1_0'", 1),
+        (parse_cbvc, "p cbvc 1 2 1\n1 1\n1 \u0661\n", "expected an integer, got '\u0661'", 3),
+        (parse_cbvc, "p cbvc 1 2 1\n1 3\n", "expected an edge `u v` with u in 1..1 and v in 1..2", 2),
+        (parse_3part, "1 2 3 # a triple\n\n2 \uff11 3\n", "expected an integer, got '\uff11'", 3),
     ],
 )
-def test_source_format_errors_come_in_line_order(parse, text, message):
-    with pytest.raises(ValueError) as err:
+def test_source_format_errors_come_in_line_order(parse, text, message, line):
+    with pytest.raises(ParseError) as err:
         parse(text)
-    assert str(err.value) == message
+    assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+
+def _layout(draw, lines: list[list[str]]) -> str:
+    """Each line's tokens after drawn whitespace, with ``c`` comment lines
+    and blank lines drawn around every line."""
+    fillers = st.lists(st.sampled_from(["c a comment", "c", "", " \t"]), max_size=2)
+    spaces = st.sampled_from([" ", "  ", "\t"])
+    out = []
+    for tokens in lines:
+        out += [*draw(fillers), "".join(draw(spaces) + tok for tok in tokens)]
+    return "\n".join(out + draw(fillers)) + draw(st.sampled_from(["", "\n"]))
+
+
+def _signed(draw, value: int) -> str:
+    return draw(st.sampled_from([str(value), f"+{value}"])) if value > 0 else str(value)
+
+
+@st.composite
+def dimacs_documents(draw):
+    """A random CnfFormula and a DIMACS text of it, its clauses broken over
+    lines at drawn places."""
+    num_vars = draw(st.integers(1, 6))
+    literals = st.integers(-num_vars, num_vars).filter(bool)
+    clauses = draw(st.lists(st.lists(literals, min_size=1, max_size=4).map(tuple), max_size=6))
+    lines = [[f"p cnf {num_vars} {len(clauses)}"], []]
+    for lit in (lit for clause in clauses for lit in (*clause, 0)):
+        lines[-1].append(_signed(draw, lit))
+        if draw(st.booleans()):
+            lines.append([])
+    return CnfFormula(num_vars, tuple(clauses)), _layout(draw, lines)
+
+
+@st.composite
+def cbvc_documents(draw):
+    """A random BipartiteGraph with its k, and a CBVC text of them."""
+    n1, n2, k = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    edges = tuple(draw(st.lists(st.tuples(st.integers(1, n1), st.integers(1, n2)), max_size=8)))
+    lines = [[f"p cbvc {n1} {n2} {k}"], *([_signed(draw, u), _signed(draw, v)] for u, v in edges)]
+    return (BipartiteGraph(n1, n2, edges), k), _layout(draw, lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dimacs_documents())
+def test_dimacs_text_parses_back_to_its_formula(case):
+    cnf, text = case
+    assert parse_dimacs(text) == cnf
+
+
+@settings(max_examples=200, deadline=None)
+@given(cbvc_documents())
+def test_cbvc_text_parses_back_to_its_graph(case):
+    parsed, text = case
+    assert parse_cbvc(text) == parsed
 
 
 def test_cbvc_star_and_edgeless():
@@ -490,8 +561,6 @@ THREE_BY_ONE = CnfFormula(3, ((1, 2, 3),))
     (lambda: CnfFormula(2, ((3,),)), "literal 3 out of range for 2 variables"),
     (lambda: CnfFormula(2, ((1, 0),)), "literal 0 out of range for 2 variables"),
     (lambda: BipartiteGraph(1, 2, ((1, 3),)), "edge (1, 3) out of range"),
-    (lambda: parse_dimacs("p cnf 2 1\n0\n"), "empty clause"),
-    (lambda: parse_dimacs("p cnf 2 1\n1 -2\n"), "unterminated clause"),
     (lambda: gen_gcse_sat(CnfFormula(0, ())), "need at least one variable"),
     (lambda: gen_qcse_monotone_x13sat(CnfFormula(0, ())), "need at least one variable"),
     (lambda: gen_nmx(CnfFormula(2, ((1, 2),)), EGALITARIAN), "clauses must have exactly three literals"),
