@@ -290,7 +290,6 @@ def cmd_bench(args) -> int:
         raise UsageError(f"no .ecse instances under {args.directory}")
     algos = args.algo or ["auto"]
     rows = []
-    counter_keys: set[str] = set()
     for path in paths:
         inst = formats.parse_instance(_read(str(path)))
         for algo in algos:
@@ -303,9 +302,8 @@ def cmd_bench(args) -> int:
             except UsageError:
                 verdict, stats = "inapplicable", {}
             micros = int((time.perf_counter() - started) * 1e6)
-            counter_keys.update(stats)
             rows.append((path.name, algo, verdict, micros, stats))
-    ordered = sorted(counter_keys)
+    ordered = sorted({key for *_, stats in rows for key in stats})
     lines = [",".join(["instance", "algo", "verdict", "micros", *ordered])]
     for name, algo, verdict, micros, stats in sorted(rows, key=lambda r: (r[0], r[1])):
         cells = [name, algo, verdict, str(micros)]

@@ -61,8 +61,11 @@ class ParseError(ValueError):
 def _content_lines(text: str):
     """Yield (line_number, body) for non-blank lines, comments stripped.
 
+    Lines end only at ``\\n``, ``\\r\\n`` and ``\\r``, as ``Path.read_text``
+    reads them, so a form feed or U+2028 is whitespace inside a line.
     Callers split a body into tokens only when they reach it."""
-    for i, raw in enumerate(text.splitlines(), start=1):
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for i, raw in enumerate(text.split("\n"), start=1):
         body = raw.split("#", 1)[0]
         if body and not body.isspace():
             yield i, body

@@ -29,6 +29,8 @@ class CnfFormula:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.num_vars < 0:
+            raise ValueError(f"variable count {self.num_vars} must be nonnegative")
         for clause in self.clauses:
             if not clause:
                 raise ValueError("empty clause")
@@ -46,6 +48,8 @@ class BipartiteGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.n1 < 0 or self.n2 < 0:
+            raise ValueError(f"side sizes ({self.n1}, {self.n2}) must be nonnegative")
         for u, v in self.edges:
             if not (1 <= u <= self.n1 and 1 <= v <= self.n2):
                 raise ValueError(f"edge ({u}, {v}) out of range")
@@ -65,6 +69,8 @@ def _p_lines(text: str, kind: str, arity: int):
             if header or len(tokens) != arity + 2 or tokens[1] != kind:
                 raise ParseError(line, f"expected one `p {kind}` header with {arity} integers")
             header, tokens = True, tokens[2:]
+            if any(_int(tok, line) < 0 for tok in tokens):
+                raise ParseError(line, f"`p {kind}` header integers must be nonnegative")
         elif not header:
             raise ParseError(line, f"expected the `p {kind}` header first")
         yield line, [_int(tok, line) for tok in tokens]

@@ -10,7 +10,6 @@ text format for external solvers.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .model import (
@@ -105,28 +104,31 @@ def solve_ip_naive(model: IpModel, max_nodes: int = MAX_NODES) -> dict[VarKey, i
         for key in pairs:
             consumers[key].append(a0)
 
+    # an agent has an open type-ti variable at node idx iff its last type-ti
+    # variable in the fixed visit order sits at position idx or later
+    last_of: list[dict[int, int]] = [{} for _ in model.agent_vars]
+    for pos, key in enumerate(order):
+        for a0 in consumers[key]:
+            last_of[a0][key[0]] = pos
+
     assignment: dict[VarKey, int] = {}
     remaining = list(map(len, model.type_levels))  # capacity left per type
     agent_sum = [0] * len(model.agent_vars)
-    open_by_type = [Counter(ti for ti, _ in pairs) for pairs in model.agent_vars]
 
-    def optimistic(a0: int) -> int:
-        bound = agent_sum[a0]
-        for ti, open_count in open_by_type[a0].items():
-            if open_count > 0:
-                bound += remaining[ti]
-        return bound
-
-    def feasible_so_far() -> bool:
-        for a0 in range(len(model.agent_vars)):
+    def feasible_so_far(idx: int) -> bool:
+        for a0, lasts in enumerate(last_of):
             if model.equitable and agent_sum[a0] > model.y:
                 return False
-            if optimistic(a0) < model.y:
+            optimistic = agent_sum[a0]
+            for ti, pos in lasts.items():
+                if pos >= idx:
+                    optimistic += remaining[ti]
+            if optimistic < model.y:
                 return False
         return True
 
     def expand(idx: int):
-        if not feasible_so_far():
+        if not feasible_so_far(idx):
             return False
         # each type's last variable takes the rest of its levels
         return idx == len(order) or values(idx)
@@ -140,11 +142,9 @@ def solve_ip_naive(model: IpModel, max_nodes: int = MAX_NODES) -> dict[VarKey, i
             remaining[ti] -= value
             for a0 in consumers[key]:
                 agent_sum[a0] += value
-                open_by_type[a0][ti] -= 1
             yield idx + 1
             for a0 in consumers[key]:
                 agent_sum[a0] -= value
-                open_by_type[a0][ti] += 1
             remaining[ti] += value
             del assignment[key]
 

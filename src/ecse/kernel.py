@@ -98,20 +98,17 @@ def kernelize_ny(inst: Instance) -> KernelResult:
     if inst.mode != EGALITARIAN:
         raise ValueError("the level kernel is defined for egalitarian instances")
     renamed, renaming = rename_candidates(inst)
-    log: list[tuple] = []
     every = tuple(range(1, inst.tau + 1))
 
     supports = [row_support(row) for row in renamed.profile]
     for t0, support in enumerate(supports):
         if _top_score(support.values(), renamed.k) < renamed.x:
-            log.append(("no-valid-committee", t0 + 1))
-            return KernelResult("no", None, None, every, (), tuple(log))
+            return KernelResult("no", None, None, every, (), (("no-valid-committee", t0 + 1),))
 
     table = compute_criticality(renamed)
     if not any(table.critical):
-        log.append(("all-non-critical",))
         witness = _non_critical_witness(renamed, table, supports)
-        return KernelResult("yes", renaming.lift(witness), None, every, (), tuple(log))
+        return KernelResult("yes", renaming.lift(witness), None, every, (), (("all-non-critical",),))
 
     # users[t]: agents that can use level t; needed[t]: some critical agent can
     counts = [len(z) for z in table.z_sets]
@@ -128,26 +125,26 @@ def kernelize_ny(inst: Instance) -> KernelResult:
             kept.append(t)
             continue
         deleted.append(t)
-        log.append(("delete-level", t))
         for a0 in users[t]:  # not critical, since t is not needed
             counts[a0] -= 1
             if counts[a0] == table.threshold:
                 for s in table.z_sets[a0]:
                     needed[s] = True
 
+    log = tuple(("delete-level", t) for t in deleted)
     if not kept:
         # every level was useless to critical agents; with a positive target
         # some agent can never score, without one the greedy committees do
         if inst.y > 0:
-            return KernelResult("no", None, None, (), tuple(deleted), tuple(log))
+            return KernelResult("no", None, None, (), tuple(deleted), log)
         witness = _non_critical_witness(renamed, table, supports)
-        return KernelResult("yes", renaming.lift(witness), None, (), tuple(deleted), tuple(log))
+        return KernelResult("yes", renaming.lift(witness), None, (), tuple(deleted), log)
 
     rows = tuple(renamed.profile[t - 1] for t in kept)
     reduced = Instance(
         renamed.mode, renamed.n, renamed.m, len(kept), renamed.k, renamed.x, renamed.y, rows
     )
-    return KernelResult(None, None, reduced, tuple(kept), tuple(deleted), tuple(log))
+    return KernelResult(None, None, reduced, tuple(kept), tuple(deleted), log)
 
 
 def _non_critical_witness(renamed, table, supports) -> CommitteeSequence:

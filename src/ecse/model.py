@@ -270,25 +270,24 @@ EQUITABLE_SPEC = ComparatorSpec(CMP_LE, CMP_GE, CMP_EQ)
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Solver verdict plus optional witness and counters."""
+    """Optional witness plus counters; the verdict is yes iff a witness is present."""
 
-    verdict: str
     witness: CommitteeSequence | None = None
     stats: dict[str, int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.verdict not in ("yes", "no"):
-            raise ValueError(f"verdict must be yes/no, got {self.verdict!r}")
-        if (self.verdict == "yes") != (self.witness is not None):
-            raise ValueError("witness must be present exactly on yes")
+    @property
+    def verdict(self) -> str:
+        return "no" if self.witness is None else "yes"
 
     @classmethod
     def yes(cls, witness: CommitteeSequence, stats=None) -> "SolveResult":
-        return cls("yes", witness, dict(stats or {}))
+        if witness is None:
+            raise ValueError("witness must be present exactly on yes")
+        return cls(witness, dict(stats or {}))
 
     @classmethod
     def no(cls, stats=None) -> "SolveResult":
-        return cls("no", None, dict(stats or {}))
+        return cls(None, dict(stats or {}))
 
 
 # -- scores and feasibility ---------------------------------------------------

@@ -131,14 +131,11 @@ def brute_solve(inst: Instance | PeInstance, limits: OracleLimits | None = None)
         raise OracleLimitError(
             f"n={inst.n}, m={effective_m} (effective), tau={inst.tau} exceed limits {limits}"
         )
-    options = []
-    total = 0
-    for t, row in enumerate(inst.profile, start=1):
-        committees = enumerate_valid_committees(inst, t)
-        total += len(committees)
-        options.append([(c, _satisfied(row, c)) for c in committees])
-
-    stats = {"nodes": 0, "committees_enumerated": total}
+    options = [
+        [(c, _satisfied(row, c)) for c in enumerate_valid_committees(inst, t)]
+        for t, row in enumerate(inst.profile, start=1)
+    ]
+    stats = {"nodes": 0, "committees_enumerated": sum(map(len, options))}
     cmp_y = CMP_GE if inst.egalitarian else CMP_EQ
     result = _finish(_search(inst.profile, options, inst.yvec, cmp_y, stats), stats)
     if renaming is None or result.witness is None:

@@ -379,17 +379,16 @@ def solve_qcse_tau2(inst: Instance) -> SolveResult:
 
     stats = {"forced": 0, "components": 0, "surviving_agents": 0}
     components, zero = _components(x2.row1, x2.row2, inst.row_values)
-    survivors = x2.n
     if zero is not None:
         # the rules delete every agent of vertex 0's component or answer no
         mask = list(map(set(zero).__contains__, x2.row1))
         row1, row2 = tuple(compress(x2.row1, mask)), tuple(compress(x2.row2, mask))
-        survivors -= len(row1)
         x2 = apply_x2_rules(replace(x2, row1=row1, row2=row2))
         if x2 is None:
             return SolveResult.no(stats)
     stats["forced"] = len(x2.forced1) + len(x2.forced2)
-    stats["surviving_agents"] = survivors
+    # an agent outside vertex 0's component is an edge of exactly one other component
+    stats["surviving_agents"] = sum(comp.edge_count for comp in components)
     stats["components"] = len(components)
     cover = solve_cbivcs(CbivcsInstance(x2.k1, x2.k2, x2.x1, x2.x2, components))
     if cover is None:

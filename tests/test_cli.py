@@ -101,6 +101,24 @@ def test_generate_sources_refuse_tokens_int_reads_but_the_format_does_not_mean(
     assert (code, out, err) == (2, "", f"error: line {line}: expected an integer, got {token!r}\n")
 
 
+# (--from kind, a source text, the error it exits 2 with)
+SOURCE_FAULTS = [
+    # a form feed ends no line
+    ("sat", "p cnf 2 1\f\n1 x 0\n", "line 2: expected an integer, got 'x'"),
+    ("cbvc", "p cbvc -1 2 0\n", "line 1: `p cbvc` header integers must be nonnegative"),
+    ("3sat", "p cnf -2 0\n", "line 1: `p cnf` header integers must be nonnegative"),
+    ("cbvc", "p cbvc 2 2 -1\n", "line 1: `p cbvc` header integers must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("kind, text, message", SOURCE_FAULTS)
+def test_generate_source_faults_name_their_line(kind, text, message, tmp_path, capsys):
+    path = tmp_path / "bad.src"
+    path.write_text(text)
+    code, out, err = run(capsys, "generate", "--from", kind, str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_solve_json_and_algos(trip_file, capsys):
     for algo in ("auto", "brute", "branch", "dp", "ip"):
         code, out, _ = run(capsys, "solve", trip_file, "--algo", algo, "--json")

@@ -121,6 +121,24 @@ def test_level_row_errors_name_the_row_and_first_bad_token(doc, line, message):
     assert str(err.value) == f"line {line}: {message}"
 
 
+def test_lines_end_only_at_newlines():
+    # form feed, \x1c, \x85 and U+2028 are whitespace inside a line, not its end
+    doc = (TRIP_DOC.replace("mode gcse", "mode\x85gcse\f")
+           .replace("tau 2", "tau\x1c2").replace("1 5 1 5 3 4", "1 5\u20281 5 3 4"))
+    assert parse_instance(doc) == parse_instance(TRIP_DOC)
+    with pytest.raises(ParseError) as err:
+        parse_instance(doc.replace("4 3 2 6 2 3", "4 3\x852 x 2 3"))
+    assert str(err.value) == "line 11: expected an integer, got 'x'"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_lone_cr_documents_parse_as_newline_ones(newline):
+    assert parse_instance(TRIP_DOC.replace("\n", newline)) == parse_instance(TRIP_DOC)
+    with pytest.raises(ParseError) as err:
+        parse_instance(TRIP_DOC.replace("4 3 2 6 2 3", "4 3 2 x 2 3").replace("\n", newline))
+    assert str(err.value) == "line 11: expected an integer, got 'x'"
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [

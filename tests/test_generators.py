@@ -95,6 +95,8 @@ def test_sources_take_hash_comments():
         (parse_dimacs, "p cnf 2 2\n1\n2 0\nc tail\n\n", "header promises 2 clauses, found 1", 3),
         (parse_dimacs, "c no clauses\np cnf 2 1\n", "header promises 1 clauses, found 0", 2),
         (parse_dimacs, "p cnf 1_0 1\n1 0\n", "expected an integer, got '1_0'", 1),
+        (parse_dimacs, "c\np cnf -2 0\n", "`p cnf` header integers must be nonnegative", 2),
+        (parse_cbvc, "p cbvc 2 2 -1\n1 x\n", "`p cbvc` header integers must be nonnegative", 1),
         (parse_cbvc, "p cbvc 1 2 1\n1 1\n1 \u0661\n", "expected an integer, got '\u0661'", 3),
         (parse_cbvc, "p cbvc 1 2 1\n1 3\n", "expected an edge `u v` with u in 1..1 and v in 1..2", 2),
         (parse_3part, "1 2 3 # a triple\n\n2 \uff11 3\n", "expected an integer, got '\uff11'", 3),
@@ -104,6 +106,17 @@ def test_source_format_errors_come_in_line_order(parse, text, message, line):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CnfFormula(-2, ()), "variable count -2 must be nonnegative"),
+    (lambda: BipartiteGraph(-1, 2, ()), "side sizes (-1, 2) must be nonnegative"),
+    (lambda: BipartiteGraph(2, -1, ()), "side sizes (2, -1) must be nonnegative"),
+])
+def test_sources_refuse_negative_sizes(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def _layout(draw, lines: list[list[str]]) -> str:

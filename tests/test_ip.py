@@ -112,6 +112,19 @@ def test_budget_raises_undecided():
         solve_ip(inst, max_nodes=1)
 
 
+@pytest.mark.parametrize("args, nodes", [
+    ((7, 12, 5, 10, 2, 2, 3, EGALITARIAN), 130),  # I12
+    ((0, 13, 8, 30, 3, 1, 1, EGALITARIAN), 1_790),  # I13
+    ((2, 16, 8, 14, 3, 3, 4, EGALITARIAN), 6_585),  # an L-ktau rung
+])
+def test_ip_node_counts_are_pinned(args, nodes):
+    # the smallest budget that decides: any change to the pruning moves it
+    inst = random_instance(*args)
+    assert verify(inst, solve_ip(inst, max_nodes=nodes).witness).feasible
+    with pytest.raises(UndecidedError):
+        solve_ip(inst, max_nodes=nodes - 1)
+
+
 def _reference_ip_search(model):
     """Recursive value search in the same variable and value order as
     ``solve_ip_naive``; returns (assignment or None, nodes visited)."""

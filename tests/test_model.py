@@ -171,14 +171,19 @@ def test_out_of_range_nominations_are_named_as_before(case):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: SolveResult("maybe"), "verdict must be yes/no, got 'maybe'"),
-    (lambda: SolveResult("yes"), "witness must be present exactly on yes"),
-    (lambda: SolveResult("no", CommitteeSequence(((),))), "witness must be present exactly on yes"),
+    (lambda: SolveResult.yes(None), "witness must be present exactly on yes"),
 ])
 def test_result_invariants_name_the_broken_rule(build, message):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
+
+
+def test_a_result_reads_its_verdict_off_its_witness():
+    witness = CommitteeSequence(((),))
+    assert SolveResult.yes(witness, {"nodes": 1}).verdict == "yes"
+    assert SolveResult(witness).verdict == "yes"
+    assert SolveResult.no({"nodes": 1}).verdict == SolveResult().verdict == "no"
 
 
 def test_a_report_is_feasible_iff_it_names_no_violation():

@@ -386,6 +386,27 @@ def test_pipeline_matches_the_reference_composition(inst):
     assert solve_qcse_tau2(inst) == pipeline_reference(inst)
 
 
+@settings(max_examples=400, deadline=None)
+@given(x2_with_chains().map(lift))
+def test_surviving_agents_count_the_agents_outside_vertex_zeros_component(inst):
+    result = solve_qcse_tau2(inst)
+    if apply_x2_rules(x2_from_instance(inst)) is None:
+        assert result.verdict == "no" and result.stats["surviving_agents"] == 0
+        return
+    parent = {}
+
+    def find(v):
+        while parent.setdefault(v, v) != v:
+            v = parent[v]
+        return v
+
+    # left u is vertex u, right v is -v, and a missing nomination is vertex 0
+    for u, v in zip(*inst.profile):
+        parent[find(u)] = find(-v)
+    outside = sum(find(u) != find(0) for u in inst.profile[0])
+    assert result.stats["surviving_agents"] == outside
+
+
 CONNECTED, LATE_BRIDGE, LATE_EDGE, SEVERAL = "connected", "late bridge", "late edge", "several"
 
 
