@@ -45,8 +45,10 @@ MODE_TOKENS = {"gcse": EGALITARIAN, "qcse": EQUITABLE}
 _TOKEN_OF_MODE = {v: k for k, v in MODE_TOKENS.items()}
 
 _SCALAR_KEYS = ("n", "m", "tau", "k", "x", "y")
-# k, x and y have no floor: a pre-elected file may give negative defaults
+# k, x and y are floored only in a plain file: a pre-elected file may give
+# negative defaults
 _SCALAR_FLOORS = {"n": 0, "m": 0, "tau": 1}
+_BOUND_KEYS = ("k", "x", "y")
 _VECTOR_KEYS = ("kvec", "xvec", "yvec")
 
 
@@ -150,6 +152,7 @@ def parse_instance(text: str) -> Instance | PeInstance:
     mode: str | None = None
     scalars: dict[str, int] = {}
     vectors: dict[str, tuple[int, ...]] = {}
+    key_lines: dict[str, int] = {}  # scalar or vector key -> its line
     for line, body in lines:
         tokens = body.split()
         key = tokens[0]
@@ -169,6 +172,7 @@ def parse_instance(text: str) -> Instance | PeInstance:
             if key in scalars:
                 raise ParseError(line, f"duplicate `{key}`")
             value = scalars[key] = _int(tokens[1], line)
+            key_lines[key] = line
             if key in _SCALAR_FLOORS and value < _SCALAR_FLOORS[key]:
                 raise ParseError(line, f"{key} must be at least {_SCALAR_FLOORS[key]}")
         elif key in _VECTOR_KEYS:
@@ -176,6 +180,7 @@ def parse_instance(text: str) -> Instance | PeInstance:
                 raise ParseError(line, f"duplicate `{key}`")
             # the key is the body's first token, so what follows it is the vector
             vectors[key] = _row(body.partition(key)[2], line, table)
+            key_lines[key] = line
         else:
             raise ParseError(line, f"unknown key {key!r}")
     else:
@@ -187,6 +192,14 @@ def parse_instance(text: str) -> Instance | PeInstance:
         if key not in scalars:
             raise ParseError(line, f"missing `{key}`")
     n, m, tau = scalars["n"], scalars["m"], scalars["tau"]
+    # the bounds the constructors check, each refused at its key's line
+    for key, at in key_lines.items():
+        if key in vectors:
+            size, by = (n, "n") if key == "yvec" else (tau, "tau")
+            if len(vectors[key]) != size:
+                raise ParseError(at, f"`{key}` has {len(vectors[key])} entries, expected {by}={size}")
+        elif key in _BOUND_KEYS and not vectors and scalars[key] < 0:
+            raise ParseError(at, f"{key} must be at least 0")
 
     rows: dict[int, tuple[int, ...]] = {}  # line number -> level row
     expected_rows = tau if n > 0 else 0
@@ -216,10 +229,10 @@ def parse_instance(text: str) -> Instance | PeInstance:
             return PeInstance(mode, n, m, tau, kvec, xvec, yvec, profile)
         return Instance(mode, n, m, tau, scalars["k"], scalars["x"], scalars["y"], profile)
     except ValueError as exc:
-        # the constructors range-check nominations but know no lines: name
-        # the first level row out of range, else the `end` line
-        bad = [ln for ln, row in rows.items() if not all(0 <= c <= m for c in row)]
-        raise ParseError(bad[0] if bad else line, str(exc)) from None
+        # the checks above leave the constructors one error, a nomination
+        # out of range, and they know no lines: name its row
+        bad = next(ln for ln, row in rows.items() if not all(0 <= c <= m for c in row))
+        raise ParseError(bad, str(exc)) from None
 
 
 def serialize_instance(inst: Instance | PeInstance) -> str:

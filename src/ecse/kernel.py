@@ -155,18 +155,13 @@ def _non_critical_witness(renamed, table, supports) -> CommitteeSequence:
     committees = [greedy_committee(support, renamed.k) for support in supports]
     claimed: set[int] = set()
     for a0 in range(renamed.n):
-        need = renamed.y
-        for t in table.z_sets[a0]:
-            if need == 0:
-                break
-            if t in claimed:
-                continue
-            claimed.add(t)
+        mine = [t for t in table.z_sets[a0] if t not in claimed][:renamed.y]
+        if len(mine) < renamed.y:
+            raise AssertionError("non-critical agent ran out of usable levels")
+        claimed.update(mine)
+        for t in mine:
             nominee = renamed.profile[t - 1][a0]
             committees[t - 1] = greedy_committee(supports[t - 1], renamed.k, include=nominee)
-            need -= 1
-        if need:
-            raise AssertionError("non-critical agent ran out of usable levels")
     return CommitteeSequence.of(committees)
 
 

@@ -341,18 +341,13 @@ def verify_generalized(
     order; the report always carries all level and agent scores.
     """
     level_scores, agent_scores = _all_scores(inst, seq)
-    violation = None
     for t0, (committee, k, x) in enumerate(zip(seq, inst.kvec, inst.xvec)):
         if not COMPARATORS[spec.cmp_k](len(committee), k):
-            violation = Violation("level-size", t0 + 1)
-            break
+            return VerificationReport(level_scores, agent_scores, Violation("level-size", t0 + 1))
         if not COMPARATORS[spec.cmp_x](level_scores[t0], x):
-            violation = Violation("level-score", t0 + 1)
-            break
-    if violation is None:
-        passed = list(map(COMPARATORS[spec.cmp_y], agent_scores, inst.yvec))
-        if not all(passed):
-            violation = Violation("agent-score", passed.index(False) + 1)
+            return VerificationReport(level_scores, agent_scores, Violation("level-score", t0 + 1))
+    passed = list(map(COMPARATORS[spec.cmp_y], agent_scores, inst.yvec))
+    violation = None if all(passed) else Violation("agent-score", passed.index(False) + 1)
     return VerificationReport(level_scores, agent_scores, violation)
 
 
@@ -376,19 +371,10 @@ def row_support(row) -> dict[int, int]:
 
 def greedy_committee(support: dict[int, int], k: int, include: int | None = None) -> Committee:
     """Score-maximal committee of size <= k, optionally forced to contain
-    ``include``; ties among equally supported candidates break by id."""
-    ranked = sorted(support, key=lambda c: (-support[c], c))
-    picked: list[int] = []
-    if include is not None:
-        if k < 1:
-            return ()
-        picked.append(include)
-    for c in ranked:
-        if len(picked) >= k:
-            break
-        if c != include:
-            picked.append(c)
-    return tuple(sorted(picked))
+    ``include``, a candidate of ``support``; ties among equally supported
+    candidates break by id.  A negative k gives the empty committee."""
+    ranked = sorted(support, key=lambda c: (c != include, -support[c], c))
+    return tuple(sorted(ranked[:max(k, 0)]))
 
 
 def _top_score(supports, k: int) -> int:
@@ -461,12 +447,12 @@ def rename_candidates(inst: Instance) -> tuple[Instance, CandidateRenaming]:
     new_to_old: list[tuple[int, ...]] = []
     rows: list[tuple[int, ...]] = []
     for row in inst.profile:
-        fwd: dict[int, int] = {}
+        fwd = {0: 0}  # 0 keeps its place as the "nominates nothing" sentinel
         for c in row:
-            if c != 0 and c not in fwd:
-                fwd[c] = len(fwd) + 1
-        rows.append(tuple(fwd[c] if c != 0 else 0 for c in row))
-        new_to_old.append((0, *fwd))
+            if c not in fwd:
+                fwd[c] = len(fwd)
+        rows.append(tuple(map(fwd.__getitem__, row)))
+        new_to_old.append(tuple(fwd))
     renamed = Instance(inst.mode, inst.n, inst.n, inst.tau, inst.k, inst.x, inst.y, tuple(rows))
     return renamed, CandidateRenaming(tuple(new_to_old))
 
@@ -513,15 +499,17 @@ def trivial_solve(inst: Instance) -> SolveResult | None:
         return SolveResult.yes(CommitteeSequence(committees), stats)
 
     if inst.egalitarian and inst.k >= inst.m:
-        # electing everything is optimal, so the instance is a yes iff that is feasible
-        return _judge_extreme(inst, EGALITARIAN_SPEC, range(1, inst.m + 1), "trivial_k_ge_m")
+        # electing every nominated candidate (at most m <= k) is optimal, so
+        # the instance is a yes iff that is feasible
+        nominated = [tuple(filter(None, values)) for values in inst.row_values]
+        return _judge_extreme(inst, EGALITARIAN_SPEC, nominated, "trivial_k_ge_m")
 
     return None
 
 
-def _judge_extreme(inst, spec: ComparatorSpec, committee, rule: str) -> SolveResult:
-    """Yes iff ``committee`` in every level satisfies ``spec``; flags ``rule``."""
-    extreme = CommitteeSequence.of([committee] * inst.tau)
+def _judge_extreme(inst, spec: ComparatorSpec, committees, rule: str) -> SolveResult:
+    """Yes iff ``committees``, one per level, satisfy ``spec``; flags ``rule``."""
+    extreme = CommitteeSequence.of(committees)
     feasible = verify_generalized(inst, spec, extreme).feasible
     return SolveResult.yes(extreme, {rule: 1}) if feasible else SolveResult.no({rule: 1})
 
@@ -540,4 +528,4 @@ def solve_easy_generalized(inst: Instance, spec: ComparatorSpec) -> SolveResult 
         rule, committee = "easy_all_candidates", range(1, inst.m + 1)
     else:
         return None
-    return _judge_extreme(inst, spec, committee, rule)
+    return _judge_extreme(inst, spec, [committee] * inst.tau, rule)

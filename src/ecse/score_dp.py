@@ -197,15 +197,11 @@ def solve_dp(inst: Instance, budget: int | None = None) -> SolveResult:
     if not meets:
         return SolveResult.no(stats)
 
-    committees: list[tuple[int, ...]] = []
-    vec = meet = min(meets)
-    for t in range(lo, 0, -1):
-        vec, committee = trace[t][vec]
-        committees.append(committee)
-    committees.reverse()
-    vec = target - meet
-    for t in range(hi + 1, renamed.tau + 1):
-        vec, committee = trace[t][vec]
-        committees.append(committee)
+    # a meet needs lo == hi, so the two walks fill every level
+    committees: list[tuple[int, ...]] = [()] * renamed.tau
+    meet = min(meets)
+    for vec, levels in ((meet, range(lo, 0, -1)), (target - meet, range(hi + 1, renamed.tau + 1))):
+        for t in levels:
+            vec, committees[t - 1] = trace[t][vec]
     witness = renaming.lift(CommitteeSequence(tuple(committees)))
     return SolveResult.yes(witness, stats)

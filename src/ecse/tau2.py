@@ -147,13 +147,12 @@ def apply_x2_rules(x2: X2Instance) -> X2Instance | None:
     and in order: each forcing turns the other edges at its erased partners
     into edges at vertex 0, so the rules walk that component whole.
     """
-    zero1, zero2 = 0 in x2.row1, 0 in x2.row2  # one scan per row
-    if not (zero1 or zero2):
-        return x2
-    if zero1 and zero2 and (0, 0) in zip(x2.row1, x2.row2):
-        return None
     # a sorted list is already a heap
     single = [a0 for a0, pair in enumerate(zip(x2.row1, x2.row2)) if 0 in pair]
+    if not single:
+        return x2
+    if any(x2.row1[a0] == x2.row2[a0] for a0 in single):  # both nominations missing
+        return None
     # per level (index 1 and 2): nominations, and candidate -> its agents
     rows = (None, list(x2.row1), list(x2.row2))
     holders = (None, defaultdict(list), defaultdict(list))
@@ -358,13 +357,11 @@ def solve_cbivcs(g: CbivcsInstance) -> set[Vertex] | None:
     cover: set[Vertex] = set()
     state = accepting[0]
     for stage, members in zip(reversed(stages), reversed(type_members.values())):
-        prev, j = stage[state]
-        for pos, comp in enumerate(members):
-            if pos < j:
-                cover.update((1, c) for c in comp.left)
-            else:
-                cover.update((2, c) for c in comp.right)
-        state = prev
+        state, j = stage[state]
+        for comp in members[:j]:
+            cover.update((1, c) for c in comp.left)
+        for comp in members[j:]:
+            cover.update((2, c) for c in comp.right)
     return cover
 
 

@@ -57,6 +57,14 @@ def test_keys_in_any_order():
     assert inst.yvec == (1,)
 
 
+def test_pre_elected_file_accepts_negative_defaults():
+    # a plain file refuses `k -1` at its line; with a vector present it is a default
+    doc = TRIP_DOC.replace("k 2", "k -1").replace("levels", "yvec 1 1 1 1 1 1\nlevels")
+    inst = parse_instance(doc)
+    assert isinstance(inst, PeInstance)
+    assert inst.kvec == (-1, -1)
+
+
 def test_round_trip_is_fixed_point(trip_egalitarian):
     doc = serialize_instance(trip_egalitarian)
     assert parse_instance(doc) == trip_egalitarian
@@ -214,13 +222,17 @@ def _error(doc, line, message, name):
         # a line other than `end` is not `end`, even with an `end` after it
         _error(TRIP_DOC.replace("end\n", "end x\nend\n"), 12, "expected `end`", "end-args"),
         _error(TRIP_DOC + "extra\n", 13, "trailing content after `end`", "trailing"),
-        # the constructors' errors: a range error names its row, any other the `end` line
+        # a nomination out of range names its row; a negative bound of a plain
+        # file and a vector of the wrong length name their own key's line
         _error(TRIP_DOC.replace("4 3 2 6 2 3", "4 3 2 7 2 3"), 11, "nomination 7 out of range 0..6",
                "out-of-range"),
-        _error(TRIP_DOC.replace("y 1", "y -1"), 12, "bounds k, x, y must be nonnegative", "negative-y"),
-        _error(TRIP_DOC.replace("levels", "kvec\nlevels"), 13, "kvec/xvec must have one entry per level",
+        _error(TRIP_DOC.replace("y 1", "y -1"), 8, "y must be at least 0", "negative-y"),
+        _error(TRIP_DOC.replace("k 2", "k -1"), 6, "k must be at least 0", "negative-k"),
+        _error(TRIP_DOC.replace("levels", "kvec\nlevels"), 9, "`kvec` has 0 entries, expected tau=2",
                "short-kvec"),
-        _error(TRIP_DOC.replace("levels", "yvec 1\nlevels"), 13, "yvec must have one entry per agent",
+        _error(TRIP_DOC.replace("levels", "xvec 1 2 3\nlevels"), 9, "`xvec` has 3 entries, expected tau=2",
+               "long-xvec"),
+        _error(TRIP_DOC.replace("levels", "yvec 1\nlevels"), 9, "`yvec` has 1 entries, expected n=6",
                "short-yvec"),
     ],
 )

@@ -401,6 +401,17 @@ def test_trivial_k_ge_m(trip_egalitarian):
     assert trivial_solve(inst) is None
 
 
+def test_trivial_k_ge_m_elects_only_nominated_candidates():
+    # two agents among 100,000 candidates: the witness holds their nominees
+    # alone, not all m candidates of every level
+    m = 100_000
+    inst = Instance(EGALITARIAN, 2, m, 2, m, 0, 1, ((7, m), (0, 3)))
+    result = trivial_solve(inst)
+    assert result.stats == {"trivial_k_ge_m": 1}
+    assert result.witness.committees == ((7, m), (3,))
+    assert verify(inst, result.witness).feasible
+
+
 def test_trivial_none_for_hard_case(trip_egalitarian):
     assert trivial_solve(trip_egalitarian) is None
 
@@ -417,7 +428,8 @@ def test_trivial_agrees_with_oracle_when_it_fires():
             for row in inst.profile
         ],
         "trivial_y_eq_tau": lambda inst: [set(row) - {0} for row in inst.profile],
-        "trivial_k_ge_m": lambda inst: [range(1, inst.m + 1)] * inst.tau,
+        # a candidate nobody nominates adds no score, so none is elected
+        "trivial_k_ge_m": lambda inst: [set(row) - {0} for row in inst.profile],
     }
     rules_seen = set()
     for seed in range(400):
@@ -600,6 +612,29 @@ def test_solve_easy_generalized(trip_egalitarian):
     assert (ge.verdict == "yes") == expect.feasible
 
     assert solve_easy_generalized(trip_egalitarian, EGALITARIAN_SPEC) is None
+
+
+def _greedy_committee_by_loop(support, k, include=None):
+    """Reference for :func:`greedy_committee`: the forced member, then the
+    best-supported others one at a time while seats remain."""
+    ranked = sorted(support, key=lambda c: (-support[c], c))
+    picked = []
+    if include is not None:
+        if k < 1:
+            return ()
+        picked.append(include)
+    for c in ranked:
+        if len(picked) >= k:
+            break
+        if c != include:
+            picked.append(c)
+    return tuple(sorted(picked))
+
+
+@given(st.dictionaries(st.integers(1, 12), st.integers(1, 5), max_size=8), st.integers(-3, 10), st.data())
+def test_greedy_committee_matches_the_picking_loop(support, k, data):
+    include = data.draw(st.sampled_from([None, *support]))
+    assert greedy_committee(support, k, include) == _greedy_committee_by_loop(support, k, include)
 
 
 def test_comparator_tokens_and_forced_member_edges():
