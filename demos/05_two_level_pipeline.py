@@ -27,12 +27,13 @@ x2 = apply_x2_rules(x2_from_instance(inst))
 print("forced at level 1:", x2.forced1, "| forced at level 2:", x2.forced2)
 print("surviving agents:", x2.n, "with rows", x2.row1, "/", x2.row2)
 
-graph = build_cbivcs(x2)
-for i, comp in enumerate(graph.components, start=1):
+components = build_cbivcs(x2)
+for i, comp in enumerate(components, start=1):
     print(f"component {i}: level-1 side {comp.left}, level-2 side {comp.right}, "
           f"{comp.edge_count} agents")
-cover = solve_cbivcs(graph)
-print("chosen cover:", sorted(cover) if cover else None)
+committees = solve_cbivcs(x2, components)
+print("committees (forced plus one full side per component):",
+      [sorted(c) for c in committees] if committees else None)
 
 result = solve_qcse_tau2(inst)
 print("verdict:", result.verdict, "| committees:", result.witness.committees)

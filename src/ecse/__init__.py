@@ -45,7 +45,6 @@ from .kernel import CriticalityTable, KernelResult, compute_criticality, kerneli
 from .branching import branch_children, counting_bound, solve_branch
 from .score_dp import DpGuardError, level_fingerprints, solve_dp
 from .tau2 import (
-    CbivcsInstance,
     X2Instance,
     build_cbivcs,
     rr_x2_force_single,

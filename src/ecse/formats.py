@@ -66,9 +66,10 @@ def _content_lines(text: str):
     Lines end only at ``\\n``, ``\\r\\n`` and ``\\r``, as ``Path.read_text``
     reads them, so a form feed or U+2028 is whitespace inside a line.
     Callers split a body into tokens only when they reach it."""
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     for i, raw in enumerate(text.split("\n"), start=1):
-        body = raw.split("#", 1)[0]
+        body = raw.partition("#")[0]
         if body and not body.isspace():
             yield i, body
 

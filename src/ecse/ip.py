@@ -94,9 +94,8 @@ def solve_ip_naive(model: IpModel, max_nodes: int = MAX_NODES) -> dict[VarKey, i
     order: list[VarKey] = [
         (ti, ci) for ti in range(model.num_types) for ci in range(len(model.committees[ti]))
     ]
-    for ti in range(model.num_types):
-        if not model.committees[ti] and model.type_levels[ti]:
-            return None  # type-sum constraint unsatisfiable
+    if not all(model.committees):
+        return None  # a type-sum constraint is unsatisfiable
 
     # var -> agents whose constraint it feeds
     consumers: dict[VarKey, list[int]] = {key: [] for key in order}

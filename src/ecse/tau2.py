@@ -31,8 +31,10 @@ vertex, 0 included: a connected graph, as uniform nominations give after a
 few hundred agents, costs one short block however many agents there are; a
 graph that never connects reads every pair.  Its vertices are plain ints,
 level-1 candidate u as u and level-2 candidate v as -v, so no (side,
-candidate) tuple is built or hashed per lookup; the cover that
-:func:`solve_cbivcs` returns still names (side, candidate) pairs.
+candidate) tuple is built or hashed per lookup.  :func:`solve_cbivcs` takes
+the budgets, thresholds and forced candidates off the rules' own
+:class:`X2Instance` and the components as the pass found them, and returns
+the two committees.
 """
 
 from __future__ import annotations
@@ -51,8 +53,6 @@ from .model import (
     SolveResult,
     trivial_solve,
 )
-
-Vertex = tuple[int, int]  # (level side 1|2, candidate id)
 
 # agents in the graph's first block of nomination pairs; each later block
 # is twice as long
@@ -204,22 +204,6 @@ class CbivcsComponent:
     edge_count: int
 
 
-@dataclass(frozen=True)
-class CbivcsInstance:
-    """Bipartite budget/score cover instance given by its components.
-
-    Each component lists its candidates per side, and the components
-    partition both sides; its edge count includes parallel edges since
-    degree must count agents.
-    """
-
-    k1: int
-    k2: int
-    x1: int
-    x2: int
-    components: tuple[CbivcsComponent, ...]
-
-
 def _components(
     row1: tuple[int, ...], row2: tuple[int, ...], sides: tuple[tuple[int, ...], ...] | None = None
 ) -> tuple[tuple[CbivcsComponent, ...], list[int] | None]:
@@ -298,9 +282,10 @@ def _components(
     return tuple(components), zero
 
 
-def build_cbivcs(x2: X2Instance) -> CbivcsInstance:
-    """Agents as edges between their two nominations; rules must have run
-    first so that every agent nominates at both levels.
+def build_cbivcs(x2: X2Instance) -> tuple[CbivcsComponent, ...]:
+    """The components of the graph with agents as edges between their two
+    nominations; rules must have run first so that every agent nominates at
+    both levels.
 
     An agent without a nomination shows up as vertex 0 of the graph (see
     :func:`_components`), which reads the rows only until the graph is
@@ -308,27 +293,33 @@ def build_cbivcs(x2: X2Instance) -> CbivcsInstance:
     components, zero = _components(x2.row1, x2.row2)
     if zero is not None:
         raise ValueError("agents must nominate at both levels; apply the rules first")
-    return CbivcsInstance(x2.k1, x2.k2, x2.x1, x2.x2, components)
+    return components
 
 
-def solve_cbivcs(g: CbivcsInstance) -> set[Vertex] | None:
-    """Independent vertex cover within budgets and score targets, or None.
+def solve_cbivcs(
+    x2: X2Instance, components: tuple[CbivcsComponent, ...]
+) -> tuple[set[int], set[int]] | None:
+    """The two committees, ``x2``'s forced candidates plus an independent
+    vertex cover of ``components`` within ``x2``'s budgets and thresholds,
+    or None; ``x2``'s rows are not read.
 
-    Per component the cover is one full side, so the sweep tracks reachable
-    (left-use, right-use, left-degree-sum) triples component by component;
-    identical (|left|, |right|, edges) component types are batched, with j of
-    a type's components taking the left side.  From each state only the j
-    whose left sides fit the remaining left budget and whose count - j right
-    sides fit the remaining right budget are enumerated, in increasing
-    order, so no state over budget is ever built.  The lexicographically
-    smallest accepting state is walked back into the cover.  Every component
-    needs both sides nonempty, as every component of an agent graph has.
+    The components must partition both sides, and an edge count includes
+    parallel edges since degree must count agents.  Per component the cover
+    is one full side, so the sweep tracks reachable (left-use, right-use,
+    left-degree-sum) triples component by component; identical (|left|,
+    |right|, edges) component types are batched, with j of a type's
+    components taking the left side.  From each state only the j whose left
+    sides fit the remaining left budget and whose count - j right sides fit
+    the remaining right budget are enumerated, in increasing order, so no
+    state over budget is ever built.  The lexicographically smallest
+    accepting state is walked back into the cover.  Every component needs
+    both sides nonempty, as every component of an agent graph has.
     """
-    if g.k1 < 0 or g.k2 < 0:
+    if x2.k1 < 0 or x2.k2 < 0:
         return None
-    total = sum(comp.edge_count for comp in g.components)
+    total = sum(comp.edge_count for comp in components)
     type_members: dict[tuple[int, int, int], list[CbivcsComponent]] = {}
-    for comp in g.components:
+    for comp in components:
         key = (len(comp.left), len(comp.right), comp.edge_count)
         type_members.setdefault(key, []).append(comp)
 
@@ -340,8 +331,8 @@ def solve_cbivcs(g: CbivcsInstance) -> set[Vertex] | None:
             k1u, k2u, x1s = state
             # j left sides cost j * n1 <= k1 - k1u, and count - j right
             # sides (count - j) * n2 <= k2 - k2u
-            low = max(0, count - (g.k2 - k2u) // n2)
-            high = min(count, (g.k1 - k1u) // n1)
+            low = max(0, count - (x2.k2 - k2u) // n2)
+            high = min(count, (x2.k1 - k1u) // n1)
             for j in range(low, high + 1):
                 cand = (k1u + j * n1, k2u + (count - j) * n2, x1s + j * m)
                 if cand not in nxt:
@@ -350,19 +341,19 @@ def solve_cbivcs(g: CbivcsInstance) -> set[Vertex] | None:
             return None
         stages.append(nxt)
 
-    accepting = sorted(s for s in stages[-1] if s[2] >= g.x1 and total - s[2] >= g.x2)
+    accepting = sorted(s for s in stages[-1] if s[2] >= x2.x1 and total - s[2] >= x2.x2)
     if not accepting:
         return None
 
-    cover: set[Vertex] = set()
+    first, second = set(x2.forced1), set(x2.forced2)
     state = accepting[0]
     for stage, members in zip(reversed(stages), reversed(type_members.values())):
         state, j = stage[state]
         for comp in members[:j]:
-            cover.update((1, c) for c in comp.left)
+            first.update(comp.left)
         for comp in members[j:]:
-            cover.update((2, c) for c in comp.right)
-    return cover
+            second.update(comp.right)
+    return first, second
 
 
 def solve_qcse_tau2(inst: Instance) -> SolveResult:
@@ -387,9 +378,7 @@ def solve_qcse_tau2(inst: Instance) -> SolveResult:
     # an agent outside vertex 0's component is an edge of exactly one other component
     stats["surviving_agents"] = sum(comp.edge_count for comp in components)
     stats["components"] = len(components)
-    cover = solve_cbivcs(CbivcsInstance(x2.k1, x2.k2, x2.x1, x2.x2, components))
-    if cover is None:
+    committees = solve_cbivcs(x2, components)
+    if committees is None:
         return SolveResult.no(stats)
-    first = set(x2.forced1) | {c for side, c in cover if side == 1}
-    second = set(x2.forced2) | {c for side, c in cover if side == 2}
-    return SolveResult.yes(CommitteeSequence.of([first, second]), stats)
+    return SolveResult.yes(CommitteeSequence.of(committees), stats)

@@ -286,14 +286,13 @@ def _tau2_full_side_invariant(inst: Instance) -> None:
     x2 = apply_x2_rules(x2_from_instance(inst))
     if x2 is None:
         return
-    graph = build_cbivcs(x2)
-    cover = solve_cbivcs(graph)
-    if cover is None:
+    components = build_cbivcs(x2)
+    committees = solve_cbivcs(x2, components)
+    if committees is None:
         return
-    for comp in graph.components:
-        left = {(1, c) for c in comp.left}
-        right = {(2, c) for c in comp.right}
-        assert left <= cover or right <= cover
+    first, second = committees
+    for comp in components:
+        assert set(comp.left) <= first or set(comp.right) <= second
 
 
 def test_criterion_5_tau2_scaling():

@@ -61,6 +61,14 @@ def test_instance_rejects_bad_dimensions():
         Instance(EGALITARIAN, 1, 3, 1, 1, 0, 0, ((4,),))
     with pytest.raises(ValueError):
         Instance("both", 1, 3, 1, 1, 0, 0, ((1,),))
+    for k, x, y in ((-1, 0, 0), (1, -1, 0), (1, 0, -1)):
+        with pytest.raises(ValueError, match="^bounds k, x, y must be nonnegative$"):
+            Instance(EGALITARIAN, 1, 3, 1, k, x, y, ((1,),))
+    for kvec, xvec in (((1, 1), (0,)), ((1,), ())):
+        with pytest.raises(ValueError, match="^kvec/xvec must have one entry per level$"):
+            PeInstance(EGALITARIAN, 1, 3, 1, kvec, xvec, (0,), ((1,),))
+    with pytest.raises(ValueError, match="^yvec must have one entry per agent$"):
+        PeInstance(EGALITARIAN, 1, 3, 1, (1,), (0,), (0, 0), ((1,),))
 
 
 def test_out_of_range_nomination_message_names_the_first_bad_value():

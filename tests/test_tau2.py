@@ -3,6 +3,7 @@
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,7 +15,6 @@ from ecse.tau2 import (
     _FIRST_BLOCK,
     _components,
     CbivcsComponent,
-    CbivcsInstance,
     X2Instance,
     apply_x2_rules,
     build_cbivcs,
@@ -70,60 +70,55 @@ def test_apply_rules_reaches_fixed_point():
     assert out.forced1 == (1, 3)
 
 
-def edge_total(graph):
-    return sum(comp.edge_count for comp in graph.components)
+def edge_total(components):
+    return sum(comp.edge_count for comp in components)
 
 
-def graph_sides(graph):
+def graph_sides(components):
     """Both sides of the graph as the sorted union of its components' sides;
     a candidate in two components would show up twice."""
     return (
-        tuple(sorted(c for comp in graph.components for c in comp.left)),
-        tuple(sorted(c for comp in graph.components for c in comp.right)),
+        tuple(sorted(c for comp in components for c in comp.left)),
+        tuple(sorted(c for comp in components for c in comp.right)),
     )
 
 
 def test_build_cbivcs_shapes():
-    graph = build_cbivcs(x2((1, 1), (2, 3)))
-    assert graph_sides(graph) == ((1,), (2, 3))
-    assert edge_total(graph) == 2
-    assert len(graph.components) == 1
-    comp = graph.components[0]
+    components = build_cbivcs(x2((1, 1), (2, 3)))
+    assert graph_sides(components) == ((1,), (2, 3))
+    assert edge_total(components) == 2
+    assert len(components) == 1
+    comp = components[0]
     assert (comp.left, comp.right, comp.edge_count) == ((1,), (2, 3), 2)
 
     # identical agents: parallel edges are kept, degree counts agents
     twin = build_cbivcs(x2((1, 1), (2, 2)))
     assert edge_total(twin) == 2
-    assert twin.components[0].edge_count == 2
+    assert twin[0].edge_count == 2
 
-    empty = build_cbivcs(x2((), ()))
-    assert empty.components == ()
+    assert build_cbivcs(x2((), ())) == ()
 
     with pytest.raises(ValueError):
         build_cbivcs(x2((1, 0), (2, 2)))
 
 
 def test_solve_cbivcs_single_edge():
-    g = CbivcsInstance(1, 1, 1, 0, (CbivcsComponent((1,), (2,), 1),))
-    assert solve_cbivcs(g) == {(1, 1)}
+    edge = (CbivcsComponent((1,), (2,), 1),)
+    assert solve_cbivcs(x2((), (), 1, 1, 1, 0), edge) == ({1}, set())
+    # the forced candidates join their committees
+    rest = replace(x2((), (), 1, 1, 1, 0), forced1=(5,), forced2=(4, 6))
+    assert solve_cbivcs(rest, edge) == ({1, 5}, {4, 6})
 
 
 def test_solve_cbivcs_two_components():
     # component A: single edge u1-v1; component B: path v2 - u2 - v3
-    g = CbivcsInstance(
-        2, 1, 2, 1,
-        (
-            CbivcsComponent((1,), (1,), 1),
-            CbivcsComponent((2,), (2, 3), 2),
-        ),
-    )
-    cover = solve_cbivcs(g)
-    assert cover == {(1, 2), (2, 1)}  # left side of B, right side of A
+    components = (CbivcsComponent((1,), (1,), 1), CbivcsComponent((2,), (2, 3), 2))
+    # left side of B, right side of A
+    assert solve_cbivcs(x2((), (), 2, 1, 2, 1), components) == ({2}, {1})
 
 
 def test_solve_cbivcs_unreachable_targets():
-    g = CbivcsInstance(1, 1, 2, 0, (CbivcsComponent((1,), (2,), 1),))
-    assert solve_cbivcs(g) is None
+    assert solve_cbivcs(x2((), (), 1, 1, 2, 0), (CbivcsComponent((1,), (2,), 1),)) is None
 
 
 def test_trip_equitable(trip_equitable_x3, trip_equitable_x4):
@@ -162,17 +157,16 @@ def full_side_invariant(inst):
     x2inst = apply_x2_rules(x2_from_instance(inst))
     if x2inst is None:
         return
-    graph = build_cbivcs(x2inst)
-    assert edge_total(graph) == x2inst.n  # agents and edges correspond one-to-one
-    cover = solve_cbivcs(graph)
-    if cover is None:
+    components = build_cbivcs(x2inst)
+    assert edge_total(components) == x2inst.n  # agents and edges correspond one-to-one
+    committees = solve_cbivcs(x2inst, components)
+    if committees is None:
         return
-    for comp in graph.components:
-        left = {(1, c) for c in comp.left}
-        right = {(2, c) for c in comp.right}
-        assert left <= cover or right <= cover
+    first, second = committees
+    for comp in components:
+        assert set(comp.left) <= first or set(comp.right) <= second
     for c1, c2 in zip(x2inst.row1, x2inst.row2):
-        assert ((1, c1) in cover) + ((2, c2) in cover) == 1
+        assert (c1 in first) + (c2 in second) == 1
 
 
 def test_agrees_with_oracle():
@@ -289,12 +283,10 @@ def naive_components(edges):
 def test_components_match_per_edge_union_find(pairs):
     # few candidates per side, so most draws repeat a pair (parallel edges)
     inst = x2([a for a, _ in pairs], [b for _, b in pairs])
-    graph = build_cbivcs(inst)
+    components = build_cbivcs(inst)
     edges = list(zip(inst.row1, inst.row2))
-    assert [
-        (comp.left, comp.right, comp.edge_count) for comp in graph.components
-    ] == naive_components(edges)
-    assert edge_total(graph) == len(edges) == len(pairs)
+    assert [(comp.left, comp.right, comp.edge_count) for comp in components] == naive_components(edges)
+    assert edge_total(components) == len(edges) == len(pairs)
 
 
 def graph_from_rows(inst):
@@ -320,9 +312,9 @@ def test_graph_sides_from_pairs_match_the_rows(inst):
                 build_cbivcs(case)
             assert str(err.value) == str(exc)
             continue
-        graph = build_cbivcs(case)
-        components = [(comp.left, comp.right, comp.edge_count) for comp in graph.components]
-        assert (*graph_sides(graph), components) == expected
+        found = build_cbivcs(case)
+        components = [(comp.left, comp.right, comp.edge_count) for comp in found]
+        assert (*graph_sides(found), components) == expected
 
 
 @pytest.mark.parametrize("row1, row2, others, zero", [
@@ -360,15 +352,9 @@ def pipeline_reference(inst):
     stats["surviving_agents"] = rest.n
     components = graph_from_rows(rest)[2]
     stats["components"] = len(components)
-    graph = CbivcsInstance(
-        rest.k1, rest.k2, rest.x1, rest.x2, tuple(CbivcsComponent(*comp) for comp in components)
-    )
-    cover = solve_cbivcs(graph)
-    if cover is None:
+    committees = solve_cbivcs(rest, tuple(CbivcsComponent(*comp) for comp in components))
+    if committees is None:
         return SolveResult.no(stats)
-    committees = [set(rest.forced1), set(rest.forced2)]
-    for side, c in cover:
-        committees[side - 1].add(c)
     return SolveResult.yes(CommitteeSequence.of(committees), stats)
 
 
@@ -451,10 +437,10 @@ def multi_block_rows(draw, shape):
 @given(data=st.data())
 def test_multi_block_graph_matches_per_edge_union_find(shape, data):
     inst = data.draw(multi_block_rows(shape))
-    graph = build_cbivcs(inst)
-    components = [(comp.left, comp.right, comp.edge_count) for comp in graph.components]
-    assert (*graph_sides(graph), components) == graph_from_rows(inst)
-    assert edge_total(graph) == inst.n
+    found = build_cbivcs(inst)
+    components = [(comp.left, comp.right, comp.edge_count) for comp in found]
+    assert (*graph_sides(found), components) == graph_from_rows(inst)
+    assert edge_total(found) == inst.n
     if shape in (CONNECTED, LATE_BRIDGE):
         assert len(components) == 1
     elif shape == LATE_EDGE:
@@ -471,7 +457,7 @@ def test_zero_nomination_after_the_first_block_is_refused(data):
     # can catch the agent that lacks a nomination
     inst = data.draw(multi_block_rows(CONNECTED))
     assume(inst.n > _FIRST_BLOCK)
-    assert len(build_cbivcs(inst).components) == 1
+    assert len(build_cbivcs(inst)) == 1
     a0 = data.draw(st.integers(_FIRST_BLOCK, inst.n - 1))
     rows = [list(inst.row1), list(inst.row2)]
     rows[data.draw(st.integers(0, 1))][a0] = 0
@@ -523,14 +509,14 @@ def test_one_component_spanning_40_and_40_candidates():
     assert solve_qcse_tau2(inst).stats["components"] == 1
 
 
-def all_j_sweep(g):
+def all_j_sweep(g, components):
     """``solve_cbivcs`` as first written: every j from 0 to the type count is
     tried from every state, and states over budget are dropped."""
     if g.k1 < 0 or g.k2 < 0:
         return None
-    total = sum(comp.edge_count for comp in g.components)
+    total = sum(comp.edge_count for comp in components)
     type_members = {}
-    for comp in g.components:
+    for comp in components:
         type_members.setdefault((len(comp.left), len(comp.right), comp.edge_count), []).append(comp)
     stages = [{(0, 0, 0): None}]
     for (n1, n2, m), members in type_members.items():
@@ -550,16 +536,16 @@ def all_j_sweep(g):
     accepting = sorted(s for s in stages[-1] if s[2] >= g.x1 and total - s[2] >= g.x2)
     if not accepting:
         return None
-    cover, state = set(), accepting[0]
+    first, second, state = set(g.forced1), set(g.forced2), accepting[0]
     for stage, members in zip(reversed(stages), reversed(type_members.values())):
         prev, j = stage[state]
         for pos, comp in enumerate(members):
             if pos < j:
-                cover.update((1, c) for c in comp.left)
+                first.update(comp.left)
             else:
-                cover.update((2, c) for c in comp.right)
+                second.update(comp.right)
         state = prev
-    return cover
+    return first, second
 
 
 @st.composite
@@ -567,7 +553,8 @@ def cbivcs_graphs(draw):
     """Up to four component types (sides of 1-3 candidates, 1-6 edges),
     interleaved, up to 12 components; budgets from -1 to 10, so a type's
     count often exceeds what a budget admits, and thresholds up to just
-    past the edge total."""
+    past the edge total.  The budgets and thresholds come as an agentless
+    ``X2Instance``, next to the components."""
     shape = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 6))
     types = draw(st.lists(shape, min_size=1, max_size=4, unique=True))
     order = draw(st.lists(st.sampled_from(types), max_size=12))
@@ -579,15 +566,14 @@ def cbivcs_graphs(draw):
         next1, next2 = next1 + n1, next2 + n2
     total = sum(comp.edge_count for comp in components)
     budget, threshold = st.integers(-1, 10), st.integers(0, total + 2)
-    return CbivcsInstance(
-        draw(budget), draw(budget), draw(threshold), draw(threshold), tuple(components)
-    )
+    bounds = x2((), (), draw(budget), draw(budget), draw(threshold), draw(threshold))
+    return bounds, tuple(components)
 
 
 @settings(max_examples=500, deadline=None)
 @given(cbivcs_graphs())
-def test_feasible_range_sweep_matches_the_all_j_loop(g):
-    assert solve_cbivcs(g) == all_j_sweep(g)
+def test_feasible_range_sweep_matches_the_all_j_loop(graph):
+    assert solve_cbivcs(*graph) == all_j_sweep(*graph)
 
 
 @pytest.mark.parametrize("k1, k2", [(0, 6), (6, 0), (0, 0)])
@@ -595,13 +581,14 @@ def test_feasible_range_sweep_with_an_empty_budget(k1, k2):
     # five equal single-edge components: a zero budget forces every one to
     # the other side, and two zeros leave no cover at all
     comps = tuple(CbivcsComponent((c,), (c,), 1) for c in range(1, 6))
-    g = CbivcsInstance(k1, k2, 0, 0, comps)
-    cover = solve_cbivcs(g)
-    assert cover == all_j_sweep(g)
+    g = x2((), (), k1, k2)
+    committees = solve_cbivcs(g, comps)
+    assert committees == all_j_sweep(g, comps)
+    every = set(range(1, 6))
     if k1 == k2 == 0:
-        assert cover is None
+        assert committees is None
     else:
-        assert cover == {(1 if k1 else 2, c) for c in range(1, 6)}
+        assert committees == ((every, set()) if k1 else (set(), every))
 
 
 def test_forcing_cascade_scales_to_1e5_agents():
